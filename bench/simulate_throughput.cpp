@@ -1,16 +1,11 @@
-// Legacy vs compiled simulation throughput — the tentpole measurement of
-// the compiled-schedule IR.
+// Compiled simulation throughput.
 //
 // Corpus: the paper's fig5/fig6 families (edge-coloring schedules at d = 2,
 // half-duplex for the fig5 reading, full-duplex for fig6/fig8) plus the
 // large-D de Bruijn and Kautz members the sweep engine grinds through.
-// Each member is simulated to gossip completion along both paths:
-//
-//   legacy    gossip_time(SystolicSchedule)   round_at() + arc-vector walk
-//   compiled  gossip_time(CompiledSchedule)   flat CSR spans + role gather
-//
-// plus the one-off compile cost, so the break-even point (a handful of
-// simulated rounds) is visible.  On top of that, the SIMD/batching arms:
+// Each member is simulated to gossip completion through
+// gossip_time(CompiledSchedule) (flat CSR spans), plus the one-off compile
+// cost.  On top of that, the SIMD/batching arms:
 // per-row-kernel gossip (simulate/kernel/<scalar|avx2|avx512>/..., rows/s),
 // arena-backed gossip (simulate/arena/...), and batched broadcast vs the
 // serial per-source loop at lane widths 1/8/64/256 (lanes/s).  Run: build
@@ -74,14 +69,6 @@ const std::vector<Member>& corpus() {
     return c;
   }();
   return *kCorpus;
-}
-
-void BM_SimulateLegacy(benchmark::State& state, const Member& m) {
-  for (auto _ : state) {
-    const int t = sysgo::simulator::gossip_time(m.schedule, 1 << 20);
-    benchmark::DoNotOptimize(t);
-  }
-  state.SetItemsProcessed(state.iterations() * m.schedule.n);
 }
 
 void BM_SimulateCompiled(benchmark::State& state, const Member& m) {
@@ -187,9 +174,6 @@ void BM_SimulateArena(benchmark::State& state, const Member& m) {
 const bool kRegistered = [] {
   using sysgo::simulator::KernelKind;
   for (const Member& m : corpus()) {
-    benchmark::RegisterBenchmark(("simulate/legacy/" + m.name).c_str(),
-                                 BM_SimulateLegacy, m)
-        ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("simulate/compiled/" + m.name).c_str(),
                                  BM_SimulateCompiled, m)
         ->Unit(benchmark::kMicrosecond);

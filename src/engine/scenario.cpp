@@ -35,17 +35,6 @@ Task parse_task_name(const std::string& name) {
   throw std::invalid_argument("unknown task: " + name);
 }
 
-std::string synth_eval_name(SynthEval e) {
-  return e == SynthEval::kFull ? "full" : "incremental";
-}
-
-SynthEval parse_synth_eval_name(const std::string& name) {
-  if (name == "full") return SynthEval::kFull;
-  if (name == "incremental") return SynthEval::kIncremental;
-  throw std::invalid_argument("unknown synth eval mode: " + name +
-                              " (expected full|incremental)");
-}
-
 bool task_needs_dimension(Task t) noexcept {
   return t == Task::kSimulate || t == Task::kAudit ||
          t == Task::kSeparatorCheck || t == Task::kSolveGossip ||

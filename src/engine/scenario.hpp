@@ -42,20 +42,6 @@ enum class Task {
 /// (family, d, mode) with D = 0 instead of once per dimension.
 [[nodiscard]] bool task_needs_dimension(Task t) noexcept;
 
-/// Draft evaluation strategy for kSynthesize jobs (mirrors synth::EvalMode
-/// without pulling synth headers into every engine consumer).  Results are
-/// byte-identical across the two — incremental is purely a throughput knob,
-/// which is why it is NOT part of the store's limits fingerprint (CI runs
-/// both and diffs the outputs instead).
-enum class SynthEval {
-  kFull,
-  kIncremental,
-};
-
-/// Stable token used in CLI flags: "full" | "incremental".
-[[nodiscard]] std::string synth_eval_name(SynthEval e);
-[[nodiscard]] SynthEval parse_synth_eval_name(const std::string& name);  // throws
-
 /// One concrete scenario: a family member at (d, D) under a duplex mode.
 /// D = 0 marks asymptotic (D-independent) jobs.
 struct ScenarioKey {
@@ -101,7 +87,6 @@ struct ExecutionLimits {
   int synth_iterations = 4000;
   double synth_time_budget_ms = 0.0;
   unsigned synth_threads = 1;
-  SynthEval synth_eval = SynthEval::kIncremental;
   /// Seed for every randomized component of a run: random-topology family
   /// members and the synthesizer's restart streams.  One seed per run —
   /// echoed by the CLI so any randomized sweep is reproducible.

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "simulator/kernels.hpp"
+#include "simulator/periodic.hpp"
 
 namespace sysgo::simulator {
 
@@ -86,14 +87,13 @@ std::vector<int> broadcast_times_batch(const protocol::CompiledSchedule& cs,
   bk.set_round(0);  // n == 1 lanes complete at 0, like broadcast_time
   for (std::size_t l = 0; l < sources.size(); ++l)
     bk.mark(sources[l], static_cast<int>(l));
-  const int rounds = cs.round_count();
-  if (!cs.periodic() && max_rounds > rounds) max_rounds = rounds;
-  int r = 0;
-  for (int i = 1; i <= max_rounds && !bk.all_done(); ++i) {
-    bk.set_round(i);
-    bk.merge_arcs(cs.round_arcs(r));
-    if (++r == rounds) r = 0;
-  }
+  (void)run_periodic(
+      cs.round_count(), cs.periodic(), max_rounds,
+      [&](int r, int round_no) {
+        bk.set_round(round_no);
+        bk.merge_arcs(cs.round_arcs(r));
+      },
+      [&] { return bk.all_done(); });
   std::vector<int> times(sources.size());
   for (std::size_t l = 0; l < sources.size(); ++l)
     times[l] = bk.completed_at(static_cast<int>(l));
@@ -120,16 +120,10 @@ KnowledgeMatrix& GossipArena::acquire(int n) {
 int gossip_time(const protocol::CompiledSchedule& cs, int max_rounds,
                 const GossipOptions& opts, GossipArena& arena) {
   KnowledgeMatrix& know = arena.acquire(cs.n());
-  if (know.all_full()) return 0;  // n == 1
-  const int rounds = cs.round_count();
-  if (!cs.periodic() && max_rounds > rounds) max_rounds = rounds;
-  int r = 0;
-  for (int i = 1; i <= max_rounds; ++i) {
-    apply_round(know, cs, r, opts.parallel);
-    if (know.all_full()) return i;
-    if (++r == rounds) r = 0;
-  }
-  return -1;
+  return run_periodic(
+      cs.round_count(), cs.periodic(), max_rounds,
+      [&](int r, int) { apply_round(know, cs, r, opts.parallel); },
+      [&] { return know.all_full(); });
 }
 
 std::vector<int> run_gossip_batch(

@@ -105,6 +105,11 @@ class GossipArena {
  public:
   [[nodiscard]] KnowledgeMatrix& acquire(int n);
 
+  /// The matrix the last acquire() returned (nullptr before the first).
+  [[nodiscard]] const KnowledgeMatrix* current() const noexcept {
+    return know_.get();
+  }
+
  private:
   std::unique_ptr<KnowledgeMatrix> know_;
 };

@@ -4,88 +4,71 @@
 #include <stdexcept>
 
 #include "simulator/gossip_sim.hpp"
+#include "simulator/periodic.hpp"
 
 namespace sysgo::simulator {
 namespace {
 
-// One single-item propagation step over a round's arc span.  Pre-round
-// snapshot semantics: heads are collected against the state at the
-// beginning of the round, then marked, so a vertex informed this round
-// does not forward within the same round.  Works for both duplex modes
-// (full-duplex pairs are two opposite arcs evaluated independently).
-// Returns how many vertices the round informed.
-int step_reach(std::span<const sysgo::graph::Arc> arcs, std::vector<int>& reach,
-               std::vector<int>& newly, int round_no) {
-  newly.clear();
-  for (const auto& a : arcs) {
-    if (reach[static_cast<std::size_t>(a.tail)] != -1 &&
-        reach[static_cast<std::size_t>(a.head)] == -1)
-      newly.push_back(a.head);
-  }
-  for (int v : newly) reach[static_cast<std::size_t>(v)] = round_no;
-  return static_cast<int>(newly.size());
+/// Fill reach[v] with the round v first knows src's item (0 for src, -1
+/// while never) and return the round every vertex knew it, or -1.
+int run_reach(const protocol::CompiledSchedule& cs, int src, int max_rounds,
+              std::vector<int>& reach) {
+  const int n = cs.n();
+  if (src < 0 || src >= n)
+    throw std::invalid_argument("broadcast: source out of range");
+  reach.assign(static_cast<std::size_t>(n), -1);
+  reach[static_cast<std::size_t>(src)] = 0;
+  int informed = 1;
+  return run_periodic(
+      cs.round_count(), cs.periodic(), max_rounds,
+      [&](int r, int round_no) {
+        // Compiled rounds are matchings: a vertex informed by this round's
+        // arc has no other arc to forward along in the same round (a
+        // full-duplex pair's reverse arc points back at an informed
+        // tail), so marking immediately equals start-of-round semantics.
+        for (const auto& a : cs.round_arcs(r)) {
+          int& head = reach[static_cast<std::size_t>(a.head)];
+          if (head == -1 && reach[static_cast<std::size_t>(a.tail)] != -1) {
+            head = round_no;
+            ++informed;
+          }
+        }
+      },
+      [&] { return informed == n; });
 }
 
 }  // namespace
 
 std::vector<int> broadcast_reach(const protocol::Protocol& p, int src) {
-  std::vector<int> reach(static_cast<std::size_t>(p.n), -1);
-  reach[static_cast<std::size_t>(src)] = 0;
-  std::vector<int> newly;
-  int round_no = 0;
-  for (const auto& r : p.rounds) step_reach(r.arcs, reach, newly, ++round_no);
-  return reach;
+  return broadcast_reach(protocol::CompiledSchedule::compile(p), src);
 }
 
 std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs, int src) {
   cs.require_finite("broadcast_reach");  // periodic goes through broadcast_time
-  std::vector<int> reach(static_cast<std::size_t>(cs.n()), -1);
-  reach[static_cast<std::size_t>(src)] = 0;
-  std::vector<int> newly;
-  for (int r = 0; r < cs.round_count(); ++r)
-    step_reach(cs.round_arcs(r), reach, newly, r + 1);
+  std::vector<int> reach;
+  (void)run_reach(cs, src, cs.round_count(), reach);
   return reach;
 }
 
 int broadcast_time(const protocol::SystolicSchedule& sched, int src, int max_rounds) {
-  std::vector<int> reach(static_cast<std::size_t>(sched.n), -1);
-  reach[static_cast<std::size_t>(src)] = 0;
-  int informed = 1;
-  if (informed == sched.n) return 0;  // n == 1: consistent with gossip_time
-  std::vector<int> newly;
-  for (int i = 1; i <= max_rounds; ++i) {
-    informed += step_reach(sched.round_at(i).arcs, reach, newly, i);
-    if (informed == sched.n) return i;
-  }
-  return -1;
+  return broadcast_time(protocol::CompiledSchedule::compile(sched), src,
+                        max_rounds);
 }
 
 int broadcast_time(const protocol::CompiledSchedule& cs, int src, int max_rounds) {
-  std::vector<int> reach(static_cast<std::size_t>(cs.n()), -1);
-  reach[static_cast<std::size_t>(src)] = 0;
-  int informed = 1;
-  if (informed == cs.n()) return 0;  // n == 1: consistent with gossip_time
-  const int rounds = cs.round_count();
-  if (!cs.periodic() && max_rounds > rounds) max_rounds = rounds;
-  std::vector<int> newly;
-  int r = 0;
-  for (int i = 1; i <= max_rounds; ++i) {
-    informed += step_reach(cs.round_arcs(r), reach, newly, i);
-    if (informed == cs.n()) return i;
-    if (++r == rounds) r = 0;
-  }
-  return -1;
+  std::vector<int> reach;
+  return run_reach(cs, src, max_rounds, reach);
 }
 
 bool achieves_gossip(const protocol::Protocol& p) {
-  simulator::GossipResult res = run_gossip(p);
-  return res.complete;
+  return run_gossip(p).complete;
 }
 
 std::vector<std::vector<int>> arrival_times(const protocol::Protocol& p) {
+  const auto cs = protocol::CompiledSchedule::compile(p);
   std::vector<std::vector<int>> out;
   out.reserve(static_cast<std::size_t>(p.n));
-  for (int src = 0; src < p.n; ++src) out.push_back(broadcast_reach(p, src));
+  for (int src = 0; src < p.n; ++src) out.push_back(broadcast_reach(cs, src));
   return out;
 }
 

@@ -1,6 +1,10 @@
 // Broadcast simulator: reach times of a single item under a protocol.
 // Used for sanity experiments (broadcast lower bounds are the baseline the
 // paper improves on) and for verifying Definition 3.1's path condition.
+//
+// Like the gossip simulator, the authoring-form overloads compile first
+// (std::invalid_argument for a round that is not a matching), and every
+// entry throws std::invalid_argument for a source outside [0, n).
 #pragma once
 
 #include <vector>
@@ -16,7 +20,7 @@ namespace sysgo::simulator {
 [[nodiscard]] std::vector<int> broadcast_reach(const protocol::Protocol& p, int src);
 
 /// Compiled execution over a finite protocol's flat arc spans, one pass
-/// through.  Result-identical to the protocol overload.  Throws
+/// through (the protocol overload compiles and calls this).  Throws
 /// std::invalid_argument for a periodic compiled schedule (use
 /// broadcast_time).
 [[nodiscard]] std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs,

@@ -35,26 +35,6 @@ void KnowledgeMatrix::reset() noexcept {
   for (int v = 0; v < n_; ++v) learn(v, v);
 }
 
-void KnowledgeMatrix::reset_row(int v) noexcept {
-  std::uint64_t* const r = row_ptr(v);
-  std::fill(r, r + stride_, 0);
-  r[static_cast<std::size_t>(v) / 64] =
-      std::uint64_t{1} << (static_cast<std::size_t>(v) % 64);
-  int& c = counts_[static_cast<std::size_t>(v)];
-  if (c == n_ && n_ != 1) --full_rows_;
-  c = 1;
-  if (n_ == 1) full_rows_ = 1;
-}
-
-void KnowledgeMatrix::restore_row(int v, const std::uint64_t* words,
-                                  int count) noexcept {
-  std::copy(words, words + stride_, row_ptr(v));
-  int& c = counts_[static_cast<std::size_t>(v)];
-  if (c == n_ && count != n_) --full_rows_;
-  if (c != n_ && count == n_) ++full_rows_;
-  c = count;
-}
-
 void KnowledgeMatrix::bump(int v, int added) noexcept {
   if (added == 0) return;
   int& c = counts_[static_cast<std::size_t>(v)];

@@ -36,19 +36,6 @@ class KnowledgeMatrix {
   /// own item) without reallocating — the arena/evaluator reuse hook.
   void reset() noexcept;
 
-  /// Reset one row to its identity start state (v knows only item v).  The
-  /// checkpoint layer's restore path for rows never snapshotted.
-  void reset_row(int v) noexcept;
-
-  /// Overwrite row v from a stride()-word snapshot buffer with its recorded
-  /// item count; full-row bookkeeping is fixed up to match.  Single-threaded
-  /// (restores never race with merges).
-  void restore_row(int v, const std::uint64_t* words, int count) noexcept;
-
-  /// Allocated words per row (words() rounded up to a cache line).  Snapshot
-  /// buffers sized at this stride restore with one aligned memcpy.
-  [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
-
   /// Does vertex v know item i?
   [[nodiscard]] bool knows(int v, int i) const noexcept;
 

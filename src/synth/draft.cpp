@@ -43,7 +43,6 @@ ScheduleDraft ScheduleDraft::from_schedule(const protocol::SystolicSchedule& s) 
             "arc pairs");
     }
   }
-  draft.clear_touched();  // importing is construction, not a move
   return draft;
 }
 
@@ -81,7 +80,6 @@ bool ScheduleDraft::insert(int r, Arc link) {
   occ[static_cast<std::size_t>(link.tail)] = idx;
   occ[static_cast<std::size_t>(link.head)] = idx;
   ++total_links_;
-  mark_touched(r);
   return true;
 }
 
@@ -98,7 +96,6 @@ Arc ScheduleDraft::remove(int r, std::size_t idx) {
   }
   round.pop_back();
   --total_links_;
-  mark_touched(r);
   return removed;
 }
 
@@ -108,7 +105,6 @@ void ScheduleDraft::rotate(int k) {
   if (k == 0) return;
   std::rotate(rounds_.begin(), rounds_.begin() + k, rounds_.end());
   std::rotate(occupancy_.begin(), occupancy_.begin() + k, occupancy_.end());
-  mark_touched(0);  // every stored round moved
 }
 
 void ScheduleDraft::insert_round(int at) {
@@ -117,8 +113,6 @@ void ScheduleDraft::insert_round(int at) {
   rounds_.insert(rounds_.begin() + at, std::vector<Arc>{});
   occupancy_.insert(occupancy_.begin() + at,
                     std::vector<int>(static_cast<std::size_t>(n_), -1));
-  mark_touched(at);
-  period_changed_ = true;
 }
 
 std::vector<Arc> ScheduleDraft::remove_round(int r) {
@@ -128,8 +122,6 @@ std::vector<Arc> ScheduleDraft::remove_round(int r) {
   rounds_.erase(rounds_.begin() + r);
   occupancy_.erase(occupancy_.begin() + r);
   total_links_ -= links.size();
-  mark_touched(r);
-  period_changed_ = true;
   return links;
 }
 

@@ -1,109 +1,95 @@
 #include "synth/objective.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "core/audit.hpp"
-#include "simulator/gossip_sim.hpp"
 #include "simulator/knowledge.hpp"
+#include "simulator/periodic.hpp"
 
 namespace sysgo::synth {
 
 namespace {
 
-/// Gossip run with coverage: like simulator::gossip_time, but reports how
-/// many items landed when the cap is hit.  `know` arrives in the identity
-/// start state (freshly built or arena-reset).
-void run_gossip_objective(const protocol::CompiledSchedule& cs,
-                          simulator::KnowledgeMatrix& know, int max_rounds,
-                          Objective& obj) {
-  if (know.all_full()) {  // n == 1
-    obj.feasible = true;
-    obj.rounds = 0;
-    obj.coverage = cs.n();
-    return;
-  }
-  const int rounds = cs.round_count();
-  int r = 0;
-  for (int i = 1; i <= max_rounds; ++i) {
-    simulator::apply_round(know, cs, r);
-    if (know.all_full()) {
-      obj.feasible = true;
-      obj.rounds = i;
-      obj.coverage = cs.n() * cs.n();
-      return;
-    }
-    if (++r == rounds) r = 0;
-  }
-  for (int v = 0; v < cs.n(); ++v) obj.coverage += know.count(v);
-}
-
-/// Broadcast run with coverage: one reach bitset, whispering semantics —
-/// a head learns what its tail knew at the *start* of the round (a
-/// matching's merges are independent, so a two-phase sweep suffices).
-void run_broadcast_objective(const protocol::CompiledSchedule& cs, int source,
-                             int max_rounds, std::vector<char>& known,
-                             Objective& obj) {
-  const int n = cs.n();
-  if (source < 0 || source >= n)
-    throw std::invalid_argument("synth::evaluate: broadcast source out of range");
-  known.assign(static_cast<std::size_t>(n), 0);
-  known[static_cast<std::size_t>(source)] = 1;
-  int reached = 1;
-  if (reached == n) {
-    obj.feasible = true;
-    obj.rounds = 0;
+/// The one objective body behind evaluate, evaluate_batch and
+/// DraftEvaluator.  links_of(r) yields stored round r's merge work list:
+/// directed arcs (half duplex) or tail < head pair representatives (full
+/// duplex) — CompiledSchedule::round_pairs and ScheduleDraft::links share
+/// that form, and merge order within a matching is irrelevant.  compiled()
+/// supplies the flat form the auditor consumes; it is called only when the
+/// audit term is due.
+template <typename LinksOf, typename Compiled>
+Objective score_rounds(int n, protocol::Mode mode, int period, int links,
+                       const ObjectiveOptions& opts,
+                       simulator::GossipArena& arena, std::vector<char>& reach,
+                       LinksOf&& links_of, Compiled&& compiled) {
+  Objective obj;
+  obj.period = period;
+  obj.links = links;
+  const bool full = mode == protocol::Mode::kFullDuplex;
+  if (opts.goal == Goal::kGossip) {
+    simulator::KnowledgeMatrix& know = arena.acquire(n);
+    obj.rounds = simulator::run_periodic(
+        period, /*periodic=*/true, opts.max_rounds,
+        [&](int r, int) {
+          if (full)
+            know.merge_pairs(links_of(r));
+          else
+            know.merge_arcs(links_of(r));
+        },
+        [&] { return know.all_full(); });
+    obj.feasible = obj.rounds >= 0;
+    if (obj.feasible)
+      obj.coverage = n * n;
+    else
+      for (int v = 0; v < n; ++v) obj.coverage += know.count(v);
+  } else {
+    if (opts.source < 0 || opts.source >= n)
+      throw std::invalid_argument(
+          "synth::evaluate: broadcast source out of range");
+    reach.assign(static_cast<std::size_t>(n), 0);
+    reach[static_cast<std::size_t>(opts.source)] = 1;
+    int reached = 1;
+    obj.rounds = simulator::run_periodic(
+        period, /*periodic=*/true, opts.max_rounds,
+        [&](int r, int) {
+          // A vertex sits in at most one link per round, so marking
+          // immediately equals start-of-round snapshot semantics.  A
+          // half-duplex arc relays tail -> head; a full-duplex pair relays
+          // whichever way the item flows.
+          for (const graph::Arc& a : links_of(r)) {
+            char& tail = reach[static_cast<std::size_t>(a.tail)];
+            char& head = reach[static_cast<std::size_t>(a.head)];
+            if (tail != head && (tail != 0 || full)) {
+              tail = head = 1;
+              ++reached;
+            }
+          }
+        },
+        [&] { return reached == n; });
+    obj.feasible = obj.rounds >= 0;
     obj.coverage = reached;
-    return;
   }
-  const int rounds = cs.round_count();
-  int r = 0;
-  for (int i = 1; i <= max_rounds; ++i) {
-    for (const graph::Arc& a : cs.round_arcs(r)) {
-      // A matching never revisits a head within the round, so marking heads
-      // immediately cannot leak same-round relays; full-duplex pair lists
-      // expand to both directed arcs in round_arcs, covering exchanges.
-      if (known[static_cast<std::size_t>(a.tail)] &&
-          !known[static_cast<std::size_t>(a.head)]) {
-        known[static_cast<std::size_t>(a.head)] = 1;
-        ++reached;
-      }
-    }
-    if (reached == n) {
-      obj.feasible = true;
-      obj.rounds = i;
-      obj.coverage = reached;
-      return;
-    }
-    if (++r == rounds) r = 0;
+  if (opts.audit_gap && opts.goal == Goal::kGossip && obj.feasible) {
+    const auto audit = core::audit_schedule(compiled());
+    obj.audit_gap = static_cast<double>(obj.rounds - audit.round_lower_bound);
+    if (obj.audit_gap < 0.0) obj.audit_gap = 0.0;  // audit is a lower bound
   }
-  obj.coverage = reached;
+  return obj;
 }
 
-/// The shared body of evaluate / evaluate_batch: period/links bookkeeping,
-/// the goal run through the given scratch, and the optional audit term.
 Objective evaluate_with_scratch(const protocol::CompiledSchedule& cs,
                                 const ObjectiveOptions& opts,
                                 simulator::GossipArena& arena,
                                 std::vector<char>& reach) {
   cs.require_periodic("synth::evaluate");
-  Objective obj;
-  obj.period = cs.period_length();
-  obj.links = static_cast<int>(cs.mode() == protocol::Mode::kFullDuplex
-                                   ? cs.arc_total() / 2
-                                   : cs.arc_total());
-  if (opts.goal == Goal::kGossip)
-    run_gossip_objective(cs, arena.acquire(cs.n()), opts.max_rounds, obj);
-  else
-    run_broadcast_objective(cs, opts.source, opts.max_rounds, reach, obj);
-  if (opts.audit_gap && opts.goal == Goal::kGossip && obj.feasible) {
-    const auto audit = core::audit_schedule(cs);
-    obj.audit_gap = static_cast<double>(obj.rounds - audit.round_lower_bound);
-    if (obj.audit_gap < 0.0) obj.audit_gap = 0.0;  // audit is a lower bound
-  }
-  return obj;
+  const int links = static_cast<int>(cs.mode() == protocol::Mode::kFullDuplex
+                                         ? cs.arc_total() / 2
+                                         : cs.arc_total());
+  return score_rounds(
+      cs.n(), cs.mode(), cs.period_length(), links, opts, arena, reach,
+      [&cs](int r) { return cs.round_pairs(r); },
+      [&cs]() -> const protocol::CompiledSchedule& { return cs; });
 }
 
 }  // namespace
@@ -150,324 +136,20 @@ std::vector<Objective> evaluate_batch(
   return out;
 }
 
-// ------------------------------------------------------------ DraftEvaluator
-
-DraftEvaluator::DraftEvaluator(EvalMode mode, int checkpoint_stride)
-    : mode_(mode), know_(checkpoint_stride), reach_(checkpoint_stride) {}
-
-void DraftEvaluator::ensure_scratch(int n) {
-  if (n == scratch_n_) return;
-  // Size both goals' scratch together: alternating gossip and broadcast
-  // evaluations at one n never reallocate (the knowledge matrix is the
-  // larger layout; the reach vector rides along).
-  know_.acquire(n);
-  reach_.acquire(n, 0);
-  scratch_n_ = n;
-  valid_upto_ = -1;  // fresh state: no lineage yet
-}
-
-void DraftEvaluator::invalidate_from(int round) noexcept {
-  if (mode_ != EvalMode::kIncremental) return;
-  const int bound = round < 0 ? 0 : round;
-  if (valid_upto_ > bound) valid_upto_ = bound;
-}
-
-std::size_t DraftEvaluator::checkpoint_bytes() const noexcept {
-  return (know_.allocated() ? know_.checkpoint_bytes() : 0) +
-         reach_.checkpoint_bytes();
+Objective DraftEvaluator::evaluate(const ScheduleDraft& draft,
+                                   const ObjectiveOptions& opts) {
+  return score_rounds(
+      draft.n(), draft.mode(), draft.period(),
+      static_cast<int>(draft.total_links()), opts, arena_, reach_,
+      [&draft](int r) -> std::span<const graph::Arc> { return draft.links(r); },
+      [&draft] {
+        return protocol::CompiledSchedule::compile(draft.to_schedule());
+      });
 }
 
 const std::uint64_t* DraftEvaluator::scratch_data() const noexcept {
-  return know_.allocated() ? know_.matrix().row(0).data() : nullptr;
-}
-
-/// Period / links bookkeeping plus the audit-gap term (identical on both
-/// evaluation paths — the auditor consumes the compiled flat form, one
-/// compile per feasible candidate).
-void DraftEvaluator::finish(const ScheduleDraft& draft,
-                            const ObjectiveOptions& opts,
-                            Objective& obj) const {
-  if (opts.audit_gap && opts.goal == Goal::kGossip && obj.feasible) {
-    const auto cs = protocol::CompiledSchedule::compile(draft.to_schedule());
-    const auto audit = core::audit_schedule(cs);
-    obj.audit_gap = static_cast<double>(obj.rounds - audit.round_lower_bound);
-    if (obj.audit_gap < 0.0) obj.audit_gap = 0.0;
-  }
-}
-
-Objective DraftEvaluator::evaluate(const ScheduleDraft& draft,
-                                   const ObjectiveOptions& opts) {
-  ++stats_.evals;
-  return mode_ == EvalMode::kIncremental ? evaluate_incremental(draft, opts)
-                                         : evaluate_full(draft, opts);
-}
-
-Objective DraftEvaluator::evaluate_full(const ScheduleDraft& draft,
-                                        const ObjectiveOptions& opts) {
-  const int n = draft.n();
-  const int period = draft.period();
-  const bool full = draft.mode() == protocol::Mode::kFullDuplex;
-  Objective obj;
-  obj.period = period;
-  obj.links = static_cast<int>(draft.total_links());
-  ++stats_.full_replays;
-
-  if (opts.goal == Goal::kGossip) {
-    ensure_scratch(n);
-    simulator::KnowledgeMatrix& know = know_.acquire(n);
-    if (know.all_full()) {  // n == 1
-      obj.feasible = true;
-      obj.rounds = 0;
-      obj.coverage = n;
-    } else {
-      int r = 0;
-      for (int i = 1; i <= opts.max_rounds; ++i) {
-        // Draft links are the compiled work list: half-duplex rounds are
-        // their directed arcs, full-duplex rounds their tail < head pair
-        // representatives.  Merge order within a matching is irrelevant,
-        // so skipping canonicalization changes nothing.
-        const std::vector<graph::Arc>& links = draft.links(r);
-        if (full)
-          know.merge_pairs(links);
-        else
-          know.merge_arcs(links);
-        if (know.all_full()) {
-          obj.feasible = true;
-          obj.rounds = i;
-          obj.coverage = n * n;
-          break;
-        }
-        if (++r == period) r = 0;
-      }
-      if (!obj.feasible)
-        for (int v = 0; v < n; ++v) obj.coverage += know.count(v);
-    }
-  } else {
-    if (opts.source < 0 || opts.source >= n)
-      throw std::invalid_argument(
-          "synth::evaluate: broadcast source out of range");
-    ensure_scratch(n);
-    reach_.acquire(n, opts.source);
-    if (reach_.complete()) {  // n == 1
-      obj.feasible = true;
-      obj.rounds = 0;
-      obj.coverage = reach_.reached();
-    } else {
-      int r = 0;
-      for (int i = 1; i <= opts.max_rounds; ++i) {
-        // Matching property: a vertex sits in at most one link per round,
-        // so an exchange's two directions only talk to each other —
-        // immediate marking equals the snapshot-semantics serial sweep.
-        // Full-duplex draft links are tail < head representatives, hence
-        // the pair expansion.
-        reach_.step(draft.links(r), full);
-        if (reach_.complete()) {
-          obj.feasible = true;
-          obj.rounds = i;
-          break;
-        }
-        if (++r == period) r = 0;
-      }
-      obj.coverage = reach_.reached();
-    }
-  }
-
-  const int executed = obj.feasible ? obj.rounds : opts.max_rounds;
-  stats_.replayed_rounds += executed;
-  stats_.total_rounds += executed;
-  stats_.last_replayed_rounds = executed;
-  finish(draft, opts, obj);
-  return obj;
-}
-
-/// Incremental-mode full replay without COW maintenance: simulates on a
-/// private scratch so the checkpointed state (still describing the last
-/// checkpointed draft) survives untouched.  Only round 0 resumes remain
-/// valid afterwards — recorded via valid_upto_ = 0.
-Objective DraftEvaluator::evaluate_plain(const ScheduleDraft& draft,
-                                         const ObjectiveOptions& opts) {
-  const int n = draft.n();
-  const int period = draft.period();
-  const bool full = draft.mode() == protocol::Mode::kFullDuplex;
-  Objective obj;
-  obj.period = period;
-  obj.links = static_cast<int>(draft.total_links());
-  ++stats_.full_replays;
-
-  if (opts.goal == Goal::kGossip) {
-    if (!plain_know_ || plain_know_->size() != n)
-      plain_know_ = std::make_unique<simulator::KnowledgeMatrix>(n);
-    else
-      plain_know_->reset();
-    simulator::KnowledgeMatrix& know = *plain_know_;
-    if (know.all_full()) {  // n == 1
-      obj.feasible = true;
-      obj.rounds = 0;
-      obj.coverage = n;
-    } else {
-      int r = 0;
-      for (int i = 1; i <= opts.max_rounds; ++i) {
-        const std::vector<graph::Arc>& links = draft.links(r);
-        if (full)
-          know.merge_pairs(links);
-        else
-          know.merge_arcs(links);
-        if (know.all_full()) {
-          obj.feasible = true;
-          obj.rounds = i;
-          obj.coverage = n * n;
-          break;
-        }
-        if (++r == period) r = 0;
-      }
-      if (!obj.feasible)
-        for (int v = 0; v < n; ++v) obj.coverage += know.count(v);
-    }
-  } else {
-    plain_reach_.assign(static_cast<std::size_t>(n), 0);
-    plain_reach_[static_cast<std::size_t>(opts.source)] = 1;
-    int reached = 1;
-    if (reached == n) {  // n == 1
-      obj.feasible = true;
-      obj.rounds = 0;
-    } else {
-      int r = 0;
-      for (int i = 1; i <= opts.max_rounds; ++i) {
-        for (const graph::Arc& a : draft.links(r)) {
-          // Mirrors ReachCheckpoints::step — matching property makes
-          // immediate marking exact; full-duplex pair representatives
-          // relay both ways.
-          if (plain_reach_[static_cast<std::size_t>(a.tail)] &&
-              !plain_reach_[static_cast<std::size_t>(a.head)]) {
-            plain_reach_[static_cast<std::size_t>(a.head)] = 1;
-            ++reached;
-          } else if (full && plain_reach_[static_cast<std::size_t>(a.head)] &&
-                     !plain_reach_[static_cast<std::size_t>(a.tail)]) {
-            plain_reach_[static_cast<std::size_t>(a.tail)] = 1;
-            ++reached;
-          }
-        }
-        if (reached == n) {
-          obj.feasible = true;
-          obj.rounds = i;
-          break;
-        }
-        if (++r == period) r = 0;
-      }
-    }
-    obj.coverage = reached;
-  }
-
-  valid_upto_ = 0;  // this draft was never checkpointed
-  const int executed = obj.feasible ? obj.rounds : opts.max_rounds;
-  stats_.replayed_rounds += executed;
-  stats_.total_rounds += executed;
-  stats_.last_replayed_rounds = executed;
-  finish(draft, opts, obj);
-  return obj;
-}
-
-Objective DraftEvaluator::evaluate_incremental(const ScheduleDraft& draft,
-                                               const ObjectiveOptions& opts) {
-  const int n = draft.n();
-  const int period = draft.period();
-  const bool full = draft.mode() == protocol::Mode::kFullDuplex;
-  if (opts.goal == Goal::kBroadcast && (opts.source < 0 || opts.source >= n))
-    throw std::invalid_argument(
-        "synth::evaluate: broadcast source out of range");
-  Objective obj;
-  obj.period = period;
-  obj.links = static_cast<int>(draft.total_links());
-
-  ensure_scratch(n);
-  // The draft-reported invalidation point: knowledge evolution through
-  // executed round t is shared with the previously evaluated draft, so the
-  // nearest checkpoint at or below t is a valid resume point.  A clean
-  // draft (-1) is the previously evaluated one — everything is shared.  Any
-  // shape change breaks the lineage entirely.
-  int t = draft.period_changed() ? 0
-          : draft.touched_round() < 0
-              ? std::numeric_limits<int>::max()
-              : draft.touched_round();
-  if (period != last_period_ || draft.mode() != last_mode_ ||
-      opts.goal != last_goal_ ||
-      (opts.goal == Goal::kBroadcast && opts.source != last_source_))
-    t = 0;
-  if (t > valid_upto_) t = valid_upto_;
-  if (t < 0) t = 0;
-  const int capped = std::min(t, opts.max_rounds);
-  const bool gossip = opts.goal == Goal::kGossip;
-  const int resume = gossip ? know_.resume_point(capped)
-                            : reach_.resume_point(capped);
-  const int live = gossip ? know_.live_round() : reach_.live_round();
-  if (resume < live && resume < 2 * know_.stride()) {
-    // A near-zero resume point saves fewer rounds than the COW maintenance
-    // it would pay for (snapshots, dirty tracking, restores), so run the
-    // plain loop instead — except every kReseedEvery-th time, when the
-    // replay goes through the checkpoint layer to re-seed the lineage so
-    // that deep resume points (and O(1) continue-from-live evals, which
-    // are always taken: resume == live) come back once the move stream
-    // allows them.  In regimes where replay cannot help (completion round
-    // >> period), this bounds checkpoint overhead to a small fraction of
-    // evals; in tail-slack regimes the resume point stays deep and this
-    // branch is rare.
-    if (++plain_streak_ < kReseedEvery) return evaluate_plain(draft, opts);
-    plain_streak_ = 0;
-    ++stats_.full_replays;
-  } else {
-    plain_streak_ = 0;
-    if (resume == 0) ++stats_.full_replays;
-  }
-
-  // A move can only touch a stored round, so every future rewind target is
-  // < period: snapshots past the period tail would never be restored from.
-  // Capping them there turns long runs (adaptive-cap coverage probes) into
-  // pure simulation after the first wrap.
-  simulator::ReplayOutcome out;
-  if (opts.goal == Goal::kGossip) {
-    know_.set_snapshot_horizon(period - 1);
-    out = simulator::replay_gossip_rounds(
-        know_, period, full, t, opts.max_rounds,
-        [&draft](int p) -> std::span<const graph::Arc> {
-          return draft.links(p);
-        });
-    if (out.complete) {
-      obj.feasible = true;
-      obj.rounds = out.rounds;
-      // n == 1 completes at round 0 with coverage n (the full path's
-      // convention); every other completion has seen all n^2 deliveries.
-      obj.coverage = out.rounds == 0 && n == 1 ? n : n * n;
-    } else {
-      const simulator::KnowledgeMatrix& know = know_.matrix();
-      for (int v = 0; v < n; ++v) obj.coverage += know.count(v);
-    }
-  } else {
-    if (!reach_.allocated() || reach_.size() != n ||
-        reach_.source() != opts.source)
-      reach_.acquire(n, opts.source);
-    reach_.set_snapshot_horizon(period - 1);
-    out = simulator::replay_broadcast_rounds(
-        reach_, period, full, t, opts.max_rounds,
-        [&draft](int p) -> std::span<const graph::Arc> {
-          return draft.links(p);
-        });
-    obj.feasible = out.complete;
-    if (out.complete) obj.rounds = out.rounds;
-    obj.coverage = reach_.reached();
-  }
-
-  // The state now reflects this draft end to end; until invalidate_from()
-  // says otherwise, every checkpoint is a valid resume point.
-  valid_upto_ = std::numeric_limits<int>::max();
-  last_period_ = period;
-  last_mode_ = draft.mode();
-  last_goal_ = opts.goal;
-  last_source_ = opts.source;
-  stats_.replayed_rounds += out.rounds - out.start_round;
-  stats_.total_rounds += out.rounds;
-  stats_.last_replayed_rounds = out.rounds - out.start_round;
-  finish(draft, opts, obj);
-  return obj;
+  const simulator::KnowledgeMatrix* know = arena_.current();
+  return know != nullptr ? know->row(0).data() : nullptr;
 }
 
 }  // namespace sysgo::synth

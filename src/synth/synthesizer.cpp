@@ -26,23 +26,17 @@ namespace {
 using graph::Arc;
 using protocol::Mode;
 
-/// Synthesis observability (catalog in README "Observability").  Move and
-/// replay counters are charged once per restart from the anneal totals —
-/// the inner annealing loop records only the per-evaluation replay-depth
-/// histogram (one relaxed atomic next to a whole simulation).
+/// Synthesis observability (catalog in README "Observability").  Move
+/// counters are charged once per restart from the anneal totals — the inner
+/// annealing loop records only the per-evaluation replay-depth histogram
+/// (one relaxed atomic next to a whole simulation).
 struct SynthMetrics {
   obs::Counter& restarts_run = obs::counter("synth.restarts_run");
   obs::Counter& moves_proposed = obs::counter("synth.moves_proposed");
   obs::Counter& moves_accepted = obs::counter("synth.moves_accepted");
   obs::Counter& improvements = obs::counter("synth.improvements");
-  // Delta evaluation: rounds re-simulated vs the full-path rounds they
-  // replace, the replay-depth distribution (rounds per evaluation, not
-  // micros), and the high-water snapshot storage backing suffix replay.
-  obs::Counter& replayed_rounds = obs::counter("synth.replayed_rounds");
-  obs::Counter& replay_total_rounds =
-      obs::counter("synth.replay_total_rounds");
+  // Rounds simulated per draft evaluation (a round count, not micros).
   obs::Histogram& replay_depth = obs::histogram("synth.replay_depth");
-  obs::Gauge& checkpoint_bytes = obs::gauge("synth.checkpoint_bytes");
   obs::Gauge& last_best_objective = obs::gauge("synth.last_best_objective");
   obs::Histogram& restart_micros = obs::histogram("synth.restart.micros");
   obs::Histogram& synthesize_micros =
@@ -77,9 +71,6 @@ struct RestartOutcome {
   std::int64_t proposed = 0;
   std::int64_t accepted = 0;
   std::int64_t improved = 0;  // accepted moves that beat the restart's best
-  std::int64_t replayed_rounds = 0;     // rounds re-simulated (delta eval)
-  std::int64_t replay_total_rounds = 0;  // full-path rounds they replace
-  std::size_t checkpoint_bytes = 0;      // snapshot storage at restart end
 };
 
 /// One annealing run from `initial`.  Self-contained: consumes only its own
@@ -102,29 +93,20 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
   // and activate only pool links, so this yields the same objectives as
   // compiling first — the per-restart winner is still compiled (with the
   // membership check) by the caller before the final verdict.
-  //
-  // Under EvalMode::kIncremental the evaluator additionally keeps the
-  // knowledge state and its round checkpoints alive across moves: each
-  // evaluation resumes from the nearest checkpoint at or below the round
-  // the move touched (draft.touched_round()), and rejected moves announce
-  // the revert through invalidate_from so stale checkpoints are dropped on
-  // the next call.  Objectives are byte-identical either way.
-  DraftEvaluator evaluator(opts.eval, opts.checkpoint_stride);
-  const bool incremental = opts.eval == EvalMode::kIncremental;
+  DraftEvaluator evaluator;
   obs::Histogram& replay_depth = synth_metrics().replay_depth;
   const auto eval = [&](const ScheduleDraft& d, int cap) {
     ObjectiveOptions capped = opts.objective;
     capped.max_rounds = cap;
     const Objective o = evaluator.evaluate(d, capped);
-    if (incremental)
-      replay_depth.record_micros(static_cast<std::uint64_t>(
-          evaluator.replay_stats().last_replayed_rounds));
+    // Rounds simulated: up to completion, or the whole cap.
+    replay_depth.record_micros(
+        static_cast<std::uint64_t>(o.feasible ? o.rounds : cap));
     return o;
   };
 
   RestartOutcome out;
   Objective current = eval(draft, base_cap);
-  draft.clear_touched();  // the evaluator is caught up with the warm start
   out.objective = current;
   out.schedule = draft.to_schedule();
 
@@ -207,9 +189,6 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
       draft = backup;  // inapplicable or rejected-by-structure: no-op
       continue;
     }
-    // Invalidation point of this move, read before evaluation consumes it:
-    // a revert must tell the evaluator how far its checkpoints still match.
-    const int touched = draft.period_changed() ? 0 : draft.touched_round();
 
     const int cap = current.feasible
                         ? std::min(opts.objective.max_rounds,
@@ -221,32 +200,16 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
         kT0 * std::pow(kTEnd / kT0, static_cast<double>(it) / steps);
     if (delta <= 0.0 || rng.uniform01() < std::exp(-delta / temp)) {
       ++out.accepted;
-      if (obs::trace::enabled()) {
-        // Accepted-move instants plot the anneal's score trajectory on the
-        // restart's lane; rejected proposals stay silent (ring economy).
-        static const auto kAccept = obs::trace::intern("synth.accept");
-        static const auto kIt = obs::trace::intern("it");
-        static const auto kScore = obs::trace::intern("score");
-        obs::trace::instant(
-            kAccept, {{kIt, static_cast<std::int64_t>(it), false},
-                      {kScore, static_cast<std::int64_t>(candidate.score()),
-                       false}});
-      }
       current = candidate;
-      draft.clear_touched();  // adopted: the evaluator reflects this draft
       if (better(candidate, out.objective)) {
         ++out.improved;
         out.objective = candidate;
         out.schedule = draft.to_schedule();
       }
     } else {
-      draft = backup;  // backup was taken clean, so this also clears touched
-      evaluator.invalidate_from(touched);
+      draft = backup;
     }
   }
-  out.replayed_rounds = evaluator.replay_stats().replayed_rounds;
-  out.replay_total_rounds = evaluator.replay_stats().total_rounds;
-  out.checkpoint_bytes = evaluator.checkpoint_bytes();
   return out;
 }
 
@@ -322,12 +285,6 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
                      static_cast<std::int64_t>(r));
       trace_span.arg(obs::trace::intern("accepted"), outcomes[r].accepted);
       trace_span.arg(obs::trace::intern("improved"), outcomes[r].improved);
-      trace_span.arg(obs::trace::intern("replayed_rounds"),
-                     outcomes[r].replayed_rounds);
-      trace_span.arg(obs::trace::intern("replay_total_rounds"),
-                     outcomes[r].replay_total_rounds);
-      trace_span.arg(obs::trace::intern("checkpoint_bytes"),
-                     static_cast<std::int64_t>(outcomes[r].checkpoint_bytes));
     }
   };
   if (opts.threads == 1) {
@@ -361,14 +318,9 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
   SynthResult result;
   result.restarts_run = opts.restarts;
   std::int64_t improved = 0;
-  std::size_t max_checkpoint_bytes = 0;
   for (std::size_t r = 0; r < outcomes.size(); ++r) {
     result.moves_proposed += outcomes[r].proposed;
     result.moves_accepted += outcomes[r].accepted;
-    result.replayed_rounds += outcomes[r].replayed_rounds;
-    result.replay_total_rounds += outcomes[r].replay_total_rounds;
-    if (outcomes[r].checkpoint_bytes > max_checkpoint_bytes)
-      max_checkpoint_bytes = outcomes[r].checkpoint_bytes;
     improved += outcomes[r].improved;
     if (result.best_restart < 0 || better(fulls[r], result.objective)) {
       result.best_restart = static_cast<int>(r);
@@ -382,11 +334,6 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
   sm.moves_proposed.add(static_cast<std::uint64_t>(result.moves_proposed));
   sm.moves_accepted.add(static_cast<std::uint64_t>(result.moves_accepted));
   sm.improvements.add(static_cast<std::uint64_t>(improved));
-  sm.replayed_rounds.add(static_cast<std::uint64_t>(result.replayed_rounds));
-  sm.replay_total_rounds.add(
-      static_cast<std::uint64_t>(result.replay_total_rounds));
-  sm.checkpoint_bytes.record_max(
-      static_cast<std::int64_t>(max_checkpoint_bytes));
   sm.last_best_objective.set(
       static_cast<std::int64_t>(result.objective.score()));
   sm.synthesize_micros.record_micros(timer.micros());

@@ -35,10 +35,11 @@ TEST_P(SimProperty, KnowledgeInvariants) {
   ASSERT_TRUE(protocol::validate_structure(p, &g).ok);
 
   // Step manually and check monotone growth, bounds, and self-knowledge.
+  const auto cs = protocol::CompiledSchedule::compile(p, &g);
   KnowledgeMatrix know(p.n);
   std::vector<int> prev(static_cast<std::size_t>(p.n), 1);
-  for (const auto& round : p.rounds) {
-    apply_round(know, round, mode);
+  for (int r = 0; r < cs.round_count(); ++r) {
+    apply_round(know, cs, r);
     for (int v = 0; v < p.n; ++v) {
       const int c = know.count(v);
       EXPECT_GE(c, prev[static_cast<std::size_t>(v)]);  // monotone

@@ -15,6 +15,16 @@ namespace {
 using protocol::CompiledSchedule;
 using protocol::Mode;
 
+void expect_identical(const Objective& a, const Objective& b,
+                      const char* where) {
+  EXPECT_EQ(a.feasible, b.feasible) << where;
+  EXPECT_EQ(a.rounds, b.rounds) << where;
+  EXPECT_EQ(a.period, b.period) << where;
+  EXPECT_EQ(a.links, b.links) << where;
+  EXPECT_EQ(a.coverage, b.coverage) << where;
+  EXPECT_EQ(a.audit_gap, b.audit_gap) << where;
+}
+
 TEST(Objective, TieOrderRoundsThenPeriodThenLinks) {
   Objective a;
   a.feasible = true;
@@ -136,6 +146,35 @@ TEST(Objective, AuditGapTermJoinsTheScore) {
   const auto base = evaluate(cs, plain);
   EXPECT_DOUBLE_EQ(base.audit_gap, 0.0);
   EXPECT_GE(obj.score(), base.score());
+}
+
+// Switching goals on one evaluator must not thrash (or shrink) the scratch
+// allocation: broadcast runs leave the knowledge scratch alone, so its
+// backing pointer stays put and results stay correct after the switch.
+TEST(Objective, ScratchSurvivesGoalSwitch) {
+  DraftEvaluator ev;
+  DraftEvaluator fresh_gossip;
+  DraftEvaluator fresh_broadcast;
+  const ScheduleDraft draft = ScheduleDraft::from_schedule(
+      protocol::edge_coloring_schedule(topology::kautz(2, 3),
+                                       Mode::kHalfDuplex));
+  ObjectiveOptions gossip;
+  ObjectiveOptions broadcast;
+  broadcast.goal = Goal::kBroadcast;
+  broadcast.source = 1;
+
+  const Objective g1 = ev.evaluate(draft, gossip);
+  const auto* scratch = ev.scratch_data();
+  ASSERT_NE(scratch, nullptr);
+  const Objective b1 = ev.evaluate(draft, broadcast);
+  EXPECT_EQ(ev.scratch_data(), scratch) << "broadcast switch reallocated";
+  const Objective g2 = ev.evaluate(draft, gossip);
+  EXPECT_EQ(ev.scratch_data(), scratch) << "gossip switch reallocated";
+
+  expect_identical(g1, fresh_gossip.evaluate(draft, gossip), "pre-switch");
+  expect_identical(b1, fresh_broadcast.evaluate(draft, broadcast),
+                   "broadcast");
+  expect_identical(g2, g1, "post-switch gossip");
 }
 
 }  // namespace

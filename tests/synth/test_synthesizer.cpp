@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <thread>
 
+#include "obs/trace.hpp"
 #include "protocol/builders.hpp"
 #include "protocol/compiled.hpp"
 #include "search/solver.hpp"
@@ -177,6 +179,57 @@ TEST(Synthesizer, HeavyMultiRestartImprovesLargerMembers) {
   const auto res = synthesize(g, opts);
   ASSERT_TRUE(res.objective.feasible);
   EXPECT_LT(res.objective.rounds, baseline);  // strictly better than coloring
+}
+
+TEST(Synthesizer, HeavySynthesisAtTwoHundredVertices) {
+  // Synthesis at n in the hundreds: the returned schedule is feasible and
+  // its simulated time is the reported objective.  Gated like the other
+  // heavy suites.
+  if (std::getenv("SYSGO_HEAVY_TESTS") == nullptr)
+    GTEST_SKIP() << "set SYSGO_HEAVY_TESTS=1 to run (~minutes)";
+  const auto g = topology::random_regular(4, 200, 7);
+  SynthOptions opts;
+  opts.restarts = 1;
+  opts.iterations = 300;
+  opts.threads = 1;
+  const auto res = synthesize(g, opts);
+  ASSERT_TRUE(res.objective.feasible);
+  const auto cs = CompiledSchedule::compile(res.schedule, &g);
+  EXPECT_EQ(cs.period_length(), res.objective.period);
+  EXPECT_EQ(simulator::gossip_time(cs, opts.objective.max_rounds),
+            res.objective.rounds);
+}
+
+// A traced synthesis records a few events per restart, not one per move:
+// a 64-event ring holds the whole run with nothing dropped and keeps one
+// synth.restart span for every restart.
+TEST(Synthesizer, TracedRunKeepsEveryRestartSpan) {
+  namespace trace = obs::trace;
+  trace::reset_for_testing();
+  trace::set_ring_capacity(64);  // applies to lanes created from now on
+  trace::set_enabled(true);
+  SynthOptions opts = quick_options(Mode::kHalfDuplex);
+  opts.restarts = 8;
+  std::thread([&] {
+    trace::set_this_lane_name("test-synth-trace");
+    (void)synthesize(topology::kautz(2, 3), opts);
+  }).join();
+  trace::set_enabled(false);
+  trace::set_ring_capacity(trace::kDefaultRingCapacity);
+  const trace::TraceDump dump = trace::drain();
+  trace::reset_for_testing();
+
+  const trace::LaneDump* lane = nullptr;
+  for (const trace::LaneDump& l : dump.lanes)
+    if (l.name == "test-synth-trace") lane = &l;
+  ASSERT_NE(lane, nullptr);
+  EXPECT_EQ(lane->dropped, 0u);
+  int restart_spans = 0;
+  for (const trace::Event& e : lane->events)
+    if (e.kind == trace::EventKind::kComplete &&
+        dump.strings[e.name] == "synth.restart")
+      ++restart_spans;
+  EXPECT_EQ(restart_spans, opts.restarts);
 }
 
 }  // namespace
