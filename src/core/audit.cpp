@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -68,9 +69,30 @@ double full_duplex_vertex_bound(const VertexActivity& act, int s, double lambda)
   return std::sqrt(max_row * max_col);
 }
 
-// Max over vertices of the per-vertex bound, from precomputed activities —
-// the shared core of the audit entry points, evaluated once per λ without
-// re-walking the schedule.
+// The distinct activity summaries of a schedule, in order of first
+// occurrence: first_vertex[c] is the lowest vertex whose summary is
+// summaries[c].  Built once per audit; every λ is then evaluated over the
+// classes only (see the header for why this is bit-identical).
+struct ActivityClasses {
+  std::vector<VertexActivity> summaries;
+  std::vector<int> first_vertex;
+};
+
+ActivityClasses activity_classes(const protocol::CompiledSchedule& cs) {
+  ActivityClasses classes;
+  std::map<VertexActivity, std::size_t> seen;
+  auto acts = vertex_activities(cs);
+  for (std::size_t v = 0; v < acts.size(); ++v) {
+    if (!seen.try_emplace(acts[v], classes.summaries.size()).second) continue;
+    classes.summaries.push_back(std::move(acts[v]));
+    classes.first_vertex.push_back(static_cast<int>(v));
+  }
+  return classes;
+}
+
+// Max of the per-vertex bound over activity summaries — the shared core of
+// the audit entry points, evaluated once per λ without re-walking the
+// schedule.
 double norm_bound_from_activities(std::span<const VertexActivity> acts, int s,
                                   double lambda, protocol::Mode mode) {
   if (!(lambda > 0.0 && lambda < 1.0))
@@ -94,8 +116,8 @@ double audit_norm_bound(const protocol::CompiledSchedule& cs, double lambda) {
   // The audit's period reading is only meaningful for periodic schedules;
   // a compiled finite protocol (possibly empty) must not masquerade as one.
   cs.require_periodic("audit_norm_bound");
-  return norm_bound_from_activities(vertex_activities(cs), cs.period_length(),
-                                    lambda, cs.mode());
+  return norm_bound_from_activities(activity_classes(cs).summaries,
+                                    cs.period_length(), lambda, cs.mode());
 }
 
 double audit_norm_bound(const protocol::SystolicSchedule& sched, double lambda) {
@@ -105,14 +127,14 @@ double audit_norm_bound(const protocol::SystolicSchedule& sched, double lambda) 
 AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
   cs.require_periodic("audit_schedule");
   AuditResult res;
-  const auto acts = vertex_activities(cs);
+  const auto classes = activity_classes(cs);
   const int s = cs.period_length();
   const protocol::Mode mode = cs.mode();
 
   constexpr double kLoLambda = 1e-9;
   constexpr double kHiLambda = 1.0 - 1e-9;
   const auto f = [&](double lam) {
-    return norm_bound_from_activities(acts, s, lam, mode) - 1.0;
+    return norm_bound_from_activities(classes.summaries, s, lam, mode) - 1.0;
   };
 
   if (f(kHiLambda) <= 0.0) {
@@ -126,13 +148,15 @@ AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
   res.e_coeff = e_coefficient(res.lambda_star);
   res.round_lower_bound = theorem41_round_bound(res.lambda_star, cs.n());
 
-  // Identify the vertex attaining the bound at λ*.
+  // The lowest vertex attaining the bound at λ*: classes run in order of
+  // first occurrence, so the first worst class holds it.
   double worst = -1.0;
-  for (std::size_t v = 0; v < acts.size(); ++v) {
-    const double b = vertex_norm_bound(acts[v], s, res.lambda_star, mode);
+  for (std::size_t c = 0; c < classes.summaries.size(); ++c) {
+    const double b =
+        vertex_norm_bound(classes.summaries[c], s, res.lambda_star, mode);
     if (b > worst) {
       worst = b;
-      res.worst_vertex = static_cast<int>(v);
+      res.worst_vertex = classes.first_vertex[c];
     }
   }
   return res;
@@ -151,7 +175,7 @@ SeparatorAuditResult audit_schedule_with_separator(
     throw std::invalid_argument(
         "audit_schedule_with_separator: need distance >= 1, min_size >= 1");
 
-  const auto acts = vertex_activities(cs);
+  const auto classes = activity_classes(cs);
   const int s = cs.period_length();
   const double log_c = std::log2(static_cast<double>(min_size));
 
@@ -160,7 +184,8 @@ SeparatorAuditResult audit_schedule_with_separator(
   //   t·log2(1/λ) + log2(t - distance + 2) + log2(t)
   //     >= log_c + (distance - 1)·log2(1/F).
   const auto certified = [&](double lambda) {
-    const double f = norm_bound_from_activities(acts, s, lambda, cs.mode());
+    const double f =
+        norm_bound_from_activities(classes.summaries, s, lambda, cs.mode());
     // f > 1: λ not certified.  f == 0: no vertex relays, so no finite
     // certificate applies (gossip across distance >= 2 is impossible anyway).
     if (f > 1.0 || f <= 0.0) return 0;

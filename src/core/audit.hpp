@@ -12,8 +12,23 @@
 // the worst-case ⌈s/2⌉/⌊s/2⌋ split, it can certify strictly more than the
 // general e(s)·log n bound — the per-protocol refinement the paper's
 // technique enables (see DESIGN.md, ablation 2).
+//
+// Activity classes.  A vertex's bound depends on nothing but its
+// VertexActivity summary (and s, λ, mode), and the regular networks the
+// paper studies have few distinct summaries — the bf/wbf/kautz/db
+// colouring schedules at d = 2, D = 4..11 have at most 17, against up to
+// 24,576 vertices.  Each audit therefore groups the vertices by equal
+// summary once and evaluates every λ over the distinct summaries only.
+// This is bit-identical to the per-vertex maximum: equal summaries go
+// through the same vertex_norm_bound call and yield the same double, and a
+// maximum over a multiset equals the maximum over its distinct values, so
+// every norm-bound evaluation — hence the bisection, λ*, e and the round
+// bound — is unchanged.  The worst vertex is the lowest-index vertex of
+// the first worst class (classes are ordered by first occurrence), which
+// is the lowest-index worst vertex.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -23,11 +38,15 @@
 
 namespace sysgo::core {
 
-/// Per-vertex, per-period activation summary.
+/// Per-vertex, per-period activation summary.  Ordered, so the audit can
+/// group vertices with equal summaries.
 struct VertexActivity {
   int left_rounds = 0;   // rounds of the period with an incoming activation
   int right_rounds = 0;  // rounds with an outgoing activation
   std::vector<int> active_rounds;  // full-duplex: rounds with any activation
+
+  friend auto operator<=>(const VertexActivity&,
+                          const VertexActivity&) = default;
 };
 
 /// Summaries for every vertex of a compiled period, read straight off the
@@ -47,7 +66,7 @@ struct VertexActivity {
                                        double lambda, protocol::Mode mode);
 
 /// Certified upper bound on ‖M(λ)‖ for this schedule (max over vertices of
-/// the per-vertex local-norm bound).  Increasing in λ.  The schedule
+/// the per-vertex local-norm bound, evaluated per activity class).  Increasing in λ.  The schedule
 /// overload compiles per call — in a λ loop, compile once and use the
 /// compiled overload.
 [[nodiscard]] double audit_norm_bound(const protocol::SystolicSchedule& sched,
@@ -64,7 +83,7 @@ struct AuditResult {
 
 /// Run the audit.  The bound holds for *any* execution length of this
 /// schedule that achieves gossip on an n-vertex network.  The compiled
-/// overload derives the activity summaries once and reuses them across the
+/// overload derives the activity classes once and reuses them across the
 /// whole λ bisection, and requires a periodic compiled schedule (as do the
 /// other compiled audit entry points); the schedule overload compiles
 /// first.

@@ -3,6 +3,10 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
+
+#include "util/parse.hpp"
 
 namespace sysgo::io {
 namespace {
@@ -11,10 +15,26 @@ using protocol::Mode;
 
 const char* mode_name(Mode m) { return m == Mode::kFullDuplex ? "full" : "half"; }
 
-Mode parse_mode(const std::string& word) {
+// "protocol_text: line <k>" — the prefix of every parse error.
+std::string at_line(int line_no) {
+  return "protocol_text: line " + std::to_string(line_no);
+}
+
+[[noreturn]] void fail(int line_no, const std::string& what) {
+  throw std::invalid_argument(at_line(line_no) + ": " + what);
+}
+
+std::vector<std::string> tokens(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> out;
+  for (std::string t; in >> t;) out.push_back(std::move(t));
+  return out;
+}
+
+Mode parse_mode(const std::string& word, int line_no) {
   if (word == "half") return Mode::kHalfDuplex;
   if (word == "full") return Mode::kFullDuplex;
-  throw std::invalid_argument("protocol_text: unknown mode '" + word + "'");
+  fail(line_no, "unknown mode '" + word + "'");
 }
 
 void serialize_rounds(std::ostringstream& out, const std::vector<protocol::Round>& rounds) {
@@ -25,7 +45,21 @@ void serialize_rounds(std::ostringstream& out, const std::vector<protocol::Round
   }
 }
 
-// Shared body parser: returns rounds after the header lines.
+// One "tail>head" arc; both endpoints are checked integers in [0, n).
+graph::Arc parse_arc(const std::string& arc, int n, int line_no) {
+  const auto sep = arc.find('>');
+  if (sep == std::string::npos) fail(line_no, "bad arc '" + arc + "'");
+  const std::string what = at_line(line_no) + ": arc '" + arc + "'";
+  const int tail = util::parse_int(std::string_view(arc).substr(0, sep), what);
+  const int head = util::parse_int(std::string_view(arc).substr(sep + 1), what);
+  if (tail < 0 || tail >= n || head < 0 || head >= n)
+    fail(line_no, "arc '" + arc + "': endpoint out of range [0, " +
+                      std::to_string(n) + ")");
+  return {tail, head};
+}
+
+// Shared body parser: returns rounds after the header lines.  Each line is
+// "round <k>: <arc>...", rounds consecutive from 1.
 std::vector<protocol::Round> parse_rounds(std::istringstream& in, int n) {
   std::vector<protocol::Round> rounds;
   std::string line;
@@ -33,57 +67,44 @@ std::vector<protocol::Round> parse_rounds(std::istringstream& in, int n) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string kw;
-    int round_no = 0;
-    char colon = 0;
-    ls >> kw >> round_no >> colon;
-    if (kw != "round" || colon != ':')
-      throw std::invalid_argument("protocol_text: line " + std::to_string(line_no) +
-                                  ": expected 'round <k>:'");
+    const auto colon = line.find(':');
+    const auto head = tokens(line.substr(0, colon));
+    if (colon == std::string::npos || head.size() != 2 || head[0] != "round")
+      fail(line_no, "expected 'round <k>:'");
+    const int round_no =
+        util::parse_int(head[1], at_line(line_no) + ": round number");
     if (round_no != static_cast<int>(rounds.size()) + 1)
-      throw std::invalid_argument("protocol_text: line " + std::to_string(line_no) +
-                                  ": rounds must be consecutive from 1");
+      fail(line_no, "rounds must be consecutive from 1");
     protocol::Round round;
-    std::string arc;
-    while (ls >> arc) {
-      const auto sep = arc.find('>');
-      if (sep == std::string::npos)
-        throw std::invalid_argument("protocol_text: line " + std::to_string(line_no) +
-                                    ": bad arc '" + arc + "'");
-      const int tail = std::stoi(arc.substr(0, sep));
-      const int head = std::stoi(arc.substr(sep + 1));
-      if (tail < 0 || tail >= n || head < 0 || head >= n)
-        throw std::invalid_argument("protocol_text: line " + std::to_string(line_no) +
-                                    ": arc endpoint out of range");
-      round.arcs.push_back({tail, head});
-    }
+    for (const std::string& arc : tokens(line.substr(colon + 1)))
+      round.arcs.push_back(parse_arc(arc, n, line_no));
     round.canonicalize();
     rounds.push_back(std::move(round));
   }
   return rounds;
 }
 
-// Parses "n <n> mode <half|full>" possibly followed by "period <k>".
+// Line 1 is "<magic> v1"; line 2 is "n <n> mode <half|full>".
 struct Header {
   int n = 0;
   Mode mode = Mode::kHalfDuplex;
 };
 
-Header parse_header_line(std::istringstream& in, const std::string& expected_magic,
-                         const std::string& text_kind) {
-  std::string magic, version;
-  in >> magic >> version;
-  if (magic != expected_magic || version != "v1")
-    throw std::invalid_argument("protocol_text: not a " + text_kind +
-                                " v1 document");
+Header parse_header_lines(std::istringstream& in, const std::string& expected_magic,
+                          const std::string& text_kind) {
+  std::string line;
+  std::getline(in, line);
+  const auto magic = tokens(line);
+  if (magic.size() != 2 || magic[0] != expected_magic || magic[1] != "v1")
+    fail(1, "not a " + text_kind + " v1 document");
+  std::getline(in, line);
+  const auto fields = tokens(line);
+  if (fields.size() != 4 || fields[0] != "n" || fields[2] != "mode")
+    fail(2, "malformed header, expected 'n <n> mode <half|full>'");
   Header h;
-  std::string kw_n, kw_mode, mode_word;
-  in >> kw_n >> h.n >> kw_mode >> mode_word;
-  if (kw_n != "n" || kw_mode != "mode" || h.n <= 0)
-    throw std::invalid_argument("protocol_text: malformed header");
-  h.mode = parse_mode(mode_word);
-  in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  h.n = util::parse_int_in(fields[1], at_line(2) + ": n",
+                           {1, std::numeric_limits<int>::max()});
+  h.mode = parse_mode(fields[3], 2);
   return h;
 }
 
@@ -107,7 +128,7 @@ std::string serialize(const protocol::SystolicSchedule& s) {
 
 protocol::Protocol parse_protocol(const std::string& text) {
   std::istringstream in(text);
-  const auto h = parse_header_line(in, "sysgo-protocol", "protocol");
+  const auto h = parse_header_lines(in, "sysgo-protocol", "protocol");
   protocol::Protocol p;
   p.n = h.n;
   p.mode = h.mode;
@@ -117,7 +138,7 @@ protocol::Protocol parse_protocol(const std::string& text) {
 
 protocol::SystolicSchedule parse_schedule(const std::string& text) {
   std::istringstream in(text);
-  const auto h = parse_header_line(in, "sysgo-schedule", "schedule");
+  const auto h = parse_header_lines(in, "sysgo-schedule", "schedule");
   protocol::SystolicSchedule s;
   s.n = h.n;
   s.mode = h.mode;

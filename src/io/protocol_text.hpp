@@ -7,7 +7,9 @@
 //   round 1: 0>1 2>3
 //   round 2: 1>2
 //
-// Schedules use header "sysgo-schedule v1" and "period k" lines.
+// Schedules use header "sysgo-schedule v1"; their rounds are one period.
+// Endpoints, round numbers and n are checked integers: "0x>1" or an
+// endpoint that overflows int is an error naming its line, never a guess.
 #pragma once
 
 #include <string>
@@ -20,8 +22,8 @@ namespace sysgo::io {
 [[nodiscard]] std::string serialize(const protocol::Protocol& p);
 [[nodiscard]] std::string serialize(const protocol::SystolicSchedule& s);
 
-/// Parse; throws std::invalid_argument with a line-referencing message on
-/// malformed input.
+/// Parse; throws std::invalid_argument whose message names the line
+/// ("protocol_text: line 3: ...") on malformed input.
 [[nodiscard]] protocol::Protocol parse_protocol(const std::string& text);
 [[nodiscard]] protocol::SystolicSchedule parse_schedule(const std::string& text);
 

@@ -1,5 +1,6 @@
 #include "simulator/batch.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -109,21 +110,32 @@ std::vector<int> broadcast_times_all(const protocol::CompiledSchedule& cs,
 
 // ----------------------------------------------------------- gossip batching
 
-KnowledgeMatrix& GossipArena::acquire(int n) {
-  if (!know_ || know_->size() != n)
-    know_ = std::make_unique<KnowledgeMatrix>(n);
+KnowledgeMatrix& GossipArena::acquire(int n, int first_item, int item_count) {
+  if (!know_)
+    know_ = std::make_unique<KnowledgeMatrix>(n, first_item, item_count);
   else
-    know_->reset();
+    know_->assign(n, first_item, item_count);
   return *know_;
 }
 
 int gossip_time(const protocol::CompiledSchedule& cs, int max_rounds,
                 const GossipOptions& opts, GossipArena& arena) {
-  KnowledgeMatrix& know = arena.acquire(cs.n());
-  return run_periodic(
-      cs.round_count(), cs.periodic(), max_rounds,
-      [&](int r, int) { apply_round(know, cs, r, opts.parallel); },
-      [&] { return know.all_full(); });
+  // A merge ORs whole rows, so each item's column evolves on its own: the
+  // matrix is full exactly when every item window is, at the largest
+  // window completion round, and misses the cap when any window does.
+  const int n = cs.n();
+  const int width = item_window_width(n);
+  int rounds = 0;
+  for (int first = 0; first < n; first += width) {
+    KnowledgeMatrix& know = arena.acquire(n, first, std::min(width, n - first));
+    const int t = run_periodic(
+        cs.round_count(), cs.periodic(), max_rounds,
+        [&](int r, int) { apply_round(know, cs, r, opts.parallel); },
+        [&] { return know.all_full(); });
+    if (t < 0) return -1;
+    rounds = std::max(rounds, t);
+  }
+  return rounds;
 }
 
 std::vector<int> run_gossip_batch(

@@ -13,11 +13,12 @@
 //    kernels' fresh-bit masks, so results are exactly the serial ones.
 //
 // 2. GossipArena / run_gossip_batch — many full gossip evaluations through
-//    one reusable scratch matrix: the arena hands out a reset()
-//    KnowledgeMatrix (reallocating only when n changes), so a stream of
-//    evaluations — the engine's simulate jobs, the synthesizer's candidate
-//    scoring, a corpus run — stops paying an allocation + page-fault per
-//    evaluation.  Results are identical to the per-call gossip_time.
+//    one reusable scratch matrix: the arena hands out a reset
+//    KnowledgeMatrix or item window (reallocating only to grow), so a
+//    stream of evaluations — the engine's simulate jobs, the synthesizer's
+//    candidate scoring, a corpus run — stops paying an allocation +
+//    page-fault per evaluation.  Results are identical to the per-call
+//    gossip_time.
 #pragma once
 
 #include <memory>
@@ -99,11 +100,14 @@ class BatchKnowledge {
 [[nodiscard]] std::vector<int> broadcast_times_all(
     const protocol::CompiledSchedule& cs, int max_rounds);
 
-/// Reusable gossip scratch: acquire(n) returns a reset KnowledgeMatrix,
-/// reallocating only when n differs from the previous acquisition.
+/// Reusable gossip scratch: acquire returns a reset KnowledgeMatrix —
+/// the whole matrix, or an item window — reusing the storage of earlier
+/// acquisitions and reallocating only when it must grow.
 class GossipArena {
  public:
-  [[nodiscard]] KnowledgeMatrix& acquire(int n);
+  [[nodiscard]] KnowledgeMatrix& acquire(int n) { return acquire(n, 0, n); }
+  [[nodiscard]] KnowledgeMatrix& acquire(int n, int first_item,
+                                         int item_count);
 
   /// The matrix the last acquire() returned (nullptr before the first).
   [[nodiscard]] const KnowledgeMatrix* current() const noexcept {
@@ -116,7 +120,8 @@ class GossipArena {
 
 /// gossip_time through a caller-provided arena: identical results to
 /// simulator::gossip_time(cs, max_rounds, opts), minus the per-call
-/// allocation.
+/// allocation.  The run goes one item window of item_window_width(n) items
+/// at a time; see gossip_time in gossip_sim.hpp.
 [[nodiscard]] int gossip_time(const protocol::CompiledSchedule& cs,
                               int max_rounds, const GossipOptions& opts,
                               GossipArena& arena);

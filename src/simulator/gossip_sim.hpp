@@ -63,7 +63,11 @@ void apply_round(KnowledgeMatrix& know, const protocol::CompiledSchedule& cs,
                               int max_rounds, const GossipOptions& opts = {});
 
 /// Compiled execution: periodic schedules wrap their stored rounds, finite
-/// protocols stop at round_count().
+/// protocols stop at round_count().  The schedule runs once per item window
+/// of item_window_width(n) items (one window, the whole matrix, for
+/// n <= 5,632); the result is the largest window completion round, or -1
+/// at the first window that misses the cap — exactly the whole-matrix
+/// answer, with at most kItemWindowBytes of scratch per window.
 [[nodiscard]] int gossip_time(const protocol::CompiledSchedule& cs,
                               int max_rounds, const GossipOptions& opts = {});
 

@@ -2,17 +2,163 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "linalg/roots.hpp"
 #include "protocol/builders.hpp"
 #include "protocol/classic_protocols.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/de_bruijn.hpp"
+#include "topology/topology.hpp"
 #include "util/rng.hpp"
 
 namespace sysgo::core {
 namespace {
 
 using protocol::Mode;
+
+// ------------------------------------------------- per-vertex reference
+//
+// The audit evaluates each activity class once; the reference below is
+// the plain per-vertex formula — the max of vertex_norm_bound over every
+// vertex, bisected with the same linalg::bisect call, and the lowest-index
+// worst vertex — so the two must agree bit for bit.
+
+double reference_norm(const std::vector<VertexActivity>& acts, int s,
+                      double lambda, Mode mode) {
+  double worst = 0.0;
+  for (const auto& act : acts)
+    worst = std::max(worst, vertex_norm_bound(act, s, lambda, mode));
+  return worst;
+}
+
+AuditResult reference_audit(const protocol::CompiledSchedule& cs) {
+  const auto acts = vertex_activities(cs);
+  const int s = cs.period_length();
+  const Mode mode = cs.mode();
+  constexpr double kLo = 1e-9;
+  constexpr double kHi = 1.0 - 1e-9;
+  const auto f = [&](double lam) {
+    return reference_norm(acts, s, lam, mode) - 1.0;
+  };
+  AuditResult res;
+  res.lambda_star = f(kHi) <= 0.0 ? kHi : linalg::bisect(f, kLo, kHi).x;
+  res.e_coeff = e_coefficient(res.lambda_star);
+  res.round_lower_bound = theorem41_round_bound(res.lambda_star, cs.n());
+  double worst = -1.0;
+  for (std::size_t v = 0; v < acts.size(); ++v) {
+    const double b = vertex_norm_bound(acts[v], s, res.lambda_star, mode);
+    if (b > worst) {
+      worst = b;
+      res.worst_vertex = static_cast<int>(v);
+    }
+  }
+  return res;
+}
+
+// The Theorem 5.1 grid scan of audit_schedule_with_separator over the
+// per-vertex norm.
+SeparatorAuditResult reference_separator_audit(
+    const protocol::CompiledSchedule& cs, int distance, std::size_t min_size) {
+  const auto acts = vertex_activities(cs);
+  const double log_c = std::log2(static_cast<double>(min_size));
+  SeparatorAuditResult best;
+  for (int i = 1; i < 512; ++i) {
+    const double lambda = static_cast<double>(i) / 512;
+    const double f =
+        reference_norm(acts, cs.period_length(), lambda, cs.mode());
+    if (f > 1.0 || f <= 0.0) continue;
+    const double log_inv = std::log2(1.0 / lambda);
+    const double rhs = log_c + (distance - 1) * std::log2(1.0 / f);
+    int t = std::max(1, distance);
+    while (t * log_inv + std::log2(static_cast<double>(t - distance + 2)) +
+               std::log2(static_cast<double>(t)) <
+           rhs)
+      ++t;
+    if (t > best.round_lower_bound) {
+      best.round_lower_bound = t;
+      best.lambda = lambda;
+    }
+  }
+  return best;
+}
+
+void expect_matches_reference(const protocol::CompiledSchedule& cs,
+                              const std::string& name) {
+  const auto got = audit_schedule(cs);
+  const auto want = reference_audit(cs);
+  EXPECT_EQ(got.lambda_star, want.lambda_star) << name;
+  EXPECT_EQ(got.e_coeff, want.e_coeff) << name;
+  EXPECT_EQ(got.round_lower_bound, want.round_lower_bound) << name;
+  EXPECT_EQ(got.worst_vertex, want.worst_vertex) << name;
+  const auto acts = vertex_activities(cs);
+  for (const double lambda : {0.05, 0.3, 0.5, want.lambda_star, 0.8, 0.99})
+    EXPECT_EQ(audit_norm_bound(cs, lambda),
+              reference_norm(acts, cs.period_length(), lambda, cs.mode()))
+        << name << " lambda=" << lambda;
+}
+
+TEST(Audit, ClassAuditMatchesPerVertexReferenceOnFamilies) {
+  using topology::Family;
+  for (const Family f : {Family::kButterfly, Family::kWrappedButterfly,
+                         Family::kKautz, Family::kDeBruijn})
+    for (int D = 4; D <= 7; ++D)
+      for (const Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
+        const auto g = topology::make_family(f, 2, D);
+        const auto cs = protocol::CompiledSchedule::compile(
+            protocol::edge_coloring_schedule(g, mode),
+            g.is_symmetric() ? &g : nullptr);
+        const std::string name = topology::family_name(f, 2) + " D=" +
+                                 std::to_string(D) +
+                                 (mode == Mode::kFullDuplex ? " full" : " half");
+        expect_matches_reference(cs, name);
+        if (D > 5) continue;  // the 511-point scan is slow per vertex
+        for (const auto& [distance, min_size] :
+             {std::pair<int, std::size_t>{2, 4}, {D, std::size_t{1} << (D - 1)}}) {
+          const auto got = audit_schedule_with_separator(cs, distance, min_size);
+          const auto want = reference_separator_audit(cs, distance, min_size);
+          EXPECT_EQ(got.lambda, want.lambda) << name << " dist=" << distance;
+          EXPECT_EQ(got.round_lower_bound, want.round_lower_bound)
+              << name << " dist=" << distance;
+        }
+      }
+}
+
+TEST(Audit, WorstClassNeedNotContainVertexZero) {
+  // Half duplex, period 4: vertex 0 only sends (bound 0), 1 and 2 relay
+  // with (L, R) = (2, 1) and (1, 1), and 3 and 4 share the summary
+  // (L, R) = (2, 2) over all four rounds — the worst class, first held by
+  // vertex 3.
+  protocol::SystolicSchedule half;
+  half.n = 5;
+  half.mode = Mode::kHalfDuplex;
+  half.period = {{{{0, 1}, {3, 4}}}, {{{1, 2}, {4, 3}}},
+                 {{{2, 1}, {3, 4}}}, {{{4, 3}}}};
+  // Full duplex, period 3: 3 and 4 exchange every round, 1 twice, 0 and 2
+  // once.
+  protocol::SystolicSchedule full;
+  full.n = 5;
+  full.mode = Mode::kFullDuplex;
+  full.period = {{{{0, 1}, {1, 0}, {3, 4}, {4, 3}}},
+                 {{{1, 2}, {2, 1}, {3, 4}, {4, 3}}},
+                 {{{3, 4}, {4, 3}}}};
+  for (const auto* sched : {&half, &full}) {
+    const auto cs = protocol::CompiledSchedule::compile(*sched);
+    const auto acts = vertex_activities(cs);
+    EXPECT_EQ(acts[3], acts[4]);
+    EXPECT_NE(acts[0], acts[3]);
+    EXPECT_EQ(audit_schedule(cs).worst_vertex, 3);
+    expect_matches_reference(cs, sched == &half ? "half" : "full");
+    const auto got = audit_schedule_with_separator(cs, 2, 2);
+    const auto want = reference_separator_audit(cs, 2, 2);
+    EXPECT_EQ(got.lambda, want.lambda);
+    EXPECT_EQ(got.round_lower_bound, want.round_lower_bound);
+  }
+}
 
 TEST(Audit, VertexActivitiesOnPathSchedule) {
   // P4 half-duplex, period 4: rounds {(0,1),(2,3)}, {(1,2)}, {(1,0),(3,2)}, {(2,1)}.

@@ -182,6 +182,53 @@ TEST(ProtocolText, BuilderSchedulesRoundTripToIdenticalCompiledSchedule) {
   }
 }
 
+// Endpoints are checked integers: trailing junk, non-numbers and int
+// overflow are rejected with the line named, never read as a nearby arc.
+TEST(ProtocolText, MalformedEndpointsNameTheLine) {
+  for (const char* arc : {"0x>1", "a>1", "0>99999999999", "1>2x", "0>+1",
+                          "0>1>2", ">1"}) {
+    for (const bool schedule : {false, true}) {
+      const std::string text =
+          std::string(schedule ? "sysgo-schedule" : "sysgo-protocol") +
+          " v1\nn 4 mode half\nround 1: " + arc + "\n";
+      try {
+        if (schedule)
+          (void)parse_schedule(text);
+        else
+          (void)parse_protocol(text);
+        ADD_FAILURE() << "accepted " << arc;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+            << arc << ": " << e.what();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << arc << ": not std::invalid_argument: " << e.what();
+      }
+    }
+  }
+}
+
+TEST(ProtocolText, MalformedHeaderAndRoundNumbersNameTheLine) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"sysgo-schedule v1\nn 4x mode half\n", "line 2"},
+      {"sysgo-schedule v1\nn 99999999999 mode half\n", "line 2"},
+      {"sysgo-schedule v1\nn 0 mode half\n", "line 2"},
+      {"sysgo-schedule v1\nn 4 mode half extra\n", "line 2"},
+      {"sysgo-schedule v1\nn 4 mode duplex\n", "line 2"},
+      {"sysgo-schedule v1 extra\nn 4 mode half\n", "line 1"},
+      {"sysgo-schedule v1\nn 4 mode half\nround 1x: 0>1\n", "line 3"},
+      {"sysgo-schedule v1\nn 4 mode half\nround 1 0>1\n", "line 3"},
+  };
+  for (const auto& [text, line] : cases) {
+    try {
+      (void)parse_schedule(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+}
+
 TEST(ProtocolText, ErrorMessagesNameTheLine) {
   try {
     (void)parse_protocol("sysgo-protocol v1\nn 2 mode half\nround 1: 0>9\n");

@@ -2,7 +2,8 @@
 //
 //   * raw kernels vs an independent scalar reference at row widths 1..512
 //     bits (every tail-word shape), random densities, all supported ISAs;
-//   * the 64-byte row-alignment guarantee of KnowledgeMatrix, n = 1..200;
+//   * the 64-byte row-alignment guarantee of KnowledgeMatrix and its item
+//     windows, n = 1..200;
 //   * batched execution vs its serial counterpart (broadcast lanes, gossip
 //     arena/batch) over the paper-figure corpus plus seeded random members;
 //   * DraftEvaluator / evaluate_batch vs the one-shot compile-then-evaluate
@@ -154,11 +155,14 @@ TEST(Kernels, SelfMergeGainsNothing) {
 
 TEST(Knowledge, RowsAre64ByteAlignedForAllSmallN) {
   for (int n = 1; n <= 200; ++n) {
-    const KnowledgeMatrix k(n);
-    for (int v = 0; v < n; ++v) {
-      const auto addr = reinterpret_cast<std::uintptr_t>(k.row(v).data());
-      ASSERT_EQ(addr % 64, 0u) << "n=" << n << " v=" << v;
-      ASSERT_EQ(k.row(v).size(), k.words()) << "n=" << n;
+    // The whole matrix and an item window of the last two thirds.
+    for (const KnowledgeMatrix& k :
+         {KnowledgeMatrix(n), KnowledgeMatrix(n, n / 3, n - n / 3)}) {
+      for (int v = 0; v < n; ++v) {
+        const auto addr = reinterpret_cast<std::uintptr_t>(k.row(v).data());
+        ASSERT_EQ(addr % 64, 0u) << "n=" << n << " v=" << v;
+        ASSERT_EQ(k.row(v).size(), k.words()) << "n=" << n;
+      }
     }
   }
 }
