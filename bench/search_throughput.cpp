@@ -1,6 +1,6 @@
 // Exact-search throughput: canonical states per second, plus the state-space
-// compression the symmetry layer buys over the identity-only search that the
-// old analysis/optimal BFS amounted to.
+// compression the symmetry layer buys over identity-only canonicalization
+// (max_group_order = 1), which is what the old 64-bit BFS oracle amounted to.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -14,7 +14,6 @@
 
 namespace {
 
-using sysgo::search::Algorithm;
 using sysgo::search::Problem;
 using sysgo::search::SolveOptions;
 using sysgo::protocol::Mode;
@@ -43,7 +42,7 @@ void print_symmetry_reduction_table() {
     with.threads = 1;
     const auto reduced = sysgo::search::solve(c.g, with);
     SolveOptions without = with;
-    without.use_symmetry = false;
+    without.max_group_order = 1;  // identity-only
     const auto raw = sysgo::search::solve(c.g, without);
     const double factor =
         reduced.states_explored == 0
@@ -66,7 +65,7 @@ void BM_SolveStatesPerSecond(benchmark::State& state) {
   SolveOptions opts;
   opts.mode = Mode::kHalfDuplex;
   opts.threads = 1;
-  opts.use_symmetry = symmetry;
+  if (!symmetry) opts.max_group_order = 1;  // identity-only
   std::size_t states = 0;
   for (auto _ : state) {
     const auto res = sysgo::search::solve(g, opts);
@@ -101,22 +100,6 @@ BENCHMARK(BM_SolveParallelBfs)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_IterativeDeepening(benchmark::State& state) {
-  const auto g = sysgo::topology::cycle(static_cast<int>(state.range(0)));
-  SolveOptions opts;
-  opts.mode = Mode::kFullDuplex;
-  opts.algorithm = Algorithm::kIterativeDeepening;
-  opts.threads = 1;
-  for (auto _ : state) {
-    const auto res = sysgo::search::solve(g, opts);
-    benchmark::DoNotOptimize(res);
-  }
-}
-BENCHMARK(BM_IterativeDeepening)
-    ->Name("search/cycle_full_duplex_idbb")
-    ->DenseRange(8, 12, 2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -6,9 +6,9 @@
 #include <cmath>
 #include <cstdio>
 
-#include "analysis/optimal.hpp"
 #include "graph/search.hpp"
 #include "io/protocol_text.hpp"
+#include "search/solver.hpp"
 #include "topology/classic.hpp"
 
 int main() {
@@ -20,7 +20,11 @@ int main() {
 
   for (auto mode : {Mode::kFullDuplex, Mode::kHalfDuplex}) {
     const char* label = mode == Mode::kFullDuplex ? "full-duplex" : "half-duplex";
-    const auto res = analysis::optimal_gossip(g, mode, 24);
+    search::SolveOptions opts;
+    opts.mode = mode;
+    opts.max_rounds = 24;
+    opts.want_witness = true;
+    const auto res = search::solve(g, opts);
     std::printf("%s: optimal gossip time = %d rounds (%zu states explored)\n",
                 label, res.rounds, res.states_explored);
     protocol::Protocol witness;

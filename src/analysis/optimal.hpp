@@ -1,53 +1,12 @@
-// Exact optimal gossip for small networks — thin wrapper over the
-// exact-search subsystem.
+// Compatibility alias: the matching generator lives in search/matchings.hpp.
 //
-// Historically this header hosted a serial BFS over knowledge states packed
-// into a single 64-bit key (n <= 8, practical to n <= 6).  That search now
-// lives in src/search/ as a symmetry-reduced, bound-pruned, frontier-
-// parallel solver handling n <= 12 and broadcast as well as gossip; see
-// search/solver.hpp.  optimal_gossip() remains as the witness-producing
-// convenience entry point, and maximal_matchings() as the shared move
-// generator.
+// The end-to-end benchmark's traced run (perfbench/src/traced.cpp) includes
+// this header by name for its move-set probe and reports the probe's
+// per-layer metrics as absent without it.  Delete it in the next change to
+// the benchmark, once the probe includes search/matchings.hpp; library code
+// includes that header directly.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include "search/matchings.hpp"
 
-#include "graph/digraph.hpp"
-#include "protocol/protocol.hpp"
-
-namespace sysgo::analysis {
-
-/// All maximal matchings of g in the given mode (n <= 16).  Half-duplex:
-/// maximal sets of vertex-disjoint arcs; full-duplex: maximal sets of
-/// vertex-disjoint opposite pairs (both arcs listed).
-///
-/// Canonical ordering contract: every returned round is canonicalized
-/// (arcs sorted by (tail, head)) and the list is sorted lexicographically
-/// by arc vector, with no duplicates.  The ordering therefore depends only
-/// on the arc SET of g — not on arc insertion order — which is what keeps
-/// solver results and witness protocols deterministic across thread
-/// counts and rebuilt graphs.
-[[nodiscard]] std::vector<protocol::Round> maximal_matchings(
-    const graph::Digraph& g, protocol::Mode mode);
-
-struct OptimalResult {
-  int rounds = -1;  // minimum gossip time, or -1 if unreachable in budget
-  std::size_t states_explored = 0;
-  bool budget_exhausted = false;  // search aborted after max_states
-  /// One optimal protocol (round sequence realizing the minimum).
-  std::vector<protocol::Round> witness;
-};
-
-/// Minimum gossip time over all protocols on g (n <= 12), with a witness
-/// protocol.  Delegates to search::solve with symmetry reduction on; the
-/// search aborts with budget_exhausted once max_states canonical knowledge
-/// states have been visited.  states_explored counts canonical states —
-/// orbit representatives — so it is smaller than the raw reachable count
-/// by up to a factor of |Aut(g)|.
-[[nodiscard]] OptimalResult optimal_gossip(const graph::Digraph& g,
-                                           protocol::Mode mode,
-                                           int max_rounds = 32,
-                                           std::size_t max_states = 20'000'000);
-
-}  // namespace sysgo::analysis
+namespace sysgo::analysis { using search::maximal_matchings; }

@@ -1,11 +1,11 @@
 #include "io/protocol_text.hpp"
 
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
 
+#include "io/text_limits.hpp"
 #include "util/parse.hpp"
 
 namespace sysgo::io {
@@ -103,7 +103,7 @@ Header parse_header_lines(std::istringstream& in, const std::string& expected_ma
     fail(2, "malformed header, expected 'n <n> mode <half|full>'");
   Header h;
   h.n = util::parse_int_in(fields[1], at_line(2) + ": n",
-                           {1, std::numeric_limits<int>::max()});
+                           {1, kMaxTextVertices});
   h.mode = parse_mode(fields[3], 2);
   return h;
 }

@@ -10,6 +10,7 @@
 // Schedules use header "sysgo-schedule v1"; their rounds are one period.
 // Endpoints, round numbers and n are checked integers: "0x>1" or an
 // endpoint that overflows int is an error naming its line, never a guess.
+// n is at most kMaxTextVertices (text_limits.hpp).
 #pragma once
 
 #include <string>

@@ -12,7 +12,7 @@
 // Three event shapes:
 //  * Complete — a span [ts, ts+dur) emitted once at span end (RAII
 //    TraceSpan), carrying up to kMaxArgs key/value args.
-//  * Instant  — a point event (store hit/miss, accepted synth move).
+//  * Instant  — a point event (store hit/miss/insert).
 //  * Flow     — begin/end pairs sharing a flow id, rendered as arrows in
 //    Chrome tracing (thread-pool submit → execute).
 //
@@ -72,9 +72,8 @@ enum class EventKind : std::uint8_t {
   kFlowEnd = 3,   // arrow head at ts_us
 };
 
-// 8 fits str_mask's uint8 bit-per-arg exactly; the synthesizer's restart
-// spans are the widest emitter (restart/accepted/improved + the three
-// replay-savings args).
+// 8 fits str_mask's uint8 bit-per-arg exactly; the widest emitter is an
+// engine task span under --perf (family/d/D/s + the three perf args).
 inline constexpr std::size_t kMaxArgs = 8;
 
 /// One event arg: interned key, and either a plain integer value or (when

@@ -1,11 +1,12 @@
-#include "analysis/optimal.hpp"
+#include "search/matchings.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
-#include "search/solver.hpp"
+#include "search/state.hpp"
 
-namespace sysgo::analysis {
+namespace sysgo::search {
 namespace {
 
 using protocol::Mode;
@@ -88,8 +89,8 @@ std::vector<Round> prune_to_maximal(std::vector<Round> rounds) {
 }  // namespace
 
 std::vector<Round> maximal_matchings(const graph::Digraph& g, Mode mode) {
-  if (g.vertex_count() > 16)
-    throw std::invalid_argument("maximal_matchings: n <= 16 required");
+  if (g.vertex_count() > kMaxVertices)
+    throw std::invalid_argument("maximal_matchings: n <= 12 required");
   std::vector<Round> out;
   std::vector<graph::Arc> current;
   if (mode == Mode::kFullDuplex)
@@ -99,21 +100,4 @@ std::vector<Round> maximal_matchings(const graph::Digraph& g, Mode mode) {
   return prune_to_maximal(std::move(out));
 }
 
-OptimalResult optimal_gossip(const graph::Digraph& g, Mode mode, int max_rounds,
-                             std::size_t max_states) {
-  search::SolveOptions opts;
-  opts.problem = search::Problem::kGossip;
-  opts.mode = mode;
-  opts.max_rounds = max_rounds;
-  opts.max_states = max_states;
-  opts.want_witness = true;  // serial parent-tracking BFS
-  auto sr = search::solve(g, opts);
-  OptimalResult res;
-  res.rounds = sr.rounds;
-  res.states_explored = sr.states_explored;
-  res.budget_exhausted = sr.budget_exhausted;
-  res.witness = std::move(sr.witness);
-  return res;
-}
-
-}  // namespace sysgo::analysis
+}  // namespace sysgo::search

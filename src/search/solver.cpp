@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -11,13 +10,13 @@
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/optimal.hpp"
 #include "graph/search.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
 #include "obs/trace.hpp"
 #include "obs/wall_timer.hpp"
 #include "protocol/compiled.hpp"
+#include "search/matchings.hpp"
 #include "search/state_set.hpp"
 #include "search/symmetry.hpp"
 #include "simulator/broadcast_sim.hpp"
@@ -40,7 +39,6 @@ struct SearchMetrics {
   obs::Counter& expanded = obs::counter("search.states_expanded");
   obs::Counter& discovered = obs::counter("search.states_discovered");
   obs::Counter& deduped = obs::counter("search.states_deduped");
-  obs::Counter& idbb_nodes = obs::counter("search.idbb_nodes");
   // --perf: per-BFS-layer IPC / cache behavior (a layer whose IPC drops as
   // `visited` grows is the canonicalizer thrashing the cache).
   obs::perf::PerfRollup layer_perf{"search.layer"};
@@ -382,72 +380,6 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
   res.states_explored = visited.size();
 }
 
-// -------------------------------------------------- iterative deepening
-
-struct DeepeningSearch {
-  const std::vector<Round>& moves;
-  Mode mode;
-  const Canonicalizer& canon;
-  const Heuristic& heur;
-  State goal;
-  std::size_t max_states;
-
-  StateBudgetMap table{};
-  std::size_t nodes = 0;
-  bool exhausted = false;
-  std::vector<std::pair<int, std::size_t>> path{};  // (move, perm) per level
-
-  /// True when the goal is reachable from canonical state s in at most
-  /// `remaining` further rounds (s != goal).
-  bool dfs(const State& s, int remaining) {
-    if (remaining <= 0) return false;
-    if (heur.gossip_h(s) > remaining) return false;
-    if (table.failed_budget(s) >= remaining) return false;
-    if (++nodes > max_states) {
-      exhausted = true;
-      return false;
-    }
-    for (std::size_t m = 0; m < moves.size(); ++m) {
-      State t = apply_round(s, moves[m], mode);
-      if (t == s) continue;
-      std::size_t perm_index;
-      t = canon.canonical(t, &perm_index);
-      path.emplace_back(static_cast<int>(m), perm_index);
-      if (t == goal || dfs(t, remaining - 1)) return true;
-      path.pop_back();
-      if (exhausted) return false;
-    }
-    table.record_failure(s, remaining);
-    return false;
-  }
-};
-
-void gossip_deepening(const std::vector<Round>& moves, Mode mode,
-                      const Canonicalizer& canon, const Heuristic& heur, int n,
-                      const SolveOptions& opts, SolveResult& res) {
-  const State root = initial_gossip_state(n);
-  const State goal = gossip_goal_state(n);
-  DeepeningSearch search{moves, mode, canon, heur, goal, opts.max_states};
-  // The transposition table persists across depth iterations: "budget b
-  // was insufficient from s" is limit-independent.
-  for (int limit = std::max(1, res.root_lower_bound);
-       limit <= opts.max_rounds; ++limit) {
-    search.path.clear();
-    if (search.dfs(root, limit)) {
-      res.rounds = limit;
-      if (opts.want_witness)
-        res.witness = rebuild_witness(search.path, moves, canon, n);
-      break;
-    }
-    if (search.exhausted) {
-      res.budget_exhausted = true;
-      break;
-    }
-  }
-  res.states_explored = search.nodes;
-  search_metrics().idbb_nodes.add(search.nodes);
-}
-
 // ------------------------------------------------------------- broadcast
 
 /// Broadcast states are informed-vertex masks (2^n of them), canonicalized
@@ -544,17 +476,10 @@ SolveResult solve(const graph::Digraph& g, const SolveOptions& opts) {
                             : heur.broadcast_feasible(opts.source);
   if (!feasible) return res;  // rounds = -1: goal unreachable at any depth
 
-  const auto moves = analysis::maximal_matchings(g, opts.mode);
+  const auto moves = maximal_matchings(g, opts.mode);
   if (moves.empty()) return res;
 
-  AutomorphismGroup group;
-  if (opts.use_symmetry) {
-    group = automorphisms(g, opts.max_group_order);
-  } else {
-    Perm id(static_cast<std::size_t>(n));
-    std::iota(id.begin(), id.end(), 0);
-    group.perms.push_back(std::move(id));
-  }
+  AutomorphismGroup group = automorphisms(g, opts.max_group_order);
   if (opts.problem == Problem::kBroadcast)
     group = vertex_stabilizer(group, opts.source);
   const Canonicalizer canon(n, std::move(group));
@@ -569,9 +494,7 @@ SolveResult solve(const graph::Digraph& g, const SolveOptions& opts) {
   }
 
   res.root_lower_bound = heur.gossip_h(initial_gossip_state(n));
-  if (opts.algorithm == Algorithm::kIterativeDeepening) {
-    gossip_deepening(moves, opts.mode, canon, heur, n, opts, res);
-  } else if (opts.want_witness) {
+  if (opts.want_witness) {
     gossip_bfs_witness(moves, opts.mode, canon, n, opts, res);
   } else {
     // threads == 1 runs the same batched loop serially, so counts and

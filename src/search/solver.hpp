@@ -1,29 +1,26 @@
-// Exact optimal-protocol search: symmetry-reduced, bound-pruned, parallel.
+// Exact optimal-protocol search: one symmetry-reduced BFS core.
 //
 // Computes the exact gossip or broadcast complexity of a concrete network
-// (n <= 12) in either duplex mode by searching the knowledge-state space
-// whose moves are the maximal matchings of the network
-// (analysis::maximal_matchings; restricting to maximal rounds is lossless
-// because knowledge is monotone).  Two reductions make instances tractable
-// that the old 64-bit BFS oracle (n <= 8) could not represent or finish:
+// (n <= 12) in either duplex mode by breadth-first search over the
+// knowledge-state space whose moves are the maximal matchings of the
+// network (search/matchings.hpp; restricting to maximal rounds is lossless
+// because knowledge is monotone).  Symmetry makes instances tractable that
+// the old 64-bit BFS oracle (n <= 8) could not represent or finish: states
+// are stored canonically under (a subgroup of) the network's automorphism
+// group (symmetry.hpp), dividing the reachable space by up to |Aut(G)|.
 //
-//  * Symmetry: states are stored canonically under (a subgroup of) the
-//    network's automorphism group (symmetry.hpp), dividing the reachable
-//    space by up to |Aut(G)|.
-//  * Bounds: the branch-and-bound mode prunes with an admissible per-state
-//    heuristic — the per-instance forms of the repo's analytic bounds: the
-//    distance deficit (every unknown item u must still travel dist(u, v),
-//    cf. core/diameter_bound) and the information-doubling deficit (a row
-//    at most doubles per round, the broadcasting-bound growth argument of
-//    core/broadcast_bound).
-//
-// Two algorithms share the state layer: a frontier-parallel BFS on the
-// persistent util/thread_pool (the workhorse), and serial iterative
-// deepening with a transposition table (lower memory, best when the
-// optimum is close to the root lower bound).  BFS results — rounds and
+// Gossip runs a frontier-parallel BFS on the persistent util/thread_pool,
+// or a serial parent-tracking BFS when a witness is requested; broadcast
+// runs a serial BFS over informed-vertex masks.  Results — rounds and
 // states_explored — are identical for every thread count: the frontier is
 // sorted between layers, budget/goal checks happen only at deterministic
 // batch barriers, and set membership is order-independent.
+//
+// root_lower_bound reports the per-instance forms of the repo's analytic
+// bounds at the initial state: the distance deficit (every unknown item u
+// must still travel dist(u, v), cf. core/diameter_bound) and the
+// information-doubling deficit (a row at most doubles per round, the
+// broadcasting-bound growth argument of core/broadcast_bound).
 #pragma once
 
 #include <cstddef>
@@ -39,21 +36,14 @@ enum class Problem {
   kBroadcast,  // every vertex learns the source's item
 };
 
-enum class Algorithm {
-  kBfs,                 // frontier-parallel breadth-first search
-  kIterativeDeepening,  // serial depth-first branch-and-bound
-};
-
 struct SolveOptions {
   Problem problem = Problem::kGossip;
   protocol::Mode mode = protocol::Mode::kHalfDuplex;
-  Algorithm algorithm = Algorithm::kBfs;
   /// Broadcast source vertex (ignored by gossip).
   int source = 0;
   int max_rounds = 64;
   /// Abort with budget_exhausted once this many canonical states are
-  /// stored (BFS; checked at batch barriers, so the last batch may
-  /// overshoot) or expanded (iterative deepening).
+  /// stored (checked at batch barriers, so the last batch may overshoot).
   std::size_t max_states = 20'000'000;
   /// Like engine::SweepOptions::threads: 0 runs BFS batches on the
   /// process-wide pool, 1 is serial, k > 1 spawns a private pool of k
@@ -61,9 +51,9 @@ struct SolveOptions {
   /// process-wide pool is persistent).  Results do not depend on this
   /// value.
   unsigned threads = 0;
-  /// Store states canonically under the automorphism group (subgroup
-  /// capped at max_group_order; identity-only beyond the cap).
-  bool use_symmetry = true;
+  /// Store states canonically under the automorphism group, capped at
+  /// this order: a larger group falls back to identity-only
+  /// canonicalization, so 1 turns symmetry reduction off.
   std::size_t max_group_order = 4096;
   /// Reconstruct one optimal protocol (forces the serial BFS path).
   bool want_witness = false;
@@ -72,12 +62,12 @@ struct SolveOptions {
 struct SolveResult {
   /// Exact optimum, or -1 when unreachable within max_rounds / budget.
   int rounds = -1;
-  /// BFS: canonical states stored; iterative deepening: nodes expanded
-  /// across all depth iterations.
+  /// Canonical states stored (orbit representatives, so up to |Aut(G)|
+  /// fewer than the raw reachable states).
   std::size_t states_explored = 0;
   bool budget_exhausted = false;
   /// Order of the automorphism subgroup used for canonicalization (1 when
-  /// symmetry is off or the group exceeded the cap).
+  /// Aut(G) is trivial or exceeded max_group_order).
   std::size_t group_order = 1;
   /// False when Aut(G) exceeded max_group_order and the search fell back
   /// to identity-only canonicalization.

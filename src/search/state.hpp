@@ -1,7 +1,7 @@
 // Compact knowledge states for the exact-search solver.
 //
 // A gossip knowledge state on n vertices is the n x n boolean matrix
-// K(v, u) = "v knows u's item".  The old oracle (analysis/optimal) packed
+// K(v, u) = "v knows u's item".  The old BFS oracle packed
 // the whole matrix into one 64-bit word, capping it at n <= 8; here each
 // row is a 16-bit mask and a state is 12 rows (192 bits), so every n <= 12
 // instance fits.  The all-zero state never occurs (every vertex knows its

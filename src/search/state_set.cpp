@@ -58,62 +58,6 @@ void StateSet::grow() {
   }
 }
 
-// ------------------------------------------------------------ StateBudgetMap
-
-StateBudgetMap::StateBudgetMap(std::size_t min_capacity)
-    : slots_(table_capacity(min_capacity)),
-      values_(slots_.size(), -1),
-      mask_(slots_.size() - 1) {}
-
-int StateBudgetMap::failed_budget(const State& s) const noexcept {
-  std::size_t i = StateHash{}(s) & mask_;
-  for (;;) {
-    const State& slot = slots_[i];
-    if (slot == s) return values_[i];
-    if (slot.is_zero()) return -1;
-    i = (i + 1) & mask_;
-  }
-}
-
-void StateBudgetMap::record_failure(const State& s, int budget) {
-  std::size_t i = StateHash{}(s) & mask_;
-  for (;;) {
-    State& slot = slots_[i];
-    if (slot == s) {
-      if (budget > values_[i]) values_[i] = budget;
-      return;
-    }
-    if (slot.is_zero()) {
-      slot = s;
-      values_[i] = budget;
-      if (++size_ * 5 > slots_.size() * 3) grow();
-      return;
-    }
-    i = (i + 1) & mask_;
-  }
-}
-
-void StateBudgetMap::clear() {
-  for (State& s : slots_) s = State{};
-  for (int& v : values_) v = -1;
-  size_ = 0;
-}
-
-void StateBudgetMap::grow() {
-  std::vector<State> old_slots = std::move(slots_);
-  std::vector<int> old_values = std::move(values_);
-  slots_.assign(old_slots.size() * 2, State{});
-  values_.assign(old_slots.size() * 2, -1);
-  mask_ = slots_.size() - 1;
-  for (std::size_t j = 0; j < old_slots.size(); ++j) {
-    if (old_slots[j].is_zero()) continue;
-    std::size_t i = StateHash{}(old_slots[j]) & mask_;
-    while (!slots_[i].is_zero()) i = (i + 1) & mask_;
-    slots_[i] = old_slots[j];
-    values_[i] = old_values[j];
-  }
-}
-
 // ---------------------------------------------------------- ShardedStateSet
 
 bool ShardedStateSet::insert(const State& s) {

@@ -1,7 +1,7 @@
 // Open-addressing hash storage for knowledge states.
 //
-// StateSet / StateBudgetMap are linear-probing tables keyed by the 192-bit
-// State (state.hpp); the all-zero state marks empty slots, which is safe
+// StateSet is a linear-probing table keyed by the 192-bit State
+// (state.hpp); the all-zero state marks empty slots, which is safe
 // because reachable knowledge states always contain the diagonal.  The
 // sharded variant partitions by hash so frontier-parallel BFS can insert
 // concurrently: membership and size are set properties, independent of
@@ -34,29 +34,6 @@ class StateSet {
 
   std::vector<State> slots_;
   std::size_t mask_ = 0;   // slots_.size() - 1 (power of two)
-  std::size_t size_ = 0;
-};
-
-/// Open-addressing map State -> int used as the iterative-deepening
-/// transposition table: value = largest remaining-round budget already
-/// proven insufficient from that state.
-class StateBudgetMap {
- public:
-  explicit StateBudgetMap(std::size_t min_capacity = 64);
-
-  /// Largest failed budget recorded for s, or -1.
-  [[nodiscard]] int failed_budget(const State& s) const noexcept;
-  /// Record that `budget` remaining rounds were insufficient from s.
-  void record_failure(const State& s, int budget);
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  void clear();
-
- private:
-  void grow();
-
-  std::vector<State> slots_;
-  std::vector<int> values_;
-  std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
 

@@ -11,11 +11,11 @@
 
 #include <cmath>
 
-#include "analysis/optimal.hpp"
 #include "core/audit.hpp"
 #include "core/bounds.hpp"
 #include "protocol/builders.hpp"
 #include "protocol/knodel_protocols.hpp"
+#include "search/solver.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/knodel.hpp"
@@ -55,10 +55,10 @@ TEST(Tightness, KnodelScheduleIsPeriodLogNSystolic) {
 TEST(Tightness, CompleteGraphHalfDuplexNearTheKnownCoefficient) {
   // Exhaustive optima for K4/K5 vs 1.4404·log2(n): the ratio approaches the
   // coefficient from above.
-  const int g4 = analysis::optimal_gossip(topology::complete(4),
-                                          Mode::kHalfDuplex).rounds;
-  const int g5 = analysis::optimal_gossip(topology::complete(5),
-                                          Mode::kHalfDuplex).rounds;
+  search::SolveOptions opts;
+  opts.mode = Mode::kHalfDuplex;
+  const int g4 = search::solve(topology::complete(4), opts).rounds;
+  const int g5 = search::solve(topology::complete(5), opts).rounds;
   EXPECT_GE(g4, 1.4404 * std::log2(4.0) - 1e-9);
   EXPECT_GE(g5, 1.4404 * std::log2(5.0) - 1e-9);
   EXPECT_LE(g4 / std::log2(4.0), 2.01);

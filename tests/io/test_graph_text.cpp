@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "topology/classic.hpp"
 #include "topology/kautz.hpp"
 
@@ -38,20 +41,48 @@ TEST(GraphText, EmptyGraphRoundTrips) {
 }
 
 TEST(GraphText, RejectsMalformedInput) {
-  EXPECT_THROW((void)parse_digraph("nonsense"), std::invalid_argument);
-  EXPECT_THROW((void)parse_digraph("sysgo-digraph v2\nn 2\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_digraph("sysgo-digraph v1\nm 2\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_digraph("sysgo-digraph v1\nn 2\nedge 0 1\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_digraph("sysgo-digraph v1\nn 2\narc 0\n"),
-               std::invalid_argument);
+  // Each expected message prefix names the offending line.  An arc is one
+  // whole line, so a split arc, two arcs on one line and a one-line
+  // document are errors; an overflowing or oversized n fails before any
+  // allocation.
+  const std::pair<const char*, const char*> cases[] = {
+      {"nonsense", "graph_text: line 1: "},
+      {"sysgo-digraph v2\nn 2\n", "graph_text: line 1: "},
+      {"sysgo-digraph v1 n 2 arc 0 1\n", "graph_text: line 1: "},
+      {"sysgo-digraph v1\nm 2\n", "graph_text: line 2: "},
+      {"sysgo-digraph v1\nn 4x\n", "graph_text: line 2: "},
+      {"sysgo-digraph v1\nn 99999999999\n", "graph_text: line 2: "},
+      {"sysgo-digraph v1\nn 2147483647\n",
+       "graph_text: line 2: n must be in [0, 4194304]"},
+      {"sysgo-digraph v1\nn 2\nedge 0 1\n", "graph_text: line 3: "},
+      {"sysgo-digraph v1\nn 2\narc 0\n", "graph_text: line 3: "},
+      {"sysgo-digraph v1\nn 2\narc 0\n1\n", "graph_text: line 3: "},
+      {"sysgo-digraph v1\nn 3\narc 0 1 arc 1 2\n", "graph_text: line 3: "},
+      {"sysgo-digraph v1\nn 2\narc 0x 1\n", "graph_text: line 3: "},
+      {"sysgo-digraph v1\nn 3\narc 0 1\n\narc 1 99999999999\n",
+       "graph_text: line 5: "},
+  };
+  for (const auto& [text, prefix] : cases) {
+    try {
+      (void)parse_digraph(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+          << text << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << text << ": not std::invalid_argument: " << e.what();
+    }
+  }
 }
 
 TEST(GraphText, RejectsOutOfRangeArc) {
-  EXPECT_THROW((void)parse_digraph("sysgo-digraph v1\nn 2\narc 0 5\n"),
-               std::out_of_range);
+  try {
+    (void)parse_digraph("sysgo-digraph v1\nn 2\narc 0 1\narc 0 5\n");
+    ADD_FAILURE() << "accepted an out-of-range endpoint";
+  } catch (const std::out_of_range& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("graph_text: line 4: ", 0), 0u)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -46,12 +46,18 @@ TEST(ProtocolText, ProtocolRoundTrip) {
 }
 
 TEST(ProtocolText, ScheduleRoundTrip) {
-  const auto s = protocol::hypercube_schedule(3, Mode::kFullDuplex);
-  const auto t = parse_schedule(serialize(s));
-  EXPECT_EQ(t.n, s.n);
-  EXPECT_EQ(t.mode, s.mode);
-  ASSERT_EQ(t.period.size(), s.period.size());
-  for (std::size_t i = 0; i < s.period.size(); ++i) EXPECT_EQ(t.period[i], s.period[i]);
+  // n = 2^22 is the largest n the text formats accept.
+  protocol::SystolicSchedule at_limit;
+  at_limit.n = 1 << 22;
+  at_limit.period = {{{{0, 1}}}};
+  for (const auto& s :
+       {protocol::hypercube_schedule(3, Mode::kFullDuplex), at_limit}) {
+    const auto t = parse_schedule(serialize(s));
+    EXPECT_EQ(t.n, s.n);
+    EXPECT_EQ(t.mode, s.mode);
+    ASSERT_EQ(t.period.size(), s.period.size());
+    for (std::size_t i = 0; i < s.period.size(); ++i) EXPECT_EQ(t.period[i], s.period[i]);
+  }
 }
 
 TEST(ProtocolText, EmptyRoundsSurviveRoundTrip) {
@@ -212,6 +218,9 @@ TEST(ProtocolText, MalformedHeaderAndRoundNumbersNameTheLine) {
       {"sysgo-schedule v1\nn 4x mode half\n", "line 2"},
       {"sysgo-schedule v1\nn 99999999999 mode half\n", "line 2"},
       {"sysgo-schedule v1\nn 0 mode half\n", "line 2"},
+      // Fits an int but not memory: a named limit, not std::bad_alloc.
+      {"sysgo-schedule v1\nn 2147483647 mode half\n",
+       "line 2: n must be in [1, 4194304]"},
       {"sysgo-schedule v1\nn 4 mode half extra\n", "line 2"},
       {"sysgo-schedule v1\nn 4 mode duplex\n", "line 2"},
       {"sysgo-schedule v1 extra\nn 4 mode half\n", "line 1"},

@@ -53,32 +53,6 @@ TEST(StateSet, ClearEmptiesTheTable) {
   EXPECT_TRUE(set.insert(s));
 }
 
-TEST(StateBudgetMap, RecordsMaximumFailure) {
-  util::Rng rng(5);
-  StateBudgetMap map;
-  const State s = random_state(rng);
-  EXPECT_EQ(map.failed_budget(s), -1);
-  map.record_failure(s, 3);
-  EXPECT_EQ(map.failed_budget(s), 3);
-  map.record_failure(s, 2);  // smaller: keep 3
-  EXPECT_EQ(map.failed_budget(s), 3);
-  map.record_failure(s, 7);
-  EXPECT_EQ(map.failed_budget(s), 7);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(StateBudgetMap, SurvivesGrowth) {
-  util::Rng rng(13);
-  StateBudgetMap map(16);
-  std::vector<State> keys;
-  for (int i = 0; i < 2000; ++i) {
-    keys.push_back(random_state(rng));
-    map.record_failure(keys.back(), i % 40);
-  }
-  for (int i = 0; i < 2000; ++i)
-    EXPECT_GE(map.failed_budget(keys[static_cast<std::size_t>(i)]), i % 40);
-}
-
 TEST(ShardedStateSet, AgreesWithFlatSet) {
   util::Rng rng(21);
   ShardedStateSet sharded;

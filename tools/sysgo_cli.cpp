@@ -35,6 +35,7 @@
 #endif
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -467,6 +468,96 @@ int stream_spec(const sysgo::engine::ScenarioSpec& spec,
   return 0;
 }
 
+/// One command's half of the grid-flag parser shared by sweep, solve and
+/// synth: its own flags, its --D cap and its --max-rounds target.
+struct GridCommand {
+  const char* name;  // for "unknown <name> flag: ..."
+  int max_D;
+  int sysgo::engine::ExecutionLimits::*max_rounds;
+  /// Parses one command-only flag, calling value() for its argument; false
+  /// when `flag` is not one of them.
+  std::function<bool(const std::string& flag,
+                     const std::function<std::string()>& value)>
+      own_flag;
+};
+
+/// Parses sweep/solve/synth flags into spec/opts/cfg: the flags all three
+/// share here, the rest through cmd.own_flag.  Returns false after naming
+/// an unknown flag on stderr; the caller prints the usage.
+bool parse_grid_flags(int argc, char** argv, const GridCommand& cmd,
+                      sysgo::engine::ScenarioSpec& spec,
+                      sysgo::engine::SweepOptions& opts, StreamConfig& cfg) {
+  namespace engine = sysgo::engine;
+  for (int i = 0; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const std::function<std::string()> value = [&]() -> std::string {
+      if (i + 1 >= argc)
+        throw std::invalid_argument("missing value for " + flag);
+      return argv[++i];
+    };
+    try {
+      if (flag == "--families") {
+        spec.families.clear();
+        for (const auto& tok : split_list(value()))
+          spec.families.push_back(engine::parse_family_token(tok));
+      } else if (flag == "--d") {
+        spec.degrees = parse_int_list(value(), flag, false);
+        for (int d : spec.degrees)
+          if (d < 1 || d > 64)  // d = 1 is a valid Knödel delta
+            throw std::invalid_argument("--d values must be in [1, 64]");
+      } else if (flag == "--D") {
+        spec.dimensions = parse_int_list(value(), flag, false);
+        for (int D : spec.dimensions)
+          if (D < 1 || D > cmd.max_D)
+            throw std::invalid_argument("--D values must be in [1, " +
+                                        std::to_string(cmd.max_D) + "]");
+      } else if (flag == "--modes") {
+        spec.modes.clear();
+        for (const auto& tok : split_list(value()))
+          spec.modes.push_back(engine::parse_mode_name(tok));
+      } else if (flag == "--threads") {
+        opts.threads = static_cast<unsigned>(flag_int(flag, value()));
+      } else if (flag == "--max-rounds") {
+        spec.limits.*cmd.max_rounds = flag_int(flag, value());
+      } else if (flag == "--format") {
+        const std::string fmt = value();
+        if (fmt == "json") cfg.json = true;
+        else if (fmt != "csv")
+          throw std::invalid_argument("unknown format: " + fmt);
+      } else if (flag == "--seed") {
+        spec.limits.seed = sysgo::util::parse_u64(value(), flag);
+      } else if (flag == "--no-cache") {
+        opts.use_cache = false;
+      } else if (flag == "--store") {
+        cfg.store_path = value();
+      } else if (flag == "--resume") {
+        cfg.resume = true;
+      } else if (flag == "--shard") {
+        cfg.shard = sysgo::util::parse_shard(value());
+      } else if (flag == "--metrics") {
+        cfg.metrics_path = value();
+      } else if (flag == "--progress") {
+        cfg.progress = true;
+      } else if (flag == "--trace") {
+        cfg.trace_path = value();
+      } else if (flag == "--perf") {
+        cfg.perf = true;
+      } else if (!cmd.own_flag(flag, value)) {
+        std::fprintf(stderr, "unknown %s flag: %s\n", cmd.name, flag.c_str());
+        return false;
+      }
+    } catch (const std::invalid_argument& e) {
+      // The checked parsers name the flag already; wrap only messages that
+      // do not, so every error reports the offending flag.
+      const std::string what = e.what();
+      if (what.find(flag) == std::string::npos)
+        throw std::invalid_argument("bad value for " + flag + ": " + what);
+      throw;
+    }
+  }
+  return true;
+}
+
 int cmd_sweep(int argc, char** argv) {
   namespace engine = sysgo::engine;
   if (argc >= 1 && (std::strcmp(argv[0], "fig5") == 0 ||
@@ -486,33 +577,9 @@ int cmd_sweep(int argc, char** argv) {
   spec.tasks = {engine::Task::kBound};
   engine::SweepOptions opts;
   StreamConfig cfg;
-  for (int i = 0; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("missing value for " + flag);
-      return argv[++i];
-    };
-    try {
-    if (flag == "--families") {
-      spec.families.clear();
-      for (const auto& tok : split_list(value()))
-        spec.families.push_back(engine::parse_family_token(tok));
-    } else if (flag == "--d") {
-      spec.degrees = parse_int_list(value(), flag, false);
-      for (int d : spec.degrees)
-        if (d < 2 || d > 64)
-          throw std::invalid_argument("--d values must be in [2, 64]");
-    } else if (flag == "--D") {
-      spec.dimensions = parse_int_list(value(), flag, false);
-      for (int D : spec.dimensions)
-        if (D < 1 || D > 30)
-          throw std::invalid_argument("--D values must be in [1, 30]");
-    } else if (flag == "--modes") {
-      spec.modes.clear();
-      for (const auto& tok : split_list(value()))
-        spec.modes.push_back(engine::parse_mode_name(tok));
-    } else if (flag == "--tasks") {
+  const auto own_flag = [&](const std::string& flag,
+                            const std::function<std::string()>& value) {
+    if (flag == "--tasks") {
       spec.tasks.clear();
       for (const auto& tok : split_list(value()))
         spec.tasks.push_back(engine::parse_task_name(tok));
@@ -521,51 +588,22 @@ int cmd_sweep(int argc, char** argv) {
       for (int s : spec.periods)
         if (s != sysgo::core::kUnboundedPeriod && s < 3)
           throw std::invalid_argument("--periods values must be >= 3 or inf");
-    } else if (flag == "--threads") {
-      opts.threads = static_cast<unsigned>(flag_int(flag, value()));
     } else if (flag == "--round-threads") {
       // A toggle, not a degree: any N > 1 turns on the simulator's
       // within-round parallel merges, which run on the process-wide pool
       // at its lane count (results are identical for any value; see
       // ExecutionLimits::simulate_parallel_rounds).
       spec.limits.simulate_parallel_rounds = flag_int(flag, value()) > 1;
-    } else if (flag == "--max-rounds") {
-      spec.limits.simulate_max_rounds = flag_int(flag, value());
-    } else if (flag == "--format") {
-      const std::string fmt = value();
-      if (fmt == "json") cfg.json = true;
-      else if (fmt != "csv") throw std::invalid_argument("unknown format: " + fmt);
-    } else if (flag == "--seed") {
-      spec.limits.seed = sysgo::util::parse_u64(value(), flag);
-    } else if (flag == "--no-cache") {
-      opts.use_cache = false;
-    } else if (flag == "--store") {
-      cfg.store_path = value();
-    } else if (flag == "--resume") {
-      cfg.resume = true;
-    } else if (flag == "--shard") {
-      cfg.shard = sysgo::util::parse_shard(value());
-    } else if (flag == "--metrics") {
-      cfg.metrics_path = value();
-    } else if (flag == "--progress") {
-      cfg.progress = true;
-    } else if (flag == "--trace") {
-      cfg.trace_path = value();
-    } else if (flag == "--perf") {
-      cfg.perf = true;
     } else {
-      std::fprintf(stderr, "unknown sweep flag: %s\n", flag.c_str());
-      return usage();
+      return false;
     }
-    } catch (const std::invalid_argument& e) {
-      // The checked parsers name the flag already; wrap only messages that
-      // do not, so every error reports the offending flag.
-      const std::string what = e.what();
-      if (what.find(flag) == std::string::npos)
-        throw std::invalid_argument("bad value for " + flag + ": " + what);
-      throw;
-    }
-  }
+    return true;
+  };
+  if (!parse_grid_flags(argc, argv,
+                        {"sweep", 30, &engine::ExecutionLimits::simulate_max_rounds,
+                         own_flag},
+                        spec, opts, cfg))
+    return usage();
 
   if (spec.dimensions.empty()) {
     for (engine::Task t : spec.tasks)
@@ -588,84 +626,32 @@ int cmd_solve(int argc, char** argv) {
   spec.tasks = {engine::Task::kSolveGossip, engine::Task::kSolveBroadcast};
   engine::SweepOptions opts;
   StreamConfig cfg;
-  for (int i = 0; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("missing value for " + flag);
-      return argv[++i];
-    };
-    try {
-      if (flag == "--families") {
-        spec.families.clear();
-        for (const auto& tok : split_list(value()))
-          spec.families.push_back(engine::parse_family_token(tok));
-      } else if (flag == "--d") {
-        spec.degrees = parse_int_list(value(), flag, false);
-        for (int d : spec.degrees)
-          if (d < 1 || d > 64)  // d = 1 is a valid Knödel delta
-            throw std::invalid_argument("--d values must be in [1, 64]");
-      } else if (flag == "--D") {
-        spec.dimensions = parse_int_list(value(), flag, false);
-        for (int D : spec.dimensions)
-          if (D < 1 || D > 30)
-            throw std::invalid_argument("--D values must be in [1, 30]");
-      } else if (flag == "--modes") {
-        spec.modes.clear();
-        for (const auto& tok : split_list(value()))
-          spec.modes.push_back(engine::parse_mode_name(tok));
-      } else if (flag == "--problems") {
-        spec.tasks.clear();
-        for (const auto& tok : split_list(value())) {
-          if (tok == "gossip") spec.tasks.push_back(engine::Task::kSolveGossip);
-          else if (tok == "broadcast")
-            spec.tasks.push_back(engine::Task::kSolveBroadcast);
-          else throw std::invalid_argument("unknown problem: " + tok);
-        }
-      } else if (flag == "--threads") {
-        opts.threads = static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--solver-threads") {
-        spec.limits.solve_threads =
-            static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--max-rounds") {
-        spec.limits.solve_max_rounds = flag_int(flag, value());
-      } else if (flag == "--max-states") {
-        spec.limits.solve_max_states =
-            static_cast<std::size_t>(flag_i64(flag, value()));
-      } else if (flag == "--format") {
-        const std::string fmt = value();
-        if (fmt == "json") cfg.json = true;
-        else if (fmt != "csv")
-          throw std::invalid_argument("unknown format: " + fmt);
-      } else if (flag == "--seed") {
-        spec.limits.seed = sysgo::util::parse_u64(value(), flag);
-      } else if (flag == "--no-cache") {
-        opts.use_cache = false;
-      } else if (flag == "--store") {
-        cfg.store_path = value();
-      } else if (flag == "--resume") {
-        cfg.resume = true;
-      } else if (flag == "--shard") {
-        cfg.shard = sysgo::util::parse_shard(value());
-      } else if (flag == "--metrics") {
-        cfg.metrics_path = value();
-      } else if (flag == "--progress") {
-        cfg.progress = true;
-      } else if (flag == "--trace") {
-        cfg.trace_path = value();
-      } else if (flag == "--perf") {
-        cfg.perf = true;
-      } else {
-        std::fprintf(stderr, "unknown solve flag: %s\n", flag.c_str());
-        return usage();
+  const auto own_flag = [&](const std::string& flag,
+                            const std::function<std::string()>& value) {
+    if (flag == "--problems") {
+      spec.tasks.clear();
+      for (const auto& tok : split_list(value())) {
+        if (tok == "gossip") spec.tasks.push_back(engine::Task::kSolveGossip);
+        else if (tok == "broadcast")
+          spec.tasks.push_back(engine::Task::kSolveBroadcast);
+        else throw std::invalid_argument("unknown problem: " + tok);
       }
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      if (what.find(flag) == std::string::npos)
-        throw std::invalid_argument("bad value for " + flag + ": " + what);
-      throw;
+    } else if (flag == "--solver-threads") {
+      spec.limits.solve_threads =
+          static_cast<unsigned>(flag_int(flag, value()));
+    } else if (flag == "--max-states") {
+      spec.limits.solve_max_states =
+          static_cast<std::size_t>(flag_i64(flag, value()));
+    } else {
+      return false;
     }
-  }
+    return true;
+  };
+  if (!parse_grid_flags(argc, argv,
+                        {"solve", 30, &engine::ExecutionLimits::solve_max_rounds,
+                         own_flag},
+                        spec, opts, cfg))
+    return usage();
   if (spec.dimensions.empty())
     throw std::invalid_argument("solve needs concrete dimensions: pass --D");
 
@@ -682,86 +668,34 @@ int cmd_synth(int argc, char** argv) {
   spec.tasks = {engine::Task::kSynthesize};
   engine::SweepOptions opts;
   StreamConfig cfg;
-  for (int i = 0; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("missing value for " + flag);
-      return argv[++i];
-    };
-    try {
-      if (flag == "--families") {
-        spec.families.clear();
-        for (const auto& tok : split_list(value()))
-          spec.families.push_back(engine::parse_family_token(tok));
-      } else if (flag == "--d") {
-        spec.degrees = parse_int_list(value(), flag, false);
-        for (int d : spec.degrees)
-          if (d < 1 || d > 64)
-            throw std::invalid_argument("--d values must be in [1, 64]");
-      } else if (flag == "--D") {
-        // Wider than the sweep commands' cap of 30: for the linear-n
-        // families (rr, gnp) D *is* n, so this cap bounds n itself.
-        // Exponential families are still guarded by their topology
-        // builders (hypercube D <= 24).
-        spec.dimensions = parse_int_list(value(), flag, false);
-        for (int D : spec.dimensions)
-          if (D < 1 || D > 4096)
-            throw std::invalid_argument("--D values must be in [1, 4096]");
-      } else if (flag == "--modes") {
-        spec.modes.clear();
-        for (const auto& tok : split_list(value()))
-          spec.modes.push_back(engine::parse_mode_name(tok));
-      } else if (flag == "--restarts") {
-        spec.limits.synth_restarts = flag_int(flag, value());
-      } else if (flag == "--iterations") {
-        spec.limits.synth_iterations = flag_int(flag, value());
-      } else if (flag == "--time-budget") {
-        spec.limits.synth_time_budget_ms =
-            sysgo::util::parse_double(value(), flag);
-        if (spec.limits.synth_time_budget_ms < 0.0)
-          throw std::invalid_argument("--time-budget must be >= 0");
-      } else if (flag == "--synth-threads") {
-        spec.limits.synth_threads =
-            static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--threads") {
-        opts.threads = static_cast<unsigned>(flag_int(flag, value()));
-      } else if (flag == "--max-rounds") {
-        spec.limits.simulate_max_rounds = flag_int(flag, value());
-      } else if (flag == "--seed") {
-        spec.limits.seed = sysgo::util::parse_u64(value(), flag);
-      } else if (flag == "--format") {
-        const std::string fmt = value();
-        if (fmt == "json") cfg.json = true;
-        else if (fmt != "csv")
-          throw std::invalid_argument("unknown format: " + fmt);
-      } else if (flag == "--no-cache") {
-        opts.use_cache = false;
-      } else if (flag == "--store") {
-        cfg.store_path = value();
-      } else if (flag == "--resume") {
-        cfg.resume = true;
-      } else if (flag == "--shard") {
-        cfg.shard = sysgo::util::parse_shard(value());
-      } else if (flag == "--metrics") {
-        cfg.metrics_path = value();
-      } else if (flag == "--progress") {
-        cfg.progress = true;
-      } else if (flag == "--trace") {
-        cfg.trace_path = value();
-      } else if (flag == "--perf") {
-        cfg.perf = true;
-      } else {
-        std::fprintf(stderr, "unknown synth flag: %s\n", flag.c_str());
-        return usage();
-      }
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      if (what.find(flag) == std::string::npos)
-        throw std::invalid_argument("bad value for " + flag + ": " + what);
-      throw;
+  const auto own_flag = [&](const std::string& flag,
+                            const std::function<std::string()>& value) {
+    if (flag == "--restarts") {
+      spec.limits.synth_restarts = flag_int(flag, value());
+    } else if (flag == "--iterations") {
+      spec.limits.synth_iterations = flag_int(flag, value());
+    } else if (flag == "--time-budget") {
+      spec.limits.synth_time_budget_ms =
+          sysgo::util::parse_double(value(), flag);
+      if (spec.limits.synth_time_budget_ms < 0.0)
+        throw std::invalid_argument("--time-budget must be >= 0");
+    } else if (flag == "--synth-threads") {
+      spec.limits.synth_threads =
+          static_cast<unsigned>(flag_int(flag, value()));
+    } else {
+      return false;
     }
-  }
+    return true;
+  };
+  // --D is wider than the sweep commands' cap of 30: for the linear-n
+  // families (rr, gnp) D *is* n, so this cap bounds n itself.  Exponential
+  // families are still guarded by their topology builders (hypercube
+  // D <= 24).
+  if (!parse_grid_flags(argc, argv,
+                        {"synth", 4096,
+                         &engine::ExecutionLimits::simulate_max_rounds, own_flag},
+                        spec, opts, cfg))
+    return usage();
   if (spec.dimensions.empty())
     throw std::invalid_argument("synth needs concrete dimensions: pass --D");
 
