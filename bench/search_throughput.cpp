@@ -9,6 +9,7 @@
 
 #include "search/solver.hpp"
 #include "topology/classic.hpp"
+#include "topology/kautz.hpp"
 #include "topology/knodel.hpp"
 #include "util/table.hpp"
 
@@ -100,6 +101,33 @@ BENCHMARK(BM_SolveParallelBfs)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// One solve per iteration of an instance led by one search phase:
+// canonicalization (K6 half-duplex gossip, |Aut| = 720) or move-set
+// generation (Kautz(2,3) half-duplex broadcast, 7,136 maximal matchings).
+void BM_SolveInstance(benchmark::State& state, sysgo::graph::Digraph g,
+                      Problem problem) {
+  SolveOptions opts;
+  opts.problem = problem;
+  opts.mode = Mode::kHalfDuplex;
+  opts.threads = 1;
+  std::size_t states = 0;
+  for (auto _ : state) {
+    const auto res = sysgo::search::solve(g, opts);
+    states += res.states_explored;
+    benchmark::DoNotOptimize(res);
+  }
+  state.counters["states/s"] = benchmark::Counter(
+      static_cast<double>(states), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_SolveInstance, complete6, sysgo::topology::complete(6),
+                  Problem::kGossip)
+    ->Name("search/complete6_half_gossip")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SolveInstance, kautz23, sysgo::topology::kautz(2, 3),
+                  Problem::kBroadcast)
+    ->Name("search/kautz23_half_broadcast")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

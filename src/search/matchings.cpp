@@ -1,6 +1,8 @@
 #include "search/matchings.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -12,92 +14,78 @@ namespace {
 using protocol::Mode;
 using protocol::Round;
 
-// Enumerate maximal matchings by branching on the lowest-index free vertex.
-void enumerate_half_duplex(const graph::Digraph& g, int v, std::uint32_t used,
-                           std::vector<graph::Arc>& current,
-                           std::vector<Round>& out) {
-  const int n = g.vertex_count();
-  while (v < n && (used >> v) & 1) ++v;
-  if (v == n) {
-    out.push_back(Round{current});
-    out.back().canonicalize();
-    return;
-  }
-  // v as tail.
-  for (int w : g.out_neighbors(v)) {
-    if (w == v || ((used >> w) & 1)) continue;
-    current.push_back({v, w});
-    enumerate_half_duplex(g, v + 1, used | (1u << v) | (1u << w), current, out);
-    current.pop_back();
-  }
-  // v as head.
-  for (int w : g.in_neighbors(v)) {
-    if (w == v || ((used >> w) & 1)) continue;
-    current.push_back({w, v});
-    enumerate_half_duplex(g, v + 1, used | (1u << v) | (1u << w), current, out);
-    current.pop_back();
-  }
-  // v left unmatched: such a matching can still be maximal when all of v's
-  // partners get used later; enumerate the branch and filter for set
-  // maximality afterwards.
-  enumerate_half_duplex(g, v + 1, used | (1u << v), current, out);
-}
+// Branches on the lowest-index free vertex v: match it along each of its
+// links, or leave it unmatched for good.  A matching is maximal iff no link
+// joins two unmatched vertices, and every such link is seen when the later
+// of its ends is left unmatched, so that branch dies there and every leaf
+// is a maximal matching.
+struct Enumerator {
+  Mode mode;
+  int n;
+  // Link masks without self-loops.  Half duplex: tails[v] holds the heads
+  // of v's out-arcs, heads[v] the tails of its in-arcs.  Full duplex:
+  // tails[v] holds the vertices joined to v in both directions.
+  std::array<std::uint16_t, kMaxVertices> tails{};
+  std::array<std::uint16_t, kMaxVertices> heads{};
+  std::vector<graph::Arc> current;
+  std::vector<Round> out;
 
-void enumerate_full_duplex(const graph::Digraph& g, int v, std::uint32_t used,
-                           std::vector<graph::Arc>& current,
-                           std::vector<Round>& out) {
-  const int n = g.vertex_count();
-  while (v < n && (used >> v) & 1) ++v;
-  if (v == n) {
-    out.push_back(Round{current});
-    out.back().canonicalize();
-    return;
-  }
-  for (int w : g.out_neighbors(v)) {
-    if (w <= v || ((used >> w) & 1)) continue;
-    if (!g.has_arc(w, v)) continue;  // need the opposite arc
-    current.push_back({v, w});
-    current.push_back({w, v});
-    enumerate_full_duplex(g, v + 1, used | (1u << v) | (1u << w), current, out);
-    current.pop_back();
-    current.pop_back();
-  }
-  enumerate_full_duplex(g, v + 1, used | (1u << v), current, out);
-}
-
-// Keep only set-maximal rounds (no round strictly contained in another) and
-// deduplicate.  The sort here establishes the canonical list ordering
-// documented in the header: lexicographic by (canonicalized) arc vector.
-std::vector<Round> prune_to_maximal(std::vector<Round> rounds) {
-  std::sort(rounds.begin(), rounds.end(),
-            [](const Round& a, const Round& b) { return a.arcs < b.arcs; });
-  rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
-  std::vector<Round> maximal;
-  for (const auto& r : rounds) {
-    bool dominated = false;
-    for (const auto& other : rounds) {
-      if (other.arcs.size() <= r.arcs.size() || r == other) continue;
-      dominated = std::includes(other.arcs.begin(), other.arcs.end(),
-                                r.arcs.begin(), r.arcs.end());
-      if (dominated) break;
+  Enumerator(const graph::Digraph& g, Mode m) : mode(m), n(g.vertex_count()) {
+    for (int v = 0; v < n; ++v) {
+      const auto sv = static_cast<std::size_t>(v);
+      for (int w : g.out_neighbors(v))
+        if (w != v) tails[sv] = static_cast<std::uint16_t>(tails[sv] | (1u << w));
+      for (int w : g.in_neighbors(v))
+        if (w != v) heads[sv] = static_cast<std::uint16_t>(heads[sv] | (1u << w));
+      if (mode == Mode::kFullDuplex) {
+        tails[sv] &= heads[sv];
+        heads[sv] = 0;
+      }
     }
-    if (!dominated && !r.arcs.empty()) maximal.push_back(r);
   }
-  return maximal;
-}
+
+  // Covers free vertex v and its partner with arc a (full duplex adds the
+  // opposite arc).
+  void match(int v, graph::Arc a, std::uint32_t done, std::uint32_t unmatched) {
+    const std::size_t mark = current.size();
+    current.push_back(a);
+    if (mode == Mode::kFullDuplex) current.push_back({a.head, a.tail});
+    run(v + 1, done | (1u << a.tail) | (1u << a.head), unmatched);
+    current.resize(mark);
+  }
+
+  void run(int v, std::uint32_t done, std::uint32_t unmatched) {
+    while (v < n && (done >> v) & 1u) ++v;
+    if (v == n) {
+      if (current.empty()) return;  // no links at all
+      out.push_back(Round{current});
+      out.back().canonicalize();
+      return;
+    }
+    const auto sv = static_cast<std::size_t>(v);
+    const std::uint32_t free = ~done;
+    for (std::uint32_t m = tails[sv] & free; m != 0; m &= m - 1)
+      match(v, {v, std::countr_zero(m)}, done, unmatched);
+    for (std::uint32_t m = heads[sv] & free; m != 0; m &= m - 1)
+      match(v, {std::countr_zero(m), v}, done, unmatched);
+    if (((tails[sv] | heads[sv]) & unmatched) == 0)
+      run(v + 1, done | (1u << v), unmatched | (1u << v));
+  }
+};
 
 }  // namespace
 
 std::vector<Round> maximal_matchings(const graph::Digraph& g, Mode mode) {
   if (g.vertex_count() > kMaxVertices)
     throw std::invalid_argument("maximal_matchings: n <= 12 required");
-  std::vector<Round> out;
-  std::vector<graph::Arc> current;
-  if (mode == Mode::kFullDuplex)
-    enumerate_full_duplex(g, 0, 0, current, out);
-  else
-    enumerate_half_duplex(g, 0, 0, current, out);
-  return prune_to_maximal(std::move(out));
+  Enumerator e(g, mode);
+  e.run(0, 0, 0);
+  // The canonical list ordering documented in the header: lexicographic by
+  // (canonicalized) arc vector, no duplicates.
+  std::sort(e.out.begin(), e.out.end(),
+            [](const Round& a, const Round& b) { return a.arcs < b.arcs; });
+  e.out.erase(std::unique(e.out.begin(), e.out.end()), e.out.end());
+  return std::move(e.out);
 }
 
 }  // namespace sysgo::search

@@ -15,7 +15,10 @@ namespace sysgo::search {
 /// All maximal matchings of g in the given mode (n <= kMaxVertices = 12;
 /// throws std::invalid_argument beyond).  Half-duplex: maximal sets of
 /// vertex-disjoint arcs; full-duplex: maximal sets of vertex-disjoint
-/// opposite pairs (both arcs listed).
+/// opposite pairs (both arcs listed).  Self-loops never take part, and a
+/// network without links has no matchings.  Maximality is enforced during
+/// the enumeration: a branch dies as soon as two unmatched vertices are
+/// linked, so no non-maximal matching is built and no filter pass follows.
 ///
 /// Canonical ordering contract: every returned round is canonicalized
 /// (arcs sorted by (tail, head)) and the list is sorted lexicographically

@@ -39,6 +39,11 @@ struct SearchMetrics {
   obs::Counter& expanded = obs::counter("search.states_expanded");
   obs::Counter& discovered = obs::counter("search.states_discovered");
   obs::Counter& deduped = obs::counter("search.states_deduped");
+  // Work split of the expansion: successors is the number of moves that
+  // changed the state (one canonicalization each), canon_ties the group
+  // elements tied on row 0, whose later rows the canonicalizer scored.
+  obs::Counter& successors = obs::counter("search.successors");
+  obs::Counter& canon_ties = obs::counter("search.canon_ties");
   // --perf: per-BFS-layer IPC / cache behavior (a layer whose IPC drops as
   // `visited` grows is the canonicalizer thrashing the cache).
   obs::perf::PerfRollup layer_perf{"search.layer"};
@@ -313,6 +318,8 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
     std::vector<State> next;
     std::mutex next_mutex;
     std::atomic<bool> found{false};
+    std::atomic<std::uint64_t> layer_successors{0};
+    std::atomic<std::uint64_t> layer_ties{0};
     bool stop = false;
     for (std::size_t pos = 0; pos < frontier.size() && !stop; pos += kBatch) {
       const std::size_t count = std::min(kBatch, frontier.size() - pos);
@@ -323,6 +330,8 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
         std::vector<State> local;
         std::uint64_t discovered = 0;
         std::uint64_t deduped = 0;
+        std::uint64_t successors = 0;
+        std::uint64_t ties = 0;
         const std::size_t lo = chunk * kChunk;
         const std::size_t hi = std::min(count, lo + kChunk);
         for (std::size_t i = lo; i < hi; ++i) {
@@ -330,7 +339,8 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
           for (const Round& m : moves) {
             State t = apply_round(s, m, mode);
             if (t == s) continue;
-            t = canon.canonical(t);
+            ++successors;
+            t = canon.canonical(t, nullptr, &ties);
             if (!visited.insert(t)) {
               ++deduped;
               continue;
@@ -347,6 +357,10 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
         sm.expanded.add(hi - lo);
         sm.discovered.add(discovered);
         sm.deduped.add(deduped);
+        sm.successors.add(successors);
+        sm.canon_ties.add(ties);
+        layer_successors.fetch_add(successors, std::memory_order_relaxed);
+        layer_ties.fetch_add(ties, std::memory_order_relaxed);
         if (!local.empty()) {
           std::lock_guard<std::mutex> lock(next_mutex);
           next.insert(next.end(), local.begin(), local.end());
@@ -368,9 +382,14 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
     }
     search_metrics().layers.add(1);
     search_metrics().layer_micros.record_micros(layer_timer.micros());
-    if (layer_span.armed())
+    if (layer_span.armed()) {
       layer_span.arg(obs::trace::intern("visited"),
                      static_cast<std::int64_t>(visited.size()));
+      layer_span.arg(obs::trace::intern("successors"),
+                     static_cast<std::int64_t>(layer_successors.load()));
+      layer_span.arg(obs::trace::intern("canon_ties"),
+                     static_cast<std::int64_t>(layer_ties.load()));
+    }
     if (stop) break;
     // Sorting makes the next layer's batch boundaries (and therefore any
     // mid-layer stop) identical for every thread count.

@@ -1,7 +1,9 @@
 #include "search/symmetry.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -150,16 +152,34 @@ Canonicalizer::Canonicalizer(int n, AutomorphismGroup group)
     throw std::invalid_argument("Canonicalizer: n <= 12 required");
   const std::size_t k = group_.perms.size();
   if (k == 0) throw std::invalid_argument("Canonicalizer: empty group");
-  inv_.resize(k);
-  lo_.resize(k);
-  hi_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const Perm& p = group_.perms[i];
+  for (const Perm& p : group_.perms)
     if (static_cast<int>(p.size()) != n)
       throw std::invalid_argument("Canonicalizer: permutation size mismatch");
-    inv_[i].fill(0);
+  // Runs by the source of row 0, p^{-1}(0), in group order within a run
+  // (n = 0 keeps one run of empty rows).
+  const auto source = [&](std::uint32_t i) {
+    const Perm& p = group_.perms[i];
+    return static_cast<std::size_t>(std::find(p.begin(), p.end(), 0) -
+                                    p.begin());
+  };
+  order_.resize(k);
+  std::iota(order_.begin(), order_.end(), 0u);
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return source(a) < source(b);
+                   });
+  run_.assign(static_cast<std::size_t>(std::max(n, 1)) + 1, 0);
+  for (const std::uint32_t i : order_) ++run_[source(i) + 1];
+  std::partial_sum(run_.begin(), run_.end(), run_.begin());
+
+  inv_.resize(k);
+  lo_.assign(64 * k, 0);
+  hi_.assign(64 * k, 0);
+  for (std::size_t j = 0; j < k; ++j) {
+    const Perm& p = group_.perms[order_[j]];
+    inv_[j].fill(0);
     for (int v = 0; v < n; ++v)
-      inv_[i][static_cast<std::size_t>(p[static_cast<std::size_t>(v)])] =
+      inv_[j][static_cast<std::size_t>(p[static_cast<std::size_t>(v)])] =
           static_cast<std::uint8_t>(v);
     // Column tables over 6-bit halves: table[mask] = OR of image bits.
     for (unsigned m = 0; m < 64; ++m) {
@@ -173,49 +193,68 @@ Canonicalizer::Canonicalizer(int n, AutomorphismGroup group)
           hi = static_cast<std::uint16_t>(
               hi | (1u << p[static_cast<std::size_t>(b + 6)]));
       }
-      lo_[i][m] = lo;
-      hi_[i][m] = hi;
+      lo_[m * k + j] = lo;
+      hi_[m * k + j] = hi;
     }
   }
 }
 
-State Canonicalizer::canonical(const State& s) const {
-  std::size_t ignored;
-  return canonical(s, &ignored);
-}
-
-State Canonicalizer::canonical(const State& s, std::size_t* perm_index) const {
-  State best = s;  // perms[0] is the identity
-  *perm_index = 0;
-  const std::size_t k = group_.perms.size();
-  for (std::size_t i = 1; i < k; ++i) {
-    // Build the permuted state row-by-row, comparing to the incumbent with
-    // early exit: row v of p(s) is colperm(rows[inv_p(v)]).
-    State cand;
-    bool better = false;
-    bool worse = false;
-    for (int v = 0; v < n_ && !worse; ++v) {
-      const auto sv = static_cast<std::size_t>(v);
-      const std::uint16_t row = col_permute(i, s.rows[inv_[i][sv]]);
-      cand.rows[sv] = row;
-      if (!better) {
-        if (row < best.rows[sv]) better = true;
-        else if (row > best.rows[sv]) worse = true;
-      }
+State Canonicalizer::canonical(const State& s, std::size_t* perm_index,
+                               std::uint64_t* ties) const {
+  const std::size_t k = order_.size();
+  // Run positions of the elements tied on every row scored so far.
+  thread_local std::vector<std::uint32_t> tied;
+  if (tied.size() < k) tied.resize(k);
+  std::uint32_t* const t = tied.data();
+  std::uint16_t min = UINT16_MAX;
+  std::size_t count = 0;
+  // Keeps j if its row ties the running minimum, restarting the list at a
+  // new minimum.  It writes at or before the entry being read, so the list
+  // narrows in place.
+  const auto keep = [&](std::uint16_t row, std::uint32_t j) {
+    if (row < min) {
+      min = row;
+      count = 0;
     }
-    if (better && !worse) {
-      best = cand;
-      *perm_index = i;
-    }
+    t[count] = j;
+    count += row == min;
+  };
+  for (std::size_t u = 0; u + 1 < run_.size(); ++u) {
+    const std::uint16_t mask = s.rows[u];
+    const std::uint16_t* lo = &lo_[(mask & 63u) * k];
+    const std::uint16_t* hi = &hi_[((mask >> 6) & 63u) * k];
+    for (std::uint32_t j = run_[u]; j < run_[u + 1]; ++j)
+      keep(static_cast<std::uint16_t>(lo[j] | hi[j]), j);
+  }
+  if (ties != nullptr) *ties += count;
+  State best;
+  best.rows[0] = min;
+  // Row v of p(s) is colperm_p(rows[p^{-1}(v)]); a lone survivor's rows
+  // need no comparison.
+  const auto sn = static_cast<std::size_t>(n_);
+  std::size_t v = 1;
+  for (; v < sn && count > 1; ++v) {
+    const std::size_t alive = count;
+    min = UINT16_MAX;
+    count = 0;
+    for (std::size_t i = 0; i < alive; ++i)
+      keep(col_permute(t[i], s.rows[inv_[t[i]][v]]), t[i]);
+    best.rows[v] = min;
+  }
+  for (; v < sn; ++v) best.rows[v] = col_permute(t[0], s.rows[inv_[t[0]][v]]);
+  // Every survivor maps s to best; report the lowest group index.
+  if (perm_index != nullptr) {
+    std::uint32_t index = order_[t[0]];
+    for (std::size_t i = 1; i < count; ++i) index = std::min(index, order_[t[i]]);
+    *perm_index = index;
   }
   return best;
 }
 
 std::uint16_t Canonicalizer::canonical_mask(std::uint16_t mask) const {
   std::uint16_t best = mask;
-  const std::size_t k = group_.perms.size();
-  for (std::size_t i = 1; i < k; ++i)
-    best = std::min(best, col_permute(i, mask));
+  for (std::size_t j = 0; j < order_.size(); ++j)
+    best = std::min(best, col_permute(j, mask));
   return best;
 }
 

@@ -54,11 +54,23 @@ struct AutomorphismGroup {
 [[nodiscard]] AutomorphismGroup vertex_stabilizer(const AutomorphismGroup& group,
                                                   int v);
 
-/// Maps states to the lexicographic minimum of their orbit.  Per
-/// permutation the row relocation (inverse permutation) and the column
-/// bit-permutation (two 6-bit lookup tables) are precomputed, so one orbit
-/// element costs n table lookups; candidates are compared to the running
-/// minimum row-by-row with early exit.
+/// Maps states to the lexicographic minimum of their orbit.
+///
+/// Layout.  Row 0 of p(s) is the column-permuted row p^{-1}(0) of s, so the
+/// elements are ordered by that source vertex: the elements sharing it form
+/// one contiguous run and read the same row of s.  Each element's column
+/// bit-permutation is two 6-bit lookup tables (bits 0..5 and 6..11), stored
+/// transposed as [mask][element], so one row mask addresses a contiguous
+/// run of images.  The two tables take 256 B per element.
+///
+/// canonical() scores row 0 of every element in one pass over the runs,
+/// keeping the running minimum and the elements tied on it.  Rows 1..n-1
+/// are scored only for the tied elements, each row narrowing the ties to
+/// its minimum, so the rows found are the orbit minimum.  Among the
+/// elements left, the one with the lowest index in group().perms wins,
+/// whatever the run order (witness replay depends on that choice).  The
+/// tie list is thread_local scratch owned by canonical() itself, so
+/// concurrent calls may share one Canonicalizer.
 class Canonicalizer {
  public:
   /// n <= kMaxVertices; every perm in group must have size n.
@@ -70,29 +82,34 @@ class Canonicalizer {
   }
   [[nodiscard]] const Perm& perm(std::size_t i) const { return group_.perms[i]; }
 
-  /// Canonical representative of s's orbit.
-  [[nodiscard]] State canonical(const State& s) const;
-
-  /// As above; *perm_index receives the index of a permutation p with
-  /// p(s) == canonical(s) (needed to rebuild witness protocols).
-  [[nodiscard]] State canonical(const State& s, std::size_t* perm_index) const;
+  /// Canonical representative of s's orbit.  When perm_index is non-null
+  /// it receives the lowest index i with perm(i) applied to s equal to the
+  /// result (needed to rebuild witness protocols); when ties is non-null it
+  /// grows by the number of elements tied on row 0, whose later rows were
+  /// scored.
+  [[nodiscard]] State canonical(const State& s,
+                                std::size_t* perm_index = nullptr,
+                                std::uint64_t* ties = nullptr) const;
 
   /// Orbit minimum of an n-bit vertex set (broadcast informed sets).
   [[nodiscard]] std::uint16_t canonical_mask(std::uint16_t mask) const;
 
  private:
-  /// colperm of permutation i applied to a row mask.
-  [[nodiscard]] std::uint16_t col_permute(std::size_t i,
+  /// Column permutation of the element at run position j applied to mask.
+  [[nodiscard]] std::uint16_t col_permute(std::size_t j,
                                           std::uint16_t mask) const noexcept {
-    return static_cast<std::uint16_t>(lo_[i][mask & 63u] |
-                                      hi_[i][(mask >> 6) & 63u]);
+    const std::size_t k = order_.size();
+    return static_cast<std::uint16_t>(lo_[(mask & 63u) * k + j] |
+                                      hi_[((mask >> 6) & 63u) * k + j]);
   }
 
   int n_;
   AutomorphismGroup group_;
-  std::vector<std::array<std::uint8_t, kMaxVertices>> inv_;  // inverse perms
-  std::vector<std::array<std::uint16_t, 64>> lo_;  // bits 0..5 -> image mask
-  std::vector<std::array<std::uint16_t, 64>> hi_;  // bits 6..11 -> image mask
+  std::vector<std::uint32_t> order_;  // run position -> index in group_.perms
+  std::vector<std::uint32_t> run_;    // run of source u: [run_[u], run_[u+1])
+  std::vector<std::array<std::uint8_t, kMaxVertices>> inv_;  // by position
+  std::vector<std::uint16_t> lo_;  // [mask of bits 0..5][position]
+  std::vector<std::uint16_t> hi_;  // [mask of bits 6..11][position]
 };
 
 }  // namespace sysgo::search

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "engine/scenario.hpp"
 #include "graph/matching.hpp"
 #include "topology/classic.hpp"
+#include "topology/kautz.hpp"
 #include "topology/knodel.hpp"
+#include "topology/topology.hpp"
 #include "util/rng.hpp"
 
 namespace sysgo::search {
@@ -86,6 +94,148 @@ TEST(MaximalMatchings, SupportsUpToTwelveVertices) {
   EXPECT_FALSE(maximal_matchings(topology::cycle(12), Mode::kHalfDuplex).empty());
   EXPECT_THROW((void)maximal_matchings(topology::cycle(13), Mode::kHalfDuplex),
                std::invalid_argument);
+}
+
+// ------------------------------------------- enumerate-then-filter reference
+//
+// The generator as it was before maximality moved into the enumeration:
+// branch on the lowest free vertex, emit every matching (maximal or not),
+// then keep the rounds no other round strictly contains, pairwise.
+
+using protocol::Round;
+
+void reference_half(const graph::Digraph& g, int v, std::uint32_t used,
+                    std::vector<graph::Arc>& current, std::vector<Round>& out) {
+  const int n = g.vertex_count();
+  while (v < n && (used >> v) & 1) ++v;
+  if (v == n) {
+    out.push_back(Round{current});
+    out.back().canonicalize();
+    return;
+  }
+  for (int w : g.out_neighbors(v)) {
+    if (w == v || ((used >> w) & 1)) continue;
+    current.push_back({v, w});
+    reference_half(g, v + 1, used | (1u << v) | (1u << w), current, out);
+    current.pop_back();
+  }
+  for (int w : g.in_neighbors(v)) {
+    if (w == v || ((used >> w) & 1)) continue;
+    current.push_back({w, v});
+    reference_half(g, v + 1, used | (1u << v) | (1u << w), current, out);
+    current.pop_back();
+  }
+  reference_half(g, v + 1, used | (1u << v), current, out);
+}
+
+void reference_full(const graph::Digraph& g, int v, std::uint32_t used,
+                    std::vector<graph::Arc>& current, std::vector<Round>& out) {
+  const int n = g.vertex_count();
+  while (v < n && (used >> v) & 1) ++v;
+  if (v == n) {
+    out.push_back(Round{current});
+    out.back().canonicalize();
+    return;
+  }
+  for (int w : g.out_neighbors(v)) {
+    if (w <= v || ((used >> w) & 1) || !g.has_arc(w, v)) continue;
+    current.push_back({v, w});
+    current.push_back({w, v});
+    reference_full(g, v + 1, used | (1u << v) | (1u << w), current, out);
+    current.pop_back();
+    current.pop_back();
+  }
+  reference_full(g, v + 1, used | (1u << v), current, out);
+}
+
+std::vector<Round> reference_maximal_matchings(const graph::Digraph& g,
+                                               Mode mode) {
+  std::vector<Round> rounds;
+  std::vector<graph::Arc> current;
+  if (mode == Mode::kFullDuplex)
+    reference_full(g, 0, 0, current, rounds);
+  else
+    reference_half(g, 0, 0, current, rounds);
+  std::sort(rounds.begin(), rounds.end(),
+            [](const Round& a, const Round& b) { return a.arcs < b.arcs; });
+  rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
+  std::vector<Round> maximal;
+  for (const auto& r : rounds) {
+    bool dominated = false;
+    for (const auto& other : rounds) {
+      if (other.arcs.size() <= r.arcs.size() || r == other) continue;
+      dominated = std::includes(other.arcs.begin(), other.arcs.end(),
+                                r.arcs.begin(), r.arcs.end());
+      if (dominated) break;
+    }
+    if (!dominated && !r.arcs.empty()) maximal.push_back(r);
+  }
+  return maximal;
+}
+
+void expect_same_lists(const graph::Digraph& g, const std::string& label) {
+  for (Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
+    const auto got = maximal_matchings(g, mode);
+    const auto want = reference_maximal_matchings(g, mode);
+    const std::string where =
+        label + (mode == Mode::kHalfDuplex ? " half" : " full");
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i].arcs, want[i].arcs) << where << " round " << i;
+  }
+}
+
+TEST(MaximalMatchings, MatchesEnumerateThenFilterReference) {
+  // Every registered family member with n <= 9 (families that ignore d are
+  // built once per distinct arc set).
+  std::set<std::pair<int, std::vector<graph::Arc>>> seen;
+  int members = 0;
+  for (const topology::Family f : engine::registry_families()) {
+    for (int d = 1; d <= 3; ++d) {
+      for (int D = 0; D <= 12; ++D) {
+        std::int64_t n = 0;
+        try {
+          n = topology::family_order(f, d, D);
+        } catch (const std::invalid_argument&) {
+          continue;
+        }
+        if (n < 1 || n > 9) continue;
+        const auto g = topology::make_family(f, d, D);
+        const std::vector<graph::Arc> arcs(g.arcs().begin(), g.arcs().end());
+        if (!seen.emplace(g.vertex_count(), arcs).second) continue;
+        ++members;
+        expect_same_lists(g, topology::family_name(f, d) + " D=" +
+                                 std::to_string(D));
+      }
+    }
+  }
+  EXPECT_GE(members, 60);
+
+  // One-way arcs (0>1, 2>3, 4>0), a 2-cycle (1<>2), a self-loop (3>3) and
+  // a doubled arc (3>4 twice).
+  graph::Digraph mixed(5);
+  for (const auto& [t, h] : {std::pair{0, 1}, {1, 2}, {2, 1}, {2, 3}, {3, 3},
+                             {3, 4}, {3, 4}, {4, 0}})
+    mixed.add_arc(t, h);
+  mixed.finalize();
+  expect_same_lists(mixed, "mixed");
+  EXPECT_EQ(maximal_matchings(mixed, Mode::kFullDuplex).size(), 1u);  // 1<>2
+
+  // Only one-way arcs and a self-loop: no full-duplex link at all.
+  graph::Digraph one_way(4);
+  for (const auto& [t, h] : {std::pair{0, 1}, {1, 2}, {2, 3}, {3, 0}, {2, 2}})
+    one_way.add_arc(t, h);
+  one_way.finalize();
+  expect_same_lists(one_way, "one-way");
+  EXPECT_TRUE(maximal_matchings(one_way, Mode::kFullDuplex).empty());
+
+  // Counts too large for the pairwise reference.
+  const auto kautz23 = topology::kautz(2, 3);
+  EXPECT_EQ(maximal_matchings(kautz23, Mode::kHalfDuplex).size(), 7136u);
+  EXPECT_EQ(maximal_matchings(kautz23, Mode::kFullDuplex).size(), 197u);
+  const auto k9 = topology::complete(9);
+  EXPECT_EQ(maximal_matchings(k9, Mode::kHalfDuplex).size(), 15120u);
+  EXPECT_EQ(maximal_matchings(k9, Mode::kFullDuplex).size(), 945u);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 #include <set>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "simulator/broadcast_sim.hpp"
 #include "topology/classic.hpp"
+#include "topology/kautz.hpp"
 #include "topology/knodel.hpp"
 
 namespace sysgo::search {
@@ -92,6 +94,42 @@ TEST(Solver, GoldenBroadcastOptima) {
     EXPECT_EQ(run(c.g, Problem::kBroadcast, Mode::kHalfDuplex).rounds,
               c.broadcast_half)
         << c.name << " half";
+  }
+}
+
+TEST(Solver, GoldenStateCounts) {
+  // states_explored counts orbit representatives, so it pins which member
+  // of each orbit the canonicalizer returns, not only the optimum.
+  struct Count {
+    const char* name;
+    graph::Digraph g;
+    Problem problem;
+    Mode mode;
+    int rounds;
+    std::size_t states;
+    std::size_t group;
+  };
+  const Count counts[] = {
+      {"K5 half gossip", topology::complete(5), Problem::kGossip,
+       Mode::kHalfDuplex, 5, 4206, 120},
+      {"K5 full gossip", topology::complete(5), Problem::kGossip,
+       Mode::kFullDuplex, 4, 19, 120},
+      {"C6 half gossip", topology::cycle(6), Problem::kGossip,
+       Mode::kHalfDuplex, 6, 13489, 12},
+      {"Kautz(2,2) half gossip", topology::kautz(2, 2), Problem::kGossip,
+       Mode::kHalfDuplex, 5, 112968, 12},
+      {"Kautz(2,3) half broadcast", topology::kautz(2, 3),
+       Problem::kBroadcast, Mode::kHalfDuplex, 4, 275, 2},
+      {"Kautz(2,3) full broadcast", topology::kautz(2, 3),
+       Problem::kBroadcast, Mode::kFullDuplex, 4, 188, 2},
+      {"Q3 full gossip", topology::hypercube(3), Problem::kGossip,
+       Mode::kFullDuplex, 3, 120, 48},
+  };
+  for (const auto& c : counts) {
+    const auto res = run(c.g, c.problem, c.mode);
+    EXPECT_EQ(res.rounds, c.rounds) << c.name;
+    EXPECT_EQ(res.states_explored, c.states) << c.name;
+    EXPECT_EQ(res.group_order, c.group) << c.name;
   }
 }
 
@@ -247,17 +285,46 @@ TEST(Solver, SymmetryOffMatchesSymmetryOn) {
 TEST(Solver, SerialAndThreadedRunsAreIdentical) {
   // The determinism contract: rounds AND states_explored match for any
   // thread count (1 = serial batched loop, 3 = private pool, 0 = process
-  // pool).
-  for (Mode m : {Mode::kFullDuplex, Mode::kHalfDuplex}) {
-    const auto& g = topology::cycle(7);
-    const auto serial = run(g, Problem::kGossip, m, 1);
-    const auto pooled = run(g, Problem::kGossip, m, 0);
-    const auto threaded = run(g, Problem::kGossip, m, 3);
+  // pool).  K5 (|G| = 120) runs concurrent canonicalizations over a
+  // non-trivial group, which the TSan job checks.
+  struct Case {
+    graph::Digraph g;
+    Mode mode;
+  };
+  const Case cases[] = {{topology::cycle(7), Mode::kFullDuplex},
+                        {topology::cycle(7), Mode::kHalfDuplex},
+                        {topology::complete(5), Mode::kHalfDuplex}};
+  for (const auto& c : cases) {
+    const auto serial = run(c.g, Problem::kGossip, c.mode, 1);
+    const auto pooled = run(c.g, Problem::kGossip, c.mode, 0);
+    const auto threaded = run(c.g, Problem::kGossip, c.mode, 3);
     EXPECT_EQ(serial.rounds, threaded.rounds);
     EXPECT_EQ(serial.states_explored, threaded.states_explored);
     EXPECT_EQ(serial.rounds, pooled.rounds);
     EXPECT_EQ(serial.states_explored, pooled.states_explored);
   }
+}
+
+TEST(Solver, WorkCountersSplitTheExpansion) {
+  // Every successor is canonicalized once, then stored or deduplicated;
+  // each canonicalization scores between 1 and |G| elements past row 0.
+  obs::Counter& successors = obs::counter("search.successors");
+  obs::Counter& ties = obs::counter("search.canon_ties");
+  obs::Counter& discovered = obs::counter("search.states_discovered");
+  obs::Counter& deduped = obs::counter("search.states_deduped");
+  const std::uint64_t successors0 = successors.value();
+  const std::uint64_t ties0 = ties.value();
+  const std::uint64_t discovered0 = discovered.value();
+  const std::uint64_t deduped0 = deduped.value();
+  const auto res =
+      run(topology::complete(5), Problem::kGossip, Mode::kHalfDuplex, 3);
+  const std::uint64_t succ = successors.value() - successors0;
+  const std::uint64_t tied = ties.value() - ties0;
+  const std::uint64_t stored = discovered.value() - discovered0;
+  EXPECT_EQ(stored + 1, res.states_explored);  // + the root
+  EXPECT_EQ(succ, stored + (deduped.value() - deduped0));
+  EXPECT_GE(tied, succ);
+  EXPECT_LE(tied, succ * res.group_order);
 }
 
 TEST(Solver, CertifiesCycleNineBeyondOldOracle) {

@@ -7,6 +7,7 @@
 
 #include "search/state.hpp"
 #include "topology/classic.hpp"
+#include "topology/kautz.hpp"
 #include "topology/knodel.hpp"
 #include "util/rng.hpp"
 
@@ -126,6 +127,69 @@ TEST(Canonicalizer, GossipEndpointsAreFixedPoints) {
   const Canonicalizer canon(6, automorphisms(g));
   EXPECT_EQ(canon.canonical(initial_gossip_state(6)), initial_gossip_state(6));
   EXPECT_EQ(canon.canonical(gossip_goal_state(6)), gossip_goal_state(6));
+}
+
+TEST(Canonicalizer, MatchesBruteForceOrbitMinimum) {
+  // Brute force over every group element: the canonical state is the
+  // minimum of permute_state, perm_index the LOWEST index reaching it, and
+  // canonical_mask the minimum image of the mask.  Sparse states (density
+  // 0 is the diagonal itself) have large stabilizers, so many elements tie
+  // on the minimum and the index rule is exercised.
+  struct Case {
+    const char* name;
+    int n;
+    AutomorphismGroup group;
+    std::size_t order;
+  };
+  const auto kautz_group = automorphisms(topology::kautz(2, 3));
+  AutomorphismGroup identity_only = automorphisms(topology::complete(6), 100);
+  std::vector<Case> cases;
+  cases.push_back({"K6", 6, automorphisms(topology::complete(6)), 720});
+  cases.push_back({"C7", 7, automorphisms(topology::cycle(7)), 14});
+  cases.push_back({"Q3", 8, automorphisms(topology::hypercube(3)), 48});
+  // n = 12 exercises the table of bits 6..11.
+  cases.push_back({"C12", 12, automorphisms(topology::cycle(12)), 24});
+  cases.push_back({"Kautz(2,3)", 12, kautz_group, 12});
+  cases.push_back({"Kautz(2,3) stab 0", 12, vertex_stabilizer(kautz_group, 0), 2});
+  cases.push_back({"identity only", 6, identity_only, 1});
+  util::Rng rng(20260);
+  for (const auto& c : cases) {
+    ASSERT_EQ(c.group.order(), c.order) << c.name;
+    const Canonicalizer canon(c.n, c.group);
+    const unsigned full = (1u << c.n) - 1u;
+    for (int trial = 0; trial < 300; ++trial) {
+      const unsigned density = static_cast<unsigned>(trial % 5);  // of 8
+      State s;
+      for (int v = 0; v < c.n; ++v) {
+        unsigned row = 1u << v;
+        for (int u = 0; u < c.n; ++u)
+          if ((rng.engine()() & 7u) < density) row |= 1u << u;
+        s.rows[static_cast<std::size_t>(v)] = static_cast<std::uint16_t>(row);
+      }
+      State want = permute_state(s, c.group.perms[0], c.n);
+      std::size_t want_index = 0;
+      for (std::size_t i = 1; i < c.group.order(); ++i) {
+        const State t = permute_state(s, c.group.perms[i], c.n);
+        if (t < want) {
+          want = t;
+          want_index = i;
+        }
+      }
+      std::size_t index = c.group.order();
+      EXPECT_EQ(canon.canonical(s, &index), want) << c.name << " trial " << trial;
+      EXPECT_EQ(index, want_index) << c.name << " trial " << trial;
+
+      const auto mask = static_cast<std::uint16_t>(rng.engine()() & full);
+      std::uint16_t want_mask = mask;
+      for (const Perm& p : c.group.perms) {
+        unsigned image = 0;
+        for (int v = 0; v < c.n; ++v)
+          if ((mask >> v) & 1u) image |= 1u << p[static_cast<std::size_t>(v)];
+        want_mask = std::min(want_mask, static_cast<std::uint16_t>(image));
+      }
+      EXPECT_EQ(canon.canonical_mask(mask), want_mask) << c.name;
+    }
+  }
 }
 
 }  // namespace
