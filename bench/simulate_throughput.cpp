@@ -5,11 +5,10 @@
 // large-D de Bruijn and Kautz members the sweep engine grinds through.
 // Each member is simulated to gossip completion through
 // gossip_time(CompiledSchedule) (flat CSR spans), plus the one-off compile
-// cost.  On top of that, the SIMD/batching arms:
-// per-row-kernel gossip (simulate/kernel/<scalar|avx2|avx512>/..., rows/s),
-// arena-backed gossip (simulate/arena/...), and batched broadcast vs the
-// serial per-source loop at lane widths 1/8/64/256 (lanes/s).  Run: build
-// with -DSYSGO_BENCH=ON and `./bench_simulate_throughput`.
+// cost.  On top of that, the SIMD and arena arms: per-row-kernel gossip
+// (simulate/kernel/<scalar|avx2|avx512>/..., rows/s) and arena-backed
+// gossip (simulate/arena/...).  Run: build with -DSYSGO_BENCH=ON and
+// `./bench_simulate_throughput`.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -23,7 +22,6 @@
 #include "protocol/compiled.hpp"
 #include "protocol/systolic.hpp"
 #include "simulator/batch.hpp"
-#include "simulator/broadcast_sim.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "simulator/kernels.hpp"
 #include "topology/topology.hpp"
@@ -127,38 +125,6 @@ void BM_SimulateKernel(benchmark::State& state, const Member& m,
       benchmark::Counter(merges, benchmark::Counter::kIsRate);
 }
 
-// Batched broadcast at several lane widths vs the one-source-at-a-time
-// loop: the lanes/s counter is completed sources per wall second, so the
-// shared round decode's payoff reads directly off the width column.
-void BM_BroadcastBatch(benchmark::State& state, const Member& m) {
-  const auto cs = CompiledSchedule::compile(m.schedule);
-  const int width = static_cast<int>(state.range(0));
-  std::vector<int> sources(static_cast<std::size_t>(width));
-  for (int l = 0; l < width; ++l) sources[static_cast<std::size_t>(l)] = l % cs.n();
-  for (auto _ : state) {
-    const auto times =
-        sysgo::simulator::broadcast_times_batch(cs, sources, 1 << 20);
-    benchmark::DoNotOptimize(times.data());
-  }
-  state.counters["lanes/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * width,
-      benchmark::Counter::kIsRate);
-}
-
-void BM_BroadcastSerialLoop(benchmark::State& state, const Member& m) {
-  const auto cs = CompiledSchedule::compile(m.schedule);
-  const int width = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (int l = 0; l < width; ++l) {
-      const int t = sysgo::simulator::broadcast_time(cs, l % cs.n(), 1 << 20);
-      benchmark::DoNotOptimize(t);
-    }
-  }
-  state.counters["lanes/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * width,
-      benchmark::Counter::kIsRate);
-}
-
 // Arena-backed gossip (the sweep engine's path): per-call allocation
 // amortized away.
 void BM_SimulateArena(benchmark::State& state, const Member& m) {
@@ -198,26 +164,6 @@ const bool kRegistered = [] {
     benchmark::RegisterBenchmark(("simulate/arena/" + m.name).c_str(),
                                  BM_SimulateArena, m)
         ->Unit(benchmark::kMicrosecond);
-  }
-  // Batch-width sweep on two representative members (one mid, one large).
-  for (const char* name : {"fig5/db(2,6)", "large/kautz(2,8)"}) {
-    for (const Member& m : corpus()) {
-      if (m.name != name) continue;
-      benchmark::RegisterBenchmark(("broadcast/batched/" + m.name).c_str(),
-                                   BM_BroadcastBatch, m)
-          ->Arg(1)
-          ->Arg(8)
-          ->Arg(64)
-          ->Arg(256)
-          ->Unit(benchmark::kMicrosecond);
-      benchmark::RegisterBenchmark(("broadcast/serial-loop/" + m.name).c_str(),
-                                   BM_BroadcastSerialLoop, m)
-          ->Arg(1)
-          ->Arg(8)
-          ->Arg(64)
-          ->Arg(256)
-          ->Unit(benchmark::kMicrosecond);
-    }
   }
   return true;
 }();

@@ -62,10 +62,10 @@ engine::SweepRecord record_from_fields(
     else if (key == "task") r.task = engine::parse_task_name(value);
     else if (key == "s") r.s = util::parse_int(value, what("s"));
     else if (key == "n") r.n = util::parse_int(value, what("n"));
-    else if (key == "alpha") r.alpha = util::parse_double(value, what("alpha"));
-    else if (key == "ell") r.ell = util::parse_double(value, what("ell"));
-    else if (key == "e") r.e = util::parse_double(value, what("e"));
-    else if (key == "lambda") r.lambda = util::parse_double(value, what("lambda"));
+    else if (key == "alpha") r.alpha = util::parse_any_double(value, what("alpha"));
+    else if (key == "ell") r.ell = util::parse_any_double(value, what("ell"));
+    else if (key == "e") r.e = util::parse_any_double(value, what("e"));
+    else if (key == "lambda") r.lambda = util::parse_any_double(value, what("lambda"));
     else if (key == "rounds") r.rounds = util::parse_int(value, what("rounds"));
     else if (key == "diameter") r.diameter = util::parse_int(value, what("diameter"));
     else if (key == "sep_distance")
@@ -76,12 +76,12 @@ engine::SweepRecord record_from_fields(
     else if (key == "group") r.group = util::parse_i64(value, what("group"));
     else if (key == "budget") r.budget = util::parse_int(value, what("budget"));
     else if (key == "objective")
-      r.objective = util::parse_double(value, what("objective"));
+      r.objective = util::parse_any_double(value, what("objective"));
     else if (key == "restarts")
       r.restarts = util::parse_int(value, what("restarts"));
     else if (key == "accepted")
       r.accepted = util::parse_i64(value, what("accepted"));
-    else if (key == "millis") r.millis = util::parse_double(value, what("millis"));
+    else if (key == "millis") r.millis = util::parse_any_double(value, what("millis"));
     else throw std::invalid_argument("unknown sweep field: " + key);
   }
   return r;

@@ -59,7 +59,25 @@ struct ByteReader {
     pos += len;
     return s;
   }
+
+  /// Read a record count and check it against the bytes left, given each
+  /// record's smallest encoding — so a corrupt count fails here instead of
+  /// sizing an allocation.
+  template <class T>
+  std::size_t get_count(std::size_t min_record_bytes, const char* what) {
+    const auto count = get<T>();
+    if (count > (bytes.size() - pos) / min_record_bytes)
+      throw std::runtime_error(std::string("trace flight: ") + what +
+                               " count " + std::to_string(count) +
+                               " exceeds the payload");
+    return static_cast<std::size_t>(count);
+  }
 };
+
+// Smallest encodings: a string is its u32 length; an event is ts, dur (u64
+// each), name (u32), kind/argc/mask/pad (u8 each) and flow (u32), no args.
+constexpr std::size_t kMinStringBytes = 4;
+constexpr std::size_t kMinEventBytes = 8 + 8 + 4 + 4 * 1 + 4;
 
 constexpr std::string_view kFlightMagic = "SYSGOFR1";
 
@@ -160,19 +178,20 @@ TraceDump parse_flight_bytes(const std::string& bytes) {
     throw std::runtime_error("trace flight: unsupported version " +
                              std::to_string(version));
   TraceDump dump;
-  const auto nstrings = in.get<std::uint32_t>();
+  const std::size_t nstrings =
+      in.get_count<std::uint32_t>(kMinStringBytes, "string");
   dump.strings.reserve(nstrings);
-  for (std::uint32_t i = 0; i < nstrings; ++i)
+  for (std::size_t i = 0; i < nstrings; ++i)
     dump.strings.push_back(in.get_string(in.get<std::uint32_t>()));
   const auto nlanes = in.get<std::uint32_t>();
   for (std::uint32_t l = 0; l < nlanes; ++l) {
     LaneDump lane;
     lane.name = in.get_string(in.get<std::uint32_t>());
     lane.dropped = in.get<std::uint64_t>();
-    const auto nevents = in.get<std::uint64_t>();
-    lane.events.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(nevents, 1u << 22)));
-    for (std::uint64_t i = 0; i < nevents; ++i) {
+    const std::size_t nevents =
+        in.get_count<std::uint64_t>(kMinEventBytes, "event");
+    lane.events.reserve(nevents);
+    for (std::size_t i = 0; i < nevents; ++i) {
       Event e;
       e.ts_us = in.get<std::uint64_t>();
       e.dur_us = in.get<std::uint64_t>();

@@ -103,4 +103,28 @@ CompiledSchedule CompiledSchedule::compile(const Protocol& p,
   return build(p.n, p.mode, /*periodic=*/false, p.rounds, g);
 }
 
+namespace {
+
+template <typename Authored>
+ValidationResult compile_verdict(const Authored& a, const graph::Digraph* g) {
+  try {
+    (void)CompiledSchedule::compile(a, g);
+  } catch (const std::invalid_argument& e) {
+    return {false, e.what()};
+  }
+  return {};
+}
+
+}  // namespace
+
+ValidationResult validate_structure(const Protocol& p,
+                                    const graph::Digraph* g) {
+  return compile_verdict(p, g);
+}
+
+ValidationResult validate_structure(const SystolicSchedule& s,
+                                    const graph::Digraph* g) {
+  return compile_verdict(s, g);
+}
+
 }  // namespace sysgo::protocol

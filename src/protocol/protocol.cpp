@@ -2,35 +2,11 @@
 
 #include <algorithm>
 
-#include "graph/matching.hpp"
-
 namespace sysgo::protocol {
 
 void Round::canonicalize() {
   std::sort(arcs.begin(), arcs.end());
   arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-}
-
-ValidationResult validate_structure(const Protocol& p, const graph::Digraph* g) {
-  for (std::size_t i = 0; i < p.rounds.size(); ++i) {
-    const auto& arcs = p.rounds[i].arcs;
-    const bool matching =
-        p.mode == Mode::kFullDuplex
-            ? graph::is_full_duplex_matching(arcs, p.n)
-            : graph::is_half_duplex_matching(arcs, p.n);
-    if (!matching)
-      return {false, "round " + std::to_string(i + 1) + " is not a valid " +
-                         (p.mode == Mode::kFullDuplex ? "full" : "half") +
-                         "-duplex matching"};
-    if (g != nullptr) {
-      for (const Arc& a : arcs)
-        if (!g->has_arc(a.tail, a.head))
-          return {false, "round " + std::to_string(i + 1) + " activates arc (" +
-                             std::to_string(a.tail) + "," + std::to_string(a.head) +
-                             ") absent from the network"};
-    }
-  }
-  return {};
 }
 
 bool is_systolic(const Protocol& p, int s) {

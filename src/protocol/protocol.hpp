@@ -46,7 +46,9 @@ struct ValidationResult {
 };
 
 /// Checks every round is a matching in the protocol's mode and (when g is
-/// non-null) that every activated arc exists in *g.
+/// non-null) that every activated arc exists in *g: the verdict of
+/// CompiledSchedule::compile (defined in compiled.cpp), whose exception
+/// message becomes `message`.
 [[nodiscard]] ValidationResult validate_structure(const Protocol& p,
                                                   const graph::Digraph* g = nullptr);
 

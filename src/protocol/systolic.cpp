@@ -11,15 +11,4 @@ Protocol SystolicSchedule::expand(int t) const {
   return p;
 }
 
-ValidationResult validate_structure(const SystolicSchedule& s,
-                                    const graph::Digraph* g) {
-  if (s.period.empty())
-    return {false, "schedule period is empty (no rounds to repeat)"};
-  Protocol one_period;
-  one_period.n = s.n;
-  one_period.mode = s.mode;
-  one_period.rounds = s.period;
-  return validate_structure(one_period, g);
-}
-
 }  // namespace sysgo::protocol

@@ -31,7 +31,8 @@ struct SystolicSchedule {
 };
 
 /// Structural validation of every round in the period (and membership in g
-/// when provided).
+/// when provided); an empty period fails.  Like the Protocol overload, this
+/// is CompiledSchedule::compile's verdict.
 [[nodiscard]] ValidationResult validate_structure(const SystolicSchedule& s,
                                                   const graph::Digraph* g = nullptr);
 

@@ -44,21 +44,8 @@ void merge_both_delta_scalar(std::uint64_t* a, std::uint64_t* b,
   deltas[1] = db;
 }
 
-int merge_fresh_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                       std::uint64_t* fresh, std::size_t words) {
-  int added = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t f = src[w] & ~dst[w];
-    fresh[w] = f;
-    added += std::popcount(f);
-    dst[w] |= src[w];
-  }
-  return added;
-}
-
 constexpr RowKernels kScalarKernels{KernelKind::kScalar, merge_delta_scalar,
-                                    merge_both_delta_scalar,
-                                    merge_fresh_scalar};
+                                    merge_both_delta_scalar};
 
 #if SYSGO_KERNELS_X86
 
@@ -148,36 +135,8 @@ __attribute__((target("avx2"))) void merge_both_delta_avx2(
   deltas[1] = db;
 }
 
-__attribute__((target("avx2"))) int merge_fresh_avx2(std::uint64_t* dst,
-                                                     const std::uint64_t* src,
-                                                     std::uint64_t* fresh,
-                                                     std::size_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    const __m256i f = _mm256_andnot_si256(d, s);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(fresh + w), f);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(d, s));
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(popcount_bytes_avx2(f), _mm256_setzero_si256()));
-  }
-  int added = hsum_epi64_avx2(acc);
-  for (; w < words; ++w) {
-    const std::uint64_t f = src[w] & ~dst[w];
-    fresh[w] = f;
-    added += std::popcount(f);
-    dst[w] |= src[w];
-  }
-  return added;
-}
-
 constexpr RowKernels kAvx2Kernels{KernelKind::kAvx2, merge_delta_avx2,
-                                  merge_both_delta_avx2, merge_fresh_avx2};
+                                  merge_both_delta_avx2};
 
 // ------------------------------------------------------------------ AVX-512
 //
@@ -253,35 +212,8 @@ __attribute__((target(SYSGO_AVX512_TARGET))) void merge_both_delta_avx512(
   deltas[1] = static_cast<int>(_mm512_reduce_add_epi64(acc_b));
 }
 
-__attribute__((target(SYSGO_AVX512_TARGET))) int merge_fresh_avx512(
-    std::uint64_t* dst, const std::uint64_t* src, std::uint64_t* fresh,
-    std::size_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + w);
-    const __m512i s = _mm512_loadu_si512(src + w);
-    const __m512i f = _mm512_andnot_si512(d, s);
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(f));
-    _mm512_storeu_si512(fresh + w, f);
-    _mm512_storeu_si512(dst + w, _mm512_or_si512(d, s));
-  }
-  if (w < words) {
-    const __mmask8 m =
-        static_cast<__mmask8>((1u << (words - w)) - 1u);
-    const __m512i d = _mm512_maskz_loadu_epi64(m, dst + w);
-    const __m512i s = _mm512_maskz_loadu_epi64(m, src + w);
-    const __m512i f = _mm512_andnot_si512(d, s);
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(f));
-    _mm512_mask_storeu_epi64(fresh + w, m, f);
-    _mm512_mask_storeu_epi64(dst + w, m, _mm512_or_si512(d, s));
-  }
-  return static_cast<int>(_mm512_reduce_add_epi64(acc));
-}
-
 constexpr RowKernels kAvx512Kernels{KernelKind::kAvx512, merge_delta_avx512,
-                                    merge_both_delta_avx512,
-                                    merge_fresh_avx512};
+                                    merge_both_delta_avx512};
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop

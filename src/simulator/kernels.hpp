@@ -1,9 +1,10 @@
 // Runtime-dispatched SIMD kernels for word-packed knowledge-row unions.
 //
-// Every quantity the stack produces — gossip/broadcast times, audit bounds,
-// synthesis objectives — bottoms out in the same inner loop: OR two 64-bit
-// word arrays and count the bits the destination gained.  This layer holds
-// that loop in three interchangeable implementations:
+// Every gossip run — `sysgo simulate`, the sweep engine's simulate jobs,
+// synthesis objectives — bottoms out in the same inner loop over
+// KnowledgeMatrix rows: OR two 64-bit word arrays and count the bits the
+// destination gained.  This layer holds that loop, as two operations
+// (merge_delta, merge_both_delta), in three interchangeable implementations:
 //
 //   scalar   portable uint64_t loop + std::popcount (always compiled)
 //   avx2     256-bit OR, popcount via the vpshufb nibble-LUT + vpsadbw
@@ -19,9 +20,9 @@
 //
 // The kernels take arbitrary word counts and unaligned pointers (tail words
 // are masked / peeled); alignment and padding are the *caller's* perf
-// lever — KnowledgeMatrix/BatchKnowledge pad rows to 64-byte multiples on
-// 64-byte boundaries so the hot path never splits a cache line and never
-// takes the tail path.
+// lever — KnowledgeMatrix pads rows to 64-byte multiples on 64-byte
+// boundaries so the hot path never splits a cache line and never takes the
+// tail path.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +43,6 @@ struct RowKernels {
   /// a and b both become a | b; deltas[0]/deltas[1] = bits a/b gained.
   void (*merge_both_delta)(std::uint64_t* a, std::uint64_t* b,
                            std::size_t words, int deltas[2]);
-  /// dst |= src and fresh = src & ~dst_old (the per-bit gain mask, written
-  /// to `fresh`); returns popcount(fresh).  BatchKnowledge uses the mask to
-  /// attribute gains to lanes.
-  int (*merge_fresh)(std::uint64_t* dst, const std::uint64_t* src,
-                     std::uint64_t* fresh, std::size_t words);
 };
 
 /// Kernel `k` was compiled into this binary (x86 builds compile all three;

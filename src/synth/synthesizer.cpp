@@ -13,8 +13,6 @@
 #include "obs/wall_timer.hpp"
 #include "protocol/builders.hpp"
 #include "protocol/compiled.hpp"
-#include "search/solver.hpp"
-#include "search/state.hpp"
 #include "synth/draft.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -66,7 +64,7 @@ std::vector<Arc> candidate_links(const graph::Digraph& g, Mode mode) {
 }
 
 struct RestartOutcome {
-  Objective objective;
+  Objective objective;  // the anneal's capped score, then the full re-score
   protocol::SystolicSchedule schedule;
   std::int64_t proposed = 0;
   std::int64_t accepted = 0;
@@ -76,15 +74,15 @@ struct RestartOutcome {
 /// One annealing run from `initial`.  Self-contained: consumes only its own
 /// Rng stream, so outcomes are independent of restart scheduling.
 RestartOutcome anneal(const protocol::SystolicSchedule& initial,
-                      const std::vector<Arc>& pool, int max_period,
+                      const std::vector<Arc>& pool, int period_cap,
                       const SynthOptions& opts, util::Rng rng) {
   const obs::WallTimer timer;
   ScheduleDraft draft = ScheduleDraft::from_schedule(initial);
   // Inner evaluations run under an adaptive round cap — a candidate that
   // cannot beat (twice) the incumbent is cut off instead of simulating to
   // the user's full budget.  The cap is a pure function of the incumbent,
-  // so results stay deterministic; the per-restart winner is re-evaluated
-  // at the full budget by the caller.
+  // so results stay deterministic; the per-restart winner is re-scored at
+  // the full budget by the caller.
   const int base_cap = std::min(
       opts.objective.max_rounds, std::max(256, 16 * initial.n));
   // The hot path scores drafts directly: no per-move CompiledSchedule
@@ -169,7 +167,7 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
         break;
       }
       case 5: {  // grow: a fresh empty round
-        if (draft.period() < max_period) {
+        if (draft.period() < period_cap) {
           draft.insert_round(static_cast<int>(rng.uniform_index(
               static_cast<std::size_t>(draft.period()) + 1)));
           changed = true;
@@ -213,31 +211,13 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
   return out;
 }
 
-/// Initial schedule for restart r (see header: coloring, witness, random).
+/// Initial schedule for restart r: the edge coloring for restart 0, seeded
+/// random matchings for the rest.
 protocol::SystolicSchedule initial_schedule(
     const graph::Digraph& g, int restart,
     const protocol::SystolicSchedule& coloring, const SynthOptions& opts,
     util::Rng& rng) {
   if (restart == 0) return coloring;
-  if (restart == 1 && opts.exact_warm_start &&
-      g.vertex_count() <= search::kMaxVertices) {
-    search::SolveOptions so;
-    so.problem = opts.objective.goal == Goal::kBroadcast
-                     ? search::Problem::kBroadcast
-                     : search::Problem::kGossip;
-    so.source = opts.objective.source;
-    so.mode = opts.mode;
-    so.threads = 1;  // already inside a parallel restart
-    so.want_witness = true;
-    const auto res = search::solve(g, so);
-    if (res.rounds > 0 && !res.witness.empty()) {
-      protocol::SystolicSchedule s;
-      s.n = g.vertex_count();
-      s.mode = opts.mode;
-      s.period = res.witness;  // the optimal protocol, read periodically
-      return s;
-    }
-  }
   const int s0 = coloring.period_length() > 0 ? coloring.period_length() : 1;
   return protocol::random_systolic_schedule(g, s0, opts.mode, rng);
 }
@@ -263,10 +243,8 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
 
   const protocol::SystolicSchedule coloring =
       protocol::edge_coloring_schedule(g, opts.mode);
-  const int max_period =
-      opts.max_period > 0
-          ? opts.max_period
-          : std::max(4, 2 * coloring.period_length());
+  // Period ceiling for grow moves.
+  const int period_cap = std::max(4, 2 * coloring.period_length());
 
   std::vector<RestartOutcome> outcomes(static_cast<std::size_t>(opts.restarts));
   const auto run_one = [&](std::size_t r) {
@@ -279,12 +257,19 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
     util::Rng rng(util::derive_seed(opts.seed, r));
     const auto initial =
         initial_schedule(g, static_cast<int>(r), coloring, opts, rng);
-    outcomes[r] = anneal(initial, pool, max_period, opts, std::move(rng));
+    RestartOutcome& out = outcomes[r];
+    out = anneal(initial, pool, period_cap, opts, std::move(rng));
+    // The anneal scored drafts directly, so the winner's one validation is
+    // this compile (with the membership check); its objective is then
+    // re-scored at the user's full round budget.
+    out.objective = evaluate(
+        protocol::CompiledSchedule::compile(out.schedule, membership),
+        opts.objective);
     if (trace_span.armed()) {
       trace_span.arg(obs::trace::intern("restart"),
                      static_cast<std::int64_t>(r));
-      trace_span.arg(obs::trace::intern("accepted"), outcomes[r].accepted);
-      trace_span.arg(obs::trace::intern("improved"), outcomes[r].improved);
+      trace_span.arg(obs::trace::intern("accepted"), out.accepted);
+      trace_span.arg(obs::trace::intern("improved"), out.improved);
     }
   };
   if (opts.threads == 1) {
@@ -297,24 +282,8 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
         .run_indexed(outcomes.size(), run_one);
   }
 
-  // Best-of-K: strictly better objective wins; ties keep the lowest
-  // restart index (the documented deterministic tie order).  Each restart's
-  // winner is compiled here — the one membership/validation pass per
-  // restart, since the anneal scored drafts directly — and the K winners
-  // are re-scored at the user's full round budget in one batch through a
-  // shared scratch arena.
-  std::vector<protocol::CompiledSchedule> winners;
-  winners.reserve(outcomes.size());
-  for (const RestartOutcome& o : outcomes)
-    winners.push_back(
-        protocol::CompiledSchedule::compile(o.schedule, membership));
-  std::vector<const protocol::CompiledSchedule*> winner_ptrs;
-  winner_ptrs.reserve(winners.size());
-  for (const protocol::CompiledSchedule& cs : winners)
-    winner_ptrs.push_back(&cs);
-  const std::vector<Objective> fulls =
-      evaluate_batch(winner_ptrs, opts.objective);
-
+  // Best-of-K over the full-budget objectives: strictly better wins; ties
+  // keep the lowest restart index (the documented deterministic tie order).
   SynthResult result;
   result.restarts_run = opts.restarts;
   std::int64_t improved = 0;
@@ -322,9 +291,10 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
     result.moves_proposed += outcomes[r].proposed;
     result.moves_accepted += outcomes[r].accepted;
     improved += outcomes[r].improved;
-    if (result.best_restart < 0 || better(fulls[r], result.objective)) {
+    if (result.best_restart < 0 ||
+        better(outcomes[r].objective, result.objective)) {
       result.best_restart = static_cast<int>(r);
-      result.objective = fulls[r];
+      result.objective = outcomes[r].objective;
       result.schedule = outcomes[r].schedule;
     }
   }

@@ -8,7 +8,8 @@
 // remove / replace, cross-round move, rotation, period grow / shrink),
 // each candidate scored through the compiled simulator (synth/objective),
 // and the best-of-K schedule is returned together with its audit-ready
-// authoring form.
+// authoring form.  Each restart ends by compiling its winner with the
+// network-membership check and re-scoring it at the full round budget.
 //
 // Determinism: restart r draws from util::Rng(derive_seed(seed, r)) — its
 // own stream, independent of scheduling — and best-of-K selection breaks
@@ -16,11 +17,10 @@
 // for any thread count (given time_budget_ms == 0; a wall-clock budget
 // necessarily trades that away and is off by default).
 //
-// Warm starts: restart 0 anneals from the edge-coloring schedule (so the
-// result never loses to the classic builder); with exact_warm_start and
-// n <= search::kMaxVertices, restart 1 starts from an exact-search witness
-// (already optimal in rounds; annealing can still shrink period / links).
-// Remaining restarts start from seeded random matchings.
+// Warm start: restart 0 anneals from the edge-coloring schedule (so the
+// result never loses to the classic builder); the remaining restarts start
+// from seeded random matchings.  Grow moves stop at a period of
+// max(4, 2 × the coloring's period).
 #pragma once
 
 #include <cstdint>
@@ -41,15 +41,9 @@ struct SynthOptions {
   /// guaranteed at the default 0.
   double time_budget_ms = 0.0;
   std::uint64_t seed = 0x5397a11cULL;
-  /// Period ceiling for grow moves; 0 = auto (twice the edge-coloring
-  /// period, at least 4).
-  int max_period = 0;
   /// 0: restarts on the process-wide pool; 1: serial; k > 1: a private
   /// pool of k lanes for this call.  Results identical for any value.
   unsigned threads = 0;
-  /// Seed restart 1 from an exact-search witness when n <= 12 (costs a
-  /// solver run; off by default).
-  bool exact_warm_start = false;
 };
 
 struct SynthResult {

@@ -50,6 +50,7 @@ graph::Digraph torus(int rows, int cols) {
 
 graph::Digraph complete(int n) {
   if (n < 2) throw std::invalid_argument("complete: need n >= 2");
+  if (n > kMaxCompleteOrder) throw std::invalid_argument("complete: too large");
   graph::Digraph g(n);
   for (int u = 0; u < n; ++u)
     for (int v = u + 1; v < n; ++v) g.add_edge(u, v);

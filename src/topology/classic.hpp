@@ -20,7 +20,11 @@ namespace sysgo::topology {
 /// rows x cols torus (grid with wraparound edges).
 [[nodiscard]] graph::Digraph torus(int rows, int cols);
 
-/// Complete graph K_n.
+/// Largest complete graph built: K_n has n(n-1) arcs, so the cap keeps it
+/// at ~16.8 M arcs (the cap the random families use too).
+inline constexpr int kMaxCompleteOrder = 4096;
+
+/// Complete graph K_n, 2 <= n <= kMaxCompleteOrder.
 [[nodiscard]] graph::Digraph complete(int n);
 
 /// Hypercube Q_D: 2^D vertices, edges between words at Hamming distance 1.

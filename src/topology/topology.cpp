@@ -120,6 +120,7 @@ std::int64_t family_order(Family f, int d, int D) {
       return D;
     case Family::kComplete:
       check(D >= 2, "complete: need n >= 2");
+      check(D <= kMaxCompleteOrder, "complete: too large");
       return D;
     case Family::kHypercube:
       check(D >= 1 && D <= 24, "hypercube: need 1 <= D <= 24");

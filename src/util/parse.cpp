@@ -1,6 +1,7 @@
 #include "util/parse.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <system_error>
@@ -57,6 +58,14 @@ std::uint64_t parse_u64(std::string_view text, std::string_view what) {
 }
 
 double parse_double(std::string_view text, std::string_view what) {
+  // from_chars also reads "nan" and "inf"; no flag means either, and a NaN
+  // threshold or budget would compare false everywhere.
+  const double v = parse_any_double(text, what);
+  if (!std::isfinite(v)) bad_value(what, "a finite number", text);
+  return v;
+}
+
+double parse_any_double(std::string_view text, std::string_view what) {
   return parse_with_from_chars<double>(text, what, "a number");
 }
 

@@ -24,12 +24,16 @@ struct IntRange {
 /// Parse the whole of `text` as an integer / unsigned / double.  `what`
 /// names the source ("--threads", "sweep field 'd'") in error messages.
 /// Throws std::invalid_argument on empty input, trailing garbage, or
-/// overflow.
+/// overflow; parse_double also rejects "nan" and "inf".
 [[nodiscard]] long long parse_i64(std::string_view text, std::string_view what);
 [[nodiscard]] int parse_int(std::string_view text, std::string_view what);
 [[nodiscard]] std::uint64_t parse_u64(std::string_view text,
                                       std::string_view what);
 [[nodiscard]] double parse_double(std::string_view text, std::string_view what);
+/// parse_double without the finiteness check, for record codecs
+/// (io/sweep_io) that round-trip every double, ±inf included.
+[[nodiscard]] double parse_any_double(std::string_view text,
+                                      std::string_view what);
 
 /// Range-checked variants: "<what> must be in [lo, hi], got '<text>'".
 [[nodiscard]] long long parse_i64_in(std::string_view text,

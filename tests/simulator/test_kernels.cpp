@@ -4,10 +4,10 @@
 //     bits (every tail-word shape), random densities, all supported ISAs;
 //   * the 64-byte row-alignment guarantee of KnowledgeMatrix and its item
 //     windows, n = 1..200;
-//   * batched execution vs its serial counterpart (broadcast lanes, gossip
-//     arena/batch) over the paper-figure corpus plus seeded random members;
-//   * DraftEvaluator / evaluate_batch vs the one-shot compile-then-evaluate
-//     path, both goals, both modes, audit-gap on and off;
+//   * the reusable gossip arena vs per-call gossip_time over the
+//     paper-figure corpus plus seeded random members;
+//   * DraftEvaluator vs the one-shot compile-then-evaluate path, both
+//     modes, feasible and capped runs;
 //   * end-to-end per-kernel equality (ScopedKernel) — the in-process form
 //     of the CI byte-identity matrix.
 #include "simulator/kernels.hpp"
@@ -22,7 +22,6 @@
 #include "protocol/builders.hpp"
 #include "protocol/compiled.hpp"
 #include "simulator/batch.hpp"
-#include "simulator/broadcast_sim.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "simulator/knowledge.hpp"
 #include "synth/draft.hpp"
@@ -92,7 +91,7 @@ TEST(Kernels, UnsupportedKernelTableThrows) {
 }
 
 // The heart of the suite: every width 1..512 bits x three densities, each
-// supported kernel against the reference, all three operations.
+// supported kernel against the reference, both operations.
 TEST(Kernels, DifferentialAllWidthsAllKernels) {
   const auto kernels_to_test = supported_kernels();
   ASSERT_FALSE(kernels_to_test.empty());
@@ -109,9 +108,6 @@ TEST(Kernels, DifferentialAllWidthsAllKernels) {
     const auto a0 = ref_a;
     const int ref_da = ref_merge(ref_a, ref_b);
     const int ref_db = ref_merge(ref_b, a0);
-    std::vector<std::uint64_t> ref_fresh(dst0.size());
-    for (std::size_t w = 0; w < dst0.size(); ++w)
-      ref_fresh[w] = src[w] & ~dst0[w];
 
     for (const KernelKind kind : kernels_to_test) {
       const RowKernels& k = kernel_table(kind);
@@ -128,15 +124,6 @@ TEST(Kernels, DifferentialAllWidthsAllKernels) {
       EXPECT_EQ(deltas[1], ref_db) << kernel_name(kind) << " bits=" << bits;
       EXPECT_EQ(a, ref_a) << kernel_name(kind) << " bits=" << bits;
       EXPECT_EQ(b, ref_b) << kernel_name(kind) << " bits=" << bits;
-
-      auto dst2 = dst0;
-      std::vector<std::uint64_t> fresh(dst0.size(), ~std::uint64_t{0});
-      EXPECT_EQ(k.merge_fresh(dst2.data(), src.data(), fresh.data(),
-                              dst2.size()),
-                ref_added)
-          << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(dst2, ref_dst) << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(fresh, ref_fresh) << kernel_name(kind) << " bits=" << bits;
     }
   }
 }
@@ -219,71 +206,22 @@ protocol::CompiledSchedule member_schedule(const CorpusMember& m,
       protocol::edge_coloring_schedule(g, mode));
 }
 
-TEST(Batch, BroadcastTimesMatchSerialOverCorpus) {
+TEST(Batch, GossipArenaMatchesSerialOverCorpus) {
   constexpr int kMax = 512;
-  for (const auto mode : {protocol::Mode::kHalfDuplex,
-                          protocol::Mode::kFullDuplex}) {
-    for (const CorpusMember& m : corpus()) {
-      const auto cs = member_schedule(m, mode);
-      const std::vector<int> batched = broadcast_times_all(cs, kMax);
-      ASSERT_EQ(batched.size(), static_cast<std::size_t>(cs.n()));
-      for (int v = 0; v < cs.n(); ++v)
-        EXPECT_EQ(batched[static_cast<std::size_t>(v)],
-                  broadcast_time(cs, v, kMax))
-            << topology::family_name(m.family, m.d) << " D=" << m.D
-            << " src=" << v;
-    }
-  }
-}
-
-TEST(Batch, BroadcastSubsetAndCappedRunsMatchSerial) {
-  const auto cs =
-      member_schedule({topology::Family::kDeBruijn, 2, 6, 0},
-                      protocol::Mode::kHalfDuplex);
-  const std::vector<int> sources = {0, 5, 5, 63, 17};  // dups allowed
-  for (const int cap : {1, 3, 7, 512}) {
-    const auto batched = broadcast_times_batch(cs, sources, cap);
-    for (std::size_t l = 0; l < sources.size(); ++l)
-      EXPECT_EQ(batched[l], broadcast_time(cs, sources[l], cap))
-          << "cap=" << cap << " lane=" << l;
-  }
-}
-
-TEST(Batch, BroadcastRejectsOutOfRangeSource) {
-  const auto cs = member_schedule({topology::Family::kCycle, 2, 5, 0},
-                                  protocol::Mode::kHalfDuplex);
-  const std::vector<int> bad = {0, cs.n()};
-  EXPECT_THROW(broadcast_times_batch(cs, bad, 16), std::invalid_argument);
-}
-
-TEST(Batch, GossipArenaAndBatchMatchSerialOverCorpus) {
-  constexpr int kMax = 512;
+  // One arena across the whole corpus, so mixed-n reacquisition is covered.
   GossipArena arena;
-  std::vector<protocol::CompiledSchedule> compiled;
-  for (const CorpusMember& m : corpus())
-    compiled.push_back(member_schedule(m, protocol::Mode::kHalfDuplex));
-  std::vector<const protocol::CompiledSchedule*> ptrs;
-  for (const auto& cs : compiled) ptrs.push_back(&cs);
-
-  const std::vector<int> batched = run_gossip_batch(ptrs, kMax);
-  ASSERT_EQ(batched.size(), compiled.size());
-  for (std::size_t i = 0; i < compiled.size(); ++i) {
-    const int serial = gossip_time(compiled[i], kMax);
-    EXPECT_EQ(batched[i], serial) << "member " << i;
-    // The arena overload, including mixed-n reacquisition, agrees too.
-    EXPECT_EQ(gossip_time(compiled[i], kMax, {}, arena), serial)
-        << "member " << i;
+  for (const CorpusMember& m : corpus()) {
+    const auto cs = member_schedule(m, protocol::Mode::kHalfDuplex);
+    EXPECT_EQ(gossip_time(cs, kMax, {}, arena), gossip_time(cs, kMax))
+        << topology::family_name(m.family, m.d) << " D=" << m.D;
   }
 }
 
 // ------------------------------------------------- synth evaluation paths
 
-synth::ObjectiveOptions objective_options(synth::Goal goal, bool audit,
-                                          int max_rounds = 512) {
+synth::ObjectiveOptions objective_options(int max_rounds = 512) {
   synth::ObjectiveOptions o;
-  o.goal = goal;
   o.max_rounds = max_rounds;
-  o.audit_gap = audit;
   return o;
 }
 
@@ -295,13 +233,12 @@ void expect_objectives_equal(const synth::Objective& a,
   EXPECT_EQ(a.period, b.period) << what;
   EXPECT_EQ(a.links, b.links) << what;
   EXPECT_EQ(a.coverage, b.coverage) << what;
-  EXPECT_EQ(a.audit_gap, b.audit_gap) << what;
 }
 
 // DraftEvaluator must reproduce the compile-then-evaluate objective for
 // arbitrary structurally-valid schedules: random matchings over random
-// members, both modes, both goals, audit term on (gossip) and off, plus
-// short round caps so the infeasible/coverage branch is hit.
+// members, both modes, plus short round caps so the infeasible/coverage
+// branch is hit.
 TEST(Synth, DraftEvaluatorMatchesCompiledEvaluate) {
   util::Rng rng(0x5997ULL);
   synth::DraftEvaluator de;
@@ -317,68 +254,42 @@ TEST(Synth, DraftEvaluatorMatchesCompiledEvaluate) {
       const auto cs =
           protocol::CompiledSchedule::compile(draft.to_schedule(), &g);
       for (const int cap : {3, 512}) {
-        for (const bool audit : {false, true}) {
-          auto opts = objective_options(synth::Goal::kGossip, audit, cap);
-          expect_objectives_equal(de.evaluate(draft, opts),
-                                  synth::evaluate(cs, opts),
-                                  "gossip trial=" + std::to_string(trial) +
-                                      " cap=" + std::to_string(cap));
-        }
-        auto opts = objective_options(synth::Goal::kBroadcast, false, cap);
-        opts.source = trial % g.vertex_count();
+        const auto opts = objective_options(cap);
         expect_objectives_equal(de.evaluate(draft, opts),
                                 synth::evaluate(cs, opts),
-                                "broadcast trial=" + std::to_string(trial) +
+                                "trial=" + std::to_string(trial) +
                                     " cap=" + std::to_string(cap));
       }
     }
   }
 }
 
-TEST(Synth, EvaluateBatchMatchesEvaluate) {
-  std::vector<protocol::CompiledSchedule> compiled;
-  for (const CorpusMember& m : corpus())
-    compiled.push_back(member_schedule(m, protocol::Mode::kFullDuplex));
-  std::vector<const protocol::CompiledSchedule*> ptrs;
-  for (const auto& cs : compiled) ptrs.push_back(&cs);
-  const auto opts = objective_options(synth::Goal::kGossip, true);
-  const auto batch = synth::evaluate_batch(ptrs, opts);
-  ASSERT_EQ(batch.size(), compiled.size());
-  for (std::size_t i = 0; i < compiled.size(); ++i)
-    expect_objectives_equal(batch[i], synth::evaluate(compiled[i], opts),
-                            "member " + std::to_string(i));
-}
-
 // -------------------------------------------------- per-kernel end-to-end
 
-// Every supported kernel must produce the same times/objectives as the
-// scalar one on whole runs — the in-process version of the CI matrix's
+// Every supported kernel must produce the same gossip times and objectives
+// as the scalar one on whole runs — the in-process version of the CI matrix's
 // byte-identity gate.
 TEST(Kernels, EndToEndResultsIdenticalAcrossKernels) {
   constexpr int kMax = 512;
   struct Baseline {
     int gossip;
-    std::vector<int> reach;
     synth::Objective objective;
   };
   std::vector<protocol::CompiledSchedule> compiled;
   for (const CorpusMember& m : corpus())
     compiled.push_back(member_schedule(m, protocol::Mode::kHalfDuplex));
-  const auto opts = objective_options(synth::Goal::kGossip, true);
+  const auto opts = objective_options();
 
   std::vector<Baseline> base;
   {
     const ScopedKernel scoped(KernelKind::kScalar);
     for (const auto& cs : compiled)
-      base.push_back({gossip_time(cs, kMax), broadcast_times_all(cs, kMax),
-                      synth::evaluate(cs, opts)});
+      base.push_back({gossip_time(cs, kMax), synth::evaluate(cs, opts)});
   }
   for (const KernelKind kind : supported_kernels()) {
     const ScopedKernel scoped(kind);
     for (std::size_t i = 0; i < compiled.size(); ++i) {
       EXPECT_EQ(gossip_time(compiled[i], kMax), base[i].gossip)
-          << kernel_name(kind) << " member " << i;
-      EXPECT_EQ(broadcast_times_all(compiled[i], kMax), base[i].reach)
           << kernel_name(kind) << " member " << i;
       expect_objectives_equal(
           synth::evaluate(compiled[i], opts), base[i].objective,

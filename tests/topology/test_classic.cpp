@@ -49,6 +49,15 @@ TEST(Classic, CompleteGraph) {
   EXPECT_EQ(g.arc_count(), 20u);
 }
 
+TEST(Classic, CompleteGraphIsCappedWithANamedLimit) {
+  try {
+    (void)complete(kMaxCompleteOrder + 1);
+    ADD_FAILURE() << "complete(kMaxCompleteOrder + 1) built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "complete: too large");
+  }
+}
+
 TEST(Classic, HypercubeStructure) {
   const auto g = hypercube(4);
   EXPECT_EQ(g.vertex_count(), 16);

@@ -62,6 +62,21 @@ TEST(Registry, ClassicFamiliesMatchDirectConstructors) {
             knodel(3, 8).arc_count());
 }
 
+// family_order applies complete()'s size cap without building anything,
+// so the CLI and the engine reject an oversized K_n by name.
+TEST(Registry, CompleteFamilyOrderIsCapped) {
+  EXPECT_EQ(family_order(Family::kComplete, 2, kMaxCompleteOrder),
+            kMaxCompleteOrder);
+  for (const int n : {kMaxCompleteOrder + 1, 1000000}) {
+    try {
+      (void)family_order(Family::kComplete, 2, n);
+      ADD_FAILURE() << "family_order accepted K_" << n;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "complete: too large");
+    }
+  }
+}
+
 TEST(Registry, ClassicFamiliesAreSymmetricAndNamed) {
   for (Family f : {Family::kCycle, Family::kComplete, Family::kHypercube,
                    Family::kCubeConnectedCycles, Family::kShuffleExchange,

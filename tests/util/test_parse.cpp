@@ -54,8 +54,19 @@ TEST(Parse, DoubleAcceptsUsualFormsRejectsTrailingGarbage) {
   EXPECT_DOUBLE_EQ(parse_double("1.5", "x"), 1.5);
   EXPECT_DOUBLE_EQ(parse_double("-2e3", "x"), -2000.0);
   EXPECT_DOUBLE_EQ(parse_double("0.25", "x"), 0.25);
-  for (const char* bad : {"", "x", "1.5x", "1.2.3", " 1"})
+  for (const char* bad : {"", "x", "1.5x", "1.2.3", " 1", "nan", "inf",
+                          "-inf", "NaN", "infinity"})
     EXPECT_THROW((void)parse_double(bad, "x"), std::invalid_argument) << bad;
+  try {
+    (void)parse_double("nan", "--threshold");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--threshold"), std::string::npos)
+        << e.what();
+  }
+  // The record-codec form keeps the infinities a sweep record can hold.
+  EXPECT_EQ(parse_any_double("-inf", "x"),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_THROW((void)parse_any_double("1.5x", "x"), std::invalid_argument);
 }
 
 TEST(Parse, RangedParseReportsTheRange) {

@@ -60,6 +60,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_report.hpp"
 #include "obs/wall_timer.hpp"
+#include "protocol/compiled.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "simulator/kernels.hpp"
 #include "store/result_store.hpp"
@@ -770,12 +771,14 @@ int cmd_store(int argc, char** argv) {
 int cmd_audit(int argc, char** argv) {
   if (argc < 1) return usage();
   const auto sched = sysgo::io::parse_schedule(read_file(argv[0]));
-  const auto valid = sysgo::protocol::validate_structure(sched);
-  if (!valid.ok) {
-    std::fprintf(stderr, "invalid schedule: %s\n", valid.message.c_str());
+  sysgo::protocol::CompiledSchedule cs;
+  try {
+    cs = sysgo::protocol::CompiledSchedule::compile(sched);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "invalid schedule: %s\n", e.what());
     return 1;
   }
-  const auto res = sysgo::core::audit_schedule(sched);
+  const auto res = sysgo::core::audit_schedule(cs);
   std::printf("n=%d period=%d lambda*=%.6f e=%.4f certified-rounds>=%d "
               "worst-vertex=%d\n",
               sched.n, sched.period_length(), res.lambda_star, res.e_coeff,
