@@ -4,10 +4,11 @@
 // printed table reports median wall-clock per arm and the on-vs-off delta —
 // the src/obs/ contract pins it under 2% (sharded relaxed atomics on paths
 // that are instrumented per task / per chunk, never per inner-loop step).
-// A third table section pins --perf the same way: PerfScope (two
-// perf_event group reads per job) must stay under 3% on the sweep
-// workload.  The same workloads are also registered as google benchmarks,
-// so BENCH_obs_overhead.json carries machine-readable on/off medians.
+// A third table section pins --perf the same way: the obs::Scope perf
+// reads (two perf_event group reads per scope: per job, per store call,
+// per pool closure) must stay under 3% on the sweep workload.  The same
+// workloads are also registered as google benchmarks, so
+// BENCH_obs_overhead.json carries machine-readable on/off medians.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -40,8 +41,8 @@ std::vector<engine::SweepRecord> simulate_sweep() {
   return runner.run_jobs(spec.expand(), spec.limits);
 }
 
-/// Larger graphs than simulate_sweep: PerfScope's cost is a fixed number
-/// of perf_event reads per job, so the honest overhead denominator is a
+/// Larger graphs than simulate_sweep: a scope's perf cost is a fixed
+/// number of perf_event reads per job, so the honest overhead denominator is a
 /// realistically-sized job (~0.1 ms+), not a handful of 8-node toys.
 std::vector<engine::SweepRecord> simulate_sweep_large() {
   engine::ScenarioSpec spec;
@@ -95,7 +96,7 @@ void print_row(const char* name, const Fn& fn) {
   std::printf("%s,%.3f,%.3f,%.2f\n", name, on_ms, off_ms, delta_pct);
 }
 
-/// The --perf arm: metrics stay on in both arms; only PerfScope's counter
+/// The --perf arm: metrics stay on in both arms; only the scopes' counter
 /// group reads toggle.  Same interleaving discipline as timed_millis.
 template <class Fn>
 double timed_millis_perf(bool perf_on, const Fn& fn) {

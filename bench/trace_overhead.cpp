@@ -1,13 +1,14 @@
 // Tracing overhead guard: the same sweep and synthesis workloads run with
-// span recording OFF (the default: one relaxed atomic load per
-// instrumentation site) and ACTIVELY RECORDING (spans, instants, and flow
-// arrows land in the per-lane rings), interleaved rep by rep so machine
-// drift hits both arms equally.  The src/obs/ contract pins the
+// span recording OFF (the default: one relaxed atomic load per obs::Scope)
+// and ACTIVELY RECORDING (every scope's span and the pool's flow arrows
+// land in the per-lane rings), interleaved rep by rep so machine drift
+// hits both arms equally.  The src/obs/ contract pins the
 // actively-recording delta under 3% — spans are per task / per restart /
-// per BFS layer, never per inner-loop step, and a ring write is a handful
-// of relaxed stores.  Rings are rewound between reps so the recording arm
-// pays steady-state cost, not allocation.  The workloads are also
-// registered as google benchmarks for BENCH_trace_overhead.json.
+// per BFS layer / per pool closure, never per inner-loop step, and a ring
+// write is a handful of relaxed stores.  Rings are rewound between reps
+// so the recording arm pays steady-state cost, not allocation.  The
+// workloads are also registered as google benchmarks for
+// BENCH_trace_overhead.json.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"

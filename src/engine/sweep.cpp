@@ -1,14 +1,12 @@
 #include "engine/sweep.hpp"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 
 #include "core/separator_bound.hpp"
 #include "graph/search.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "obs/wall_timer.hpp"
 #include "protocol/builders.hpp"
 #include "search/solver.hpp"
@@ -24,9 +22,9 @@ namespace sysgo::engine {
 
 namespace {
 
-/// Engine observability (catalog in README "Observability").  Job latency
-/// is recorded per task kind — the handles live in a Task-indexed array so
-/// run_job pays one relaxed atomic, not a name lookup, per job.
+/// Engine observability (catalog in README "Observability").  Each job
+/// runs in the scope of its task kind, engine.task.<name>; the sites live
+/// in a Task-indexed vector so run_job pays no name lookup per job.
 struct EngineMetrics {
   obs::Counter& jobs_completed = obs::counter("engine.jobs_completed");
   obs::Gauge& jobs_inflight = obs::gauge("engine.jobs_inflight");
@@ -34,22 +32,12 @@ struct EngineMetrics {
       obs::gauge("engine.jobs_inflight_highwater");
   obs::Counter& cache_hits = obs::counter("engine.cache.hits");
   obs::Counter& cache_misses = obs::counter("engine.cache.misses");
-  std::array<obs::Histogram*, 8> task_micros{};
-  // Per-task perf rollups (--perf): cycles/IPC/cache behavior next to the
-  // latency histograms, under the same engine.task.<name> prefix.
-  std::array<obs::perf::PerfRollup*, 8> task_perf{};
+  std::vector<obs::ScopeSite> task_sites;
 
   EngineMetrics() {
-    for (const Task t :
-         {Task::kBound, Task::kDiameterBound, Task::kSimulate, Task::kAudit,
-          Task::kSeparatorCheck, Task::kSolveGossip, Task::kSolveBroadcast,
-          Task::kSynthesize}) {
-      task_micros[static_cast<std::size_t>(t)] =
-          &obs::histogram("engine.task." + task_name(t) + ".micros");
-      // Leaked like every registry handle: rollups live for the process.
-      task_perf[static_cast<std::size_t>(t)] =
-          new obs::perf::PerfRollup("engine.task." + task_name(t));
-    }
+    for (int t = 0; t <= static_cast<int>(Task::kSynthesize); ++t)
+      task_sites.emplace_back("engine.task." +
+                              task_name(static_cast<Task>(t)));
   }
 };
 
@@ -163,30 +151,16 @@ std::shared_ptr<const ScenarioArtifacts> SweepRunner::artifacts(
 SweepRecord SweepRunner::run_job(const SweepJob& job,
                                  const ExecutionLimits& limits) {
   const InflightGuard inflight;
-  // One span per job, named by task so `sysgo trace report` breaks stages
-  // down per task kind.  All naming/interning work sits behind armed().
-  obs::trace::TraceSpan span(
-      obs::trace::enabled()
-          ? obs::trace::intern("engine.task." + task_name(job.task))
-          : 0);
-  if (span.armed()) {
-    span.str_arg(obs::trace::intern("family"),
-                 obs::trace::intern(family_token(job.key.family)));
-    span.arg(obs::trace::intern("d"), job.key.d);
-    span.arg(obs::trace::intern("D"), job.key.D);
-    span.arg(obs::trace::intern("s"), job.s);
-  }
-  // After the span so the perf delta lands in the span's args before the
-  // span closes (destruction runs in reverse order).
-  obs::perf::PerfScope perf_scope(
-      *engine_metrics().task_perf[static_cast<std::size_t>(job.task)]);
-  if (perf_scope.armed()) perf_scope.attach(&span);
-  const obs::WallTimer timer;
-  SweepRecord r = run_job_impl(job, limits);
-  r.millis = timer.millis();
   auto& em = engine_metrics();
-  em.task_micros[static_cast<std::size_t>(job.task)]->record_micros(
-      timer.micros());
+  // One scope per job, named by task so `sysgo trace report` breaks stages
+  // down per task kind.
+  obs::Scope scope(em.task_sites[static_cast<std::size_t>(job.task)]);
+  if (scope.traced()) scope.arg("family", family_token(job.key.family));
+  scope.arg("d", job.key.d);
+  scope.arg("D", job.key.D);
+  scope.arg("s", job.s);
+  SweepRecord r = run_job_impl(job, limits);
+  r.millis = scope.millis();
   em.jobs_completed.add(1);
   return r;
 }

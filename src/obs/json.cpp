@@ -45,9 +45,15 @@ class Parser {
 
   Value value() {
     skip_ws();
+    if (peek() == '[' || peek() == '{') {
+      if (depth_ == kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      ++depth_;
+      Value v = peek() == '[' ? array() : object();
+      --depth_;
+      return v;
+    }
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
       case '"': {
         Value v;
         v.kind = Value::Kind::kString;
@@ -195,6 +201,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects open around pos_
 };
 
 }  // namespace

@@ -3,8 +3,9 @@
 // strings with the standard escapes, numbers, bools, null.  Object keys
 // keep document order — the writers emit deterministic layouts and the
 // readers preserve them.  Parse errors throw std::runtime_error with the
-// byte offset.  This is a reader for sysgo's own trusted output files,
-// not a general-purpose JSON library.
+// byte offset, and so does nesting deeper than kMaxDepth (the reader
+// recurses once per level).  This is a reader for sysgo's own output
+// files, not a general-purpose JSON library.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,10 @@ struct Value {
     return nullptr;
   }
 };
+
+/// Deepest array/object nesting the reader accepts; sysgo's own documents
+/// nest at most 4 deep.
+inline constexpr int kMaxDepth = 256;
 
 /// Parse a complete document (trailing garbage fails).
 [[nodiscard]] Value parse(const std::string& text);

@@ -14,9 +14,11 @@
 // Metrics are registered by name on first use (counter("engine.cache.hits"))
 // and live for the process lifetime — call sites hold a reference in a
 // function-local static so steady-state cost is one branch + one relaxed
-// atomic.  Collection is globally toggleable (set_enabled); metrics NEVER
-// feed computation results, so records are byte-identical either way —
-// asserted by tests/obs/.
+// atomic.  Timed regions do not record histograms by hand: an obs::Scope
+// (obs/scope.hpp) records `<name>.micros` for its site.  Collection is
+// globally toggleable (set_enabled); metrics NEVER feed computation
+// results, so records are byte-identical either way — asserted by
+// tests/obs/.
 //
 // snapshot() aggregates the shards into a name-sorted, deterministic view;
 // to_json/to_csv render it (two snapshots of an idle registry are
@@ -30,8 +32,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "obs/wall_timer.hpp"
 
 namespace sysgo::obs {
 
@@ -145,19 +145,6 @@ class Histogram {
     std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
   };
   std::array<Shard, kShards> shards_{};
-};
-
-/// RAII span: records its lifetime into a histogram on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& h) noexcept : h_(h) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { h_.record_micros(timer_.micros()); }
-
- private:
-  Histogram& h_;
-  WallTimer timer_;
 };
 
 // ----------------------------------------------------------------- Registry

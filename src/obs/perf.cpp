@@ -4,8 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "obs/trace.hpp"
-
 #if defined(__linux__)
 #include <linux/perf_event.h>
 #include <sys/syscall.h>
@@ -96,7 +94,7 @@ class Group {
 };
 
 /// Per-thread counter groups, opened on first use and kept for the thread
-/// lifetime (a PerfScope on a pool worker measures that worker's work).
+/// lifetime (a Scope on a pool worker measures that worker's work).
 struct ThreadGroups {
   Group hardware;
   Group software;
@@ -125,12 +123,6 @@ ThreadGroups& thread_groups() {
 }
 
 #endif  // defined(__linux__)
-
-/// Derived ratio scaled to integer permille, guarded against zero
-/// denominators (an unavailable group reads all-zero).
-std::uint64_t permille(std::uint64_t num, std::uint64_t den) noexcept {
-  return den > 0 ? num * 1000 / den : 0;
-}
 
 }  // namespace
 
@@ -193,57 +185,5 @@ PerfRollup::PerfRollup(const std::string& prefix)
       ipc_milli(histogram(prefix + ".perf.ipc_milli")),
       cache_miss_permille(histogram(prefix + ".perf.cache_miss_permille")),
       branch_miss_permille(histogram(prefix + ".perf.branch_miss_permille")) {}
-
-PerfScope::PerfScope(PerfRollup& rollup) noexcept
-    : rollup_(rollup), armed_(enabled()) {
-  if (armed_) start_ = read_sample();
-}
-
-PerfScope::~PerfScope() {
-  if (!armed_) return;
-  const Sample end = read_sample();
-  const auto delta = [](std::uint64_t a, std::uint64_t b) {
-    return b > a ? b - a : 0;  // paranoia vs scaling jitter, never wraps
-  };
-  const std::uint64_t cycles = delta(start_.cycles, end.cycles);
-  const std::uint64_t instructions =
-      delta(start_.instructions, end.instructions);
-  const std::uint64_t branch_misses =
-      delta(start_.branch_misses, end.branch_misses);
-  const std::uint64_t cache_refs = delta(start_.cache_refs, end.cache_refs);
-  const std::uint64_t cache_misses =
-      delta(start_.cache_misses, end.cache_misses);
-  const std::uint64_t task_clock_ns =
-      delta(start_.task_clock_ns, end.task_clock_ns);
-
-  rollup_.cycles.add(cycles);
-  rollup_.instructions.add(instructions);
-  rollup_.branch_misses.add(branch_misses);
-  rollup_.cache_refs.add(cache_refs);
-  rollup_.cache_misses.add(cache_misses);
-  rollup_.task_clock_us.add(task_clock_ns / 1000);
-
-  const std::uint64_t ipc_milli = permille(instructions, cycles);
-  const std::uint64_t cache_mpm = permille(cache_misses, cache_refs);
-  if (cycles > 0) {
-    rollup_.ipc_milli.record_micros(ipc_milli);
-    rollup_.branch_miss_permille.record_micros(
-        permille(branch_misses, instructions));
-  }
-  if (cache_refs > 0) rollup_.cache_miss_permille.record_micros(cache_mpm);
-
-  if (span_ != nullptr && span_->armed()) {
-    // Interned once per process: arg keys are shared by every scope.
-    static const trace::NameId kIpcKey = trace::intern("ipc_milli");
-    static const trace::NameId kMissKey = trace::intern("cache_miss_permille");
-    static const trace::NameId kClockKey = trace::intern("task_clock_us");
-    if (cycles > 0)
-      span_->arg(kIpcKey, static_cast<std::int64_t>(ipc_milli));
-    if (cache_refs > 0)
-      span_->arg(kMissKey, static_cast<std::int64_t>(cache_mpm));
-    if (task_clock_ns > 0)
-      span_->arg(kClockKey, static_cast<std::int64_t>(task_clock_ns / 1000));
-  }
-}
 
 }  // namespace sysgo::obs::perf

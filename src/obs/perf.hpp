@@ -18,17 +18,17 @@
 // `available()` flag is false) — nothing throws, nothing logs per event,
 // and on non-Linux builds the whole backend compiles to the no-op path.
 //
-// Collection is OFF by default (`--perf` turns it on).  The RAII
-// `PerfScope` snapshots this thread's groups at construction and charges
-// the delta at destruction into a `PerfRollup` — raw totals into counters
-// (`<prefix>.perf.cycles`, `.instructions`, `.branch_misses`,
+// Collection is OFF by default (`--perf` turns it on).  An obs::Scope
+// (obs/scope.hpp) reads this thread's groups when it opens and charges
+// the delta when it closes into its site's `PerfRollup` — raw totals into
+// counters (`<name>.perf.cycles`, `.instructions`, `.branch_misses`,
 // `.cache_refs`, `.cache_misses`, `.task_clock_us`) and derived ratios
-// into histograms (`<prefix>.perf.ipc_milli`: instructions-per-cycle
-// x1000; `.cache_miss_permille` and `.branch_miss_permille`: misses per
-// 1000 references/cycles) — and can attach the derived values as args to
-// a live TraceSpan.  Profiling must never perturb results: tests/obs/
-// asserts records are byte-identical with profiling on and off, and
-// bench/obs_overhead pins the instrumented-path delta under 3%.
+// into histograms (`<name>.perf.ipc_milli`: instructions-per-cycle x1000;
+// `.cache_miss_permille` and `.branch_miss_permille`: misses per 1000
+// references/instructions) — and puts the derived values on its span.
+// Profiling must never perturb results: tests/obs/ asserts records are
+// byte-identical with profiling on and off, and bench/obs_overhead pins
+// the instrumented-path delta under 3%.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +36,10 @@
 
 #include "obs/metrics.hpp"
 
-namespace sysgo::obs::trace {
-class TraceSpan;  // perf.hpp must stay includable without trace.hpp
-}
-
 namespace sysgo::obs::perf {
 
 /// Global collection switch, default OFF (the `--perf` flag).  Disabled
-/// profiling costs one relaxed load per PerfScope.
+/// profiling costs one relaxed load per Scope.
 [[nodiscard]] bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
 
@@ -79,9 +75,9 @@ struct Sample {
                                         std::uint64_t time_enabled,
                                         std::uint64_t time_running) noexcept;
 
-/// The metric bundle a PerfScope charges into.  Construct once per call
-/// site (function-local static) with the owning subsystem's prefix; the
-/// names land in the --metrics snapshot next to the latency histograms.
+/// The metric bundle a Scope charges into under `<prefix>.perf.*`; each
+/// obs::ScopeSite owns one, so the names land in the --metrics snapshot
+/// next to the site's latency histogram.
 struct PerfRollup {
   explicit PerfRollup(const std::string& prefix);
 
@@ -94,30 +90,6 @@ struct PerfRollup {
   Histogram& ipc_milli;             // instructions / cycles x 1000
   Histogram& cache_miss_permille;   // cache_misses / cache_refs x 1000
   Histogram& branch_miss_permille;  // branch_misses / instructions x 1000
-};
-
-/// RAII profiling span: snapshots this thread's counters at construction,
-/// charges the delta into `rollup` at destruction, and (when attached)
-/// adds `ipc_milli` / `cache_miss_permille` args to a trace span.  Declare
-/// AFTER the TraceSpan it attaches to, so its destructor runs first.
-class PerfScope {
- public:
-  explicit PerfScope(PerfRollup& rollup) noexcept;
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
-  ~PerfScope();
-
-  [[nodiscard]] bool armed() const noexcept { return armed_; }
-
-  /// Attach derived-counter args to `span` when this scope closes.  The
-  /// span must outlive the scope (declare the span first).
-  void attach(trace::TraceSpan* span) noexcept { span_ = span; }
-
- private:
-  PerfRollup& rollup_;
-  trace::TraceSpan* span_ = nullptr;
-  const bool armed_;
-  Sample start_{};
 };
 
 }  // namespace sysgo::obs::perf

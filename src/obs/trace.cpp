@@ -5,7 +5,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -159,15 +158,6 @@ void append_args(std::string& out, const TraceDump& dump, const Event& e) {
   out += '}';
 }
 
-// Little-endian fixed-width appends for the flight format.  The repo only
-// targets little-endian hosts; the memcpy keeps the writes alignment-safe.
-template <class T>
-void put(std::string& out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
 }  // namespace
 
 bool enabled() noexcept {
@@ -244,16 +234,6 @@ void emit(EventKind kind, NameId name, std::uint64_t ts_us,
   s.flow.store(flow_id, std::memory_order_relaxed);
   s.seq.store(2 * (idx + 1), std::memory_order_release);
   lane.head.store(idx + 1, std::memory_order_release);
-}
-
-void instant(NameId name) noexcept {
-  if (!enabled()) return;
-  emit(EventKind::kInstant, name, now_us(), 0, 0, nullptr, 0);
-}
-
-void instant(NameId name, std::initializer_list<Arg> args) noexcept {
-  if (!enabled()) return;
-  emit(EventKind::kInstant, name, now_us(), 0, 0, args.begin(), args.size());
 }
 
 void flow_begin(NameId name, std::uint32_t flow_id) noexcept {
@@ -353,13 +333,9 @@ std::string to_chrome_json(const TraceDump& dump) {
     }
     for (const Event& e : lane.events) {
       sep();
-      const char* ph = "i";
-      switch (e.kind) {
-        case EventKind::kComplete: ph = "X"; break;
-        case EventKind::kInstant: ph = "i"; break;
-        case EventKind::kFlowBegin: ph = "s"; break;
-        case EventKind::kFlowEnd: ph = "f"; break;
-      }
+      const char* ph = "X";
+      if (e.kind == EventKind::kFlowBegin) ph = "s";
+      if (e.kind == EventKind::kFlowEnd) ph = "f";
       out += "{\"ph\":\"";
       out += ph;
       out += "\",\"pid\":1,\"tid\":" + std::to_string(l) +
@@ -373,7 +349,6 @@ std::string to_chrome_json(const TraceDump& dump) {
         out += ",\"id\":" + std::to_string(e.flow_id);
         if (e.kind == EventKind::kFlowEnd) out += ",\"bp\":\"e\"";
       }
-      if (e.kind == EventKind::kInstant) out += ",\"s\":\"t\"";
       append_args(out, dump, e);
       out += '}';
     }
@@ -382,45 +357,8 @@ std::string to_chrome_json(const TraceDump& dump) {
   return out;
 }
 
-std::string to_flight_bytes(const TraceDump& dump) {
-  std::string out;
-  out.append("SYSGOFR1", 8);
-  put<std::uint32_t>(out, 1);  // version
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(dump.strings.size()));
-  for (const std::string& s : dump.strings) {
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-    out += s;
-  }
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(dump.lanes.size()));
-  for (const LaneDump& lane : dump.lanes) {
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(lane.name.size()));
-    out += lane.name;
-    put<std::uint64_t>(out, lane.dropped);
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(lane.events.size()));
-    for (const Event& e : lane.events) {
-      put<std::uint64_t>(out, e.ts_us);
-      put<std::uint64_t>(out, e.dur_us);
-      put<std::uint32_t>(out, e.name);
-      put<std::uint8_t>(out, static_cast<std::uint8_t>(e.kind));
-      put<std::uint8_t>(out, e.arg_count);
-      put<std::uint8_t>(out, e.str_mask);
-      put<std::uint8_t>(out, 0);
-      put<std::uint32_t>(out, e.flow_id);
-      for (std::size_t a = 0; a < e.arg_count; ++a) {
-        put<std::uint32_t>(out, e.arg_keys[a]);
-        put<std::int64_t>(out, e.arg_vals[a]);
-      }
-    }
-  }
-  return out;
-}
-
 void write_trace_file(const std::string& path) {
-  const TraceDump dump = drain();
-  const bool json =
-      path.size() >= 5 && path.rfind(".json") == path.size() - 5;
-  util::write_file_atomic(path,
-                          json ? to_chrome_json(dump) : to_flight_bytes(dump));
+  util::write_file_atomic(path, to_chrome_json(drain()));
 }
 
 }  // namespace sysgo::obs::trace

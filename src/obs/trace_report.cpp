@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string_view>
@@ -36,50 +35,19 @@ struct DumpInterner {
   }
 };
 
-// --------------------------------------------------------- flight-bytes I/O
-
-struct ByteReader {
-  const std::string& bytes;
-  std::size_t pos = 0;
-
-  template <class T>
-  T get() {
-    if (pos + sizeof(T) > bytes.size())
-      throw std::runtime_error("trace flight: truncated payload");
-    T v;
-    std::memcpy(&v, bytes.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return v;
-  }
-
-  std::string get_string(std::size_t len) {
-    if (pos + len > bytes.size())
-      throw std::runtime_error("trace flight: truncated string");
-    std::string s = bytes.substr(pos, len);
-    pos += len;
-    return s;
-  }
-
-  /// Read a record count and check it against the bytes left, given each
-  /// record's smallest encoding — so a corrupt count fails here instead of
-  /// sizing an allocation.
-  template <class T>
-  std::size_t get_count(std::size_t min_record_bytes, const char* what) {
-    const auto count = get<T>();
-    if (count > (bytes.size() - pos) / min_record_bytes)
-      throw std::runtime_error(std::string("trace flight: ") + what +
-                               " count " + std::to_string(count) +
-                               " exceeds the payload");
-    return static_cast<std::size_t>(count);
-  }
-};
-
-// Smallest encodings: a string is its u32 length; an event is ts, dur (u64
-// each), name (u32), kind/argc/mask/pad (u8 each) and flow (u32), no args.
-constexpr std::size_t kMinStringBytes = 4;
-constexpr std::size_t kMinEventBytes = 8 + 8 + 4 + 4 * 1 + 4;
-
-constexpr std::string_view kFlightMagic = "SYSGOFR1";
+/// A numeric field read as an integer in [0, limit); absent or
+/// non-numeric fields read 0, like the writer's defaults.
+std::uint64_t bounded_field(const json::Value& ev, const char* key,
+                            std::uint64_t limit) {
+  const json::Value* v = ev.find(key);
+  if (v == nullptr || v->kind != json::Value::Kind::kNumber) return 0;
+  const double x = std::round(v->number);
+  if (!(x >= 0.0 && x < static_cast<double>(limit)))
+    throw std::runtime_error(std::string("trace json: ") + key + " " +
+                             std::to_string(v->number) + " outside [0, " +
+                             std::to_string(limit) + ")");
+  return static_cast<std::uint64_t>(x);
+}
 
 }  // namespace
 
@@ -133,20 +101,16 @@ TraceDump parse_chrome_json(const std::string& json) {
     }
     Event e;
     if (ph->str == "X") e.kind = EventKind::kComplete;
-    else if (ph->str == "i" || ph->str == "I") e.kind = EventKind::kInstant;
     else if (ph->str == "s") e.kind = EventKind::kFlowBegin;
     else if (ph->str == "f") e.kind = EventKind::kFlowEnd;
     else continue;  // foreign phase: skip
     e.name = intern.id(name_str);
-    if (const json::Value* ts = ev.find("ts"))
-      if (ts->kind == json::Value::Kind::kNumber)
-        e.ts_us = static_cast<std::uint64_t>(json::as_i64(*ts));
-    if (const json::Value* dur = ev.find("dur"))
-      if (dur->kind == json::Value::Kind::kNumber)
-        e.dur_us = static_cast<std::uint64_t>(json::as_i64(*dur));
-    if (const json::Value* id = ev.find("id"))
-      if (id->kind == json::Value::Kind::kNumber)
-        e.flow_id = static_cast<std::uint32_t>(json::as_i64(*id));
+    // Timestamps stay below 2^62 us so ts + dur cannot wrap.
+    constexpr std::uint64_t kMaxMicros = std::uint64_t{1} << 62;
+    e.ts_us = bounded_field(ev, "ts", kMaxMicros);
+    e.dur_us = bounded_field(ev, "dur", kMaxMicros);
+    e.flow_id = static_cast<std::uint32_t>(
+        bounded_field(ev, "id", std::uint64_t{1} << 32));
     if (args != nullptr && args->kind == json::Value::Kind::kObject) {
       for (const auto& [key, val] : args->members) {
         if (e.arg_count >= kMaxArgs) break;
@@ -166,61 +130,6 @@ TraceDump parse_chrome_json(const std::string& json) {
     lane.events.push_back(e);
   }
   return dump;
-}
-
-TraceDump parse_flight_bytes(const std::string& bytes) {
-  if (bytes.size() < kFlightMagic.size() ||
-      bytes.compare(0, kFlightMagic.size(), kFlightMagic) != 0)
-    throw std::runtime_error("trace flight: bad magic");
-  ByteReader in{bytes, kFlightMagic.size()};
-  const auto version = in.get<std::uint32_t>();
-  if (version != 1)
-    throw std::runtime_error("trace flight: unsupported version " +
-                             std::to_string(version));
-  TraceDump dump;
-  const std::size_t nstrings =
-      in.get_count<std::uint32_t>(kMinStringBytes, "string");
-  dump.strings.reserve(nstrings);
-  for (std::size_t i = 0; i < nstrings; ++i)
-    dump.strings.push_back(in.get_string(in.get<std::uint32_t>()));
-  const auto nlanes = in.get<std::uint32_t>();
-  for (std::uint32_t l = 0; l < nlanes; ++l) {
-    LaneDump lane;
-    lane.name = in.get_string(in.get<std::uint32_t>());
-    lane.dropped = in.get<std::uint64_t>();
-    const std::size_t nevents =
-        in.get_count<std::uint64_t>(kMinEventBytes, "event");
-    lane.events.reserve(nevents);
-    for (std::size_t i = 0; i < nevents; ++i) {
-      Event e;
-      e.ts_us = in.get<std::uint64_t>();
-      e.dur_us = in.get<std::uint64_t>();
-      e.name = in.get<std::uint32_t>();
-      e.kind = static_cast<EventKind>(in.get<std::uint8_t>());
-      e.arg_count = in.get<std::uint8_t>();
-      e.str_mask = in.get<std::uint8_t>();
-      (void)in.get<std::uint8_t>();  // pad
-      e.flow_id = in.get<std::uint32_t>();
-      if (e.arg_count > kMaxArgs)
-        throw std::runtime_error("trace flight: bad arg count");
-      for (std::size_t a = 0; a < e.arg_count; ++a) {
-        e.arg_keys[a] = in.get<std::uint32_t>();
-        e.arg_vals[a] = in.get<std::int64_t>();
-      }
-      if (e.name >= dump.strings.size())
-        throw std::runtime_error("trace flight: name id out of range");
-      lane.events.push_back(e);
-    }
-    dump.lanes.push_back(std::move(lane));
-  }
-  return dump;
-}
-
-TraceDump parse_trace(const std::string& bytes) {
-  if (bytes.size() >= kFlightMagic.size() &&
-      bytes.compare(0, kFlightMagic.size(), kFlightMagic) == 0)
-    return parse_flight_bytes(bytes);
-  return parse_chrome_json(bytes);
 }
 
 // ----------------------------------------------------------------- analysis
@@ -291,8 +200,6 @@ Report analyze(const TraceDump& dump, const ReportOptions& opts) {
       if (e.kind == EventKind::kComplete) {
         spans.push_back({l, e.name, e.ts_us, e.ts_us + e.dur_us});
         ++rep.span_count;
-      } else if (e.kind == EventKind::kInstant) {
-        ++rep.instant_count;
       }
     }
   }
@@ -402,8 +309,8 @@ std::string report_text(const Report& rep) {
   std::string out;
   append_row(out,
              "trace report\n"
-             "  wall-clock %.3f ms, %zu spans, %zu instants, %llu dropped\n",
-             ms(rep.wall_us), rep.span_count, rep.instant_count,
+             "  wall-clock %.3f ms, %zu spans, %llu dropped\n",
+             ms(rep.wall_us), rep.span_count,
              static_cast<unsigned long long>(rep.dropped));
   if (rep.span_count == 0) {
     out += "  (no spans)\n";

@@ -1,8 +1,8 @@
-// Offline analysis of saved traces: parse Chrome trace-event JSON or the
-// binary flight-recorder format back into a TraceDump, then compute the
-// numbers a CI log needs without a browser — critical path, per-worker
-// utilization, span-duration top-K, and a per-stage breakdown table.
-// Backs `sysgo trace report PATH` and the round-trip tests.
+// Offline analysis of saved traces: parse Chrome trace-event JSON back
+// into a TraceDump, then compute the numbers a CI log needs without a
+// browser — critical path, per-worker utilization, span-duration top-K,
+// and a per-stage breakdown table.  Backs `sysgo trace report PATH` and
+// the round-trip tests.
 #pragma once
 
 #include <cstdint>
@@ -14,17 +14,12 @@
 namespace sysgo::obs::trace {
 
 /// Parse a Chrome trace-event JSON document (the to_chrome_json schema;
-/// tolerant of reordered fields and foreign events).  Lanes are keyed by
-/// tid in order of first appearance; thread_name metadata names them.
-/// Throws std::runtime_error on malformed input.
+/// tolerant of reordered fields and foreign events, such as other phases).
+/// Lanes are keyed by tid in order of first appearance; thread_name
+/// metadata names them.  Throws std::runtime_error on malformed input,
+/// including a negative `ts` or `dur` and a flow `id` outside the u32
+/// range.
 [[nodiscard]] TraceDump parse_chrome_json(const std::string& json);
-
-/// Parse flight-recorder bytes ("SYSGOFR1").  Throws std::runtime_error on
-/// a bad magic, truncated payload, or out-of-range string ids.
-[[nodiscard]] TraceDump parse_flight_bytes(const std::string& bytes);
-
-/// Auto-detect by leading bytes: flight magic, else JSON.
-[[nodiscard]] TraceDump parse_trace(const std::string& bytes);
 
 // ----------------------------------------------------------------- analysis
 
@@ -64,7 +59,6 @@ struct Report {
   std::uint64_t last_us = 0;   // max span end / event ts
   std::uint64_t wall_us = 0;   // last - first
   std::size_t span_count = 0;
-  std::size_t instant_count = 0;
   std::uint64_t dropped = 0;   // summed over lanes
   std::vector<LaneUtilization> lanes;       // creation order
   std::vector<StageRow> stages;             // by total_us, descending

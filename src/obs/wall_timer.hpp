@@ -3,7 +3,7 @@
 // Every call site that used to hand-roll
 // `duration<double, milli>(steady_clock::now() - t0).count()` (engine job
 // timing, synthesizer budgets, CLI progress ETA) constructs a WallTimer
-// instead; obs::ScopedTimer builds on it to feed latency histograms.
+// instead; obs::Scope builds on it to feed latency histograms.
 #pragma once
 
 #include <chrono>

@@ -12,9 +12,7 @@
 
 #include "graph/search.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
-#include "obs/trace.hpp"
-#include "obs/wall_timer.hpp"
+#include "obs/scope.hpp"
 #include "protocol/compiled.hpp"
 #include "search/matchings.hpp"
 #include "search/state_set.hpp"
@@ -33,8 +31,10 @@ using protocol::Round;
 /// loop accumulates into per-chunk locals and charges the counters once per
 /// 64-state chunk, so the per-state cost is plain integer arithmetic.
 struct SearchMetrics {
-  obs::Histogram& solve_micros = obs::histogram("search.solve.micros");
-  obs::Histogram& layer_micros = obs::histogram("search.layer.micros");
+  obs::ScopeSite solve{"search.solve"};
+  // One scope per BFS layer; under --perf, a layer whose IPC drops as
+  // `visited` grows is the canonicalizer thrashing the cache.
+  obs::ScopeSite layer{"search.layer"};
   obs::Counter& layers = obs::counter("search.layers");
   obs::Counter& expanded = obs::counter("search.states_expanded");
   obs::Counter& discovered = obs::counter("search.states_discovered");
@@ -44,9 +44,6 @@ struct SearchMetrics {
   // elements tied on row 0, whose later rows the canonicalizer scored.
   obs::Counter& successors = obs::counter("search.successors");
   obs::Counter& canon_ties = obs::counter("search.canon_ties");
-  // --perf: per-BFS-layer IPC / cache behavior (a layer whose IPC drops as
-  // `visited` grows is the canonicalizer thrashing the cache).
-  obs::perf::PerfRollup layer_perf{"search.layer"};
 };
 
 SearchMetrics& search_metrics() {
@@ -301,20 +298,11 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
   constexpr std::size_t kChunk = 64;  // states per task: one lock per chunk
 
   for (int depth = 1; depth <= opts.max_rounds && !frontier.empty(); ++depth) {
-    // One span per BFS layer: where the canonicalizer stalls shows up as
-    // long "search.layer" spans whose `frontier` arg stopped growing.
-    obs::trace::TraceSpan layer_span(
-        obs::trace::enabled() ? obs::trace::intern("search.layer") : 0);
-    if (layer_span.armed()) {
-      layer_span.arg(obs::trace::intern("depth"), depth);
-      layer_span.arg(obs::trace::intern("frontier"),
-                     static_cast<std::int64_t>(frontier.size()));
-    }
-    // Declared after layer_span: the perf delta must land in the span's
-    // args before the span closes.
-    obs::perf::PerfScope layer_perf(search_metrics().layer_perf);
-    if (layer_perf.armed()) layer_perf.attach(&layer_span);
-    const obs::WallTimer layer_timer;
+    // Where the canonicalizer stalls shows up as long "search.layer" spans
+    // whose `frontier` arg stopped growing.
+    obs::Scope layer(search_metrics().layer);
+    layer.arg("depth", depth);
+    layer.arg("frontier", static_cast<std::int64_t>(frontier.size()));
     std::vector<State> next;
     std::mutex next_mutex;
     std::atomic<bool> found{false};
@@ -381,15 +369,10 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
       }
     }
     search_metrics().layers.add(1);
-    search_metrics().layer_micros.record_micros(layer_timer.micros());
-    if (layer_span.armed()) {
-      layer_span.arg(obs::trace::intern("visited"),
-                     static_cast<std::int64_t>(visited.size()));
-      layer_span.arg(obs::trace::intern("successors"),
-                     static_cast<std::int64_t>(layer_successors.load()));
-      layer_span.arg(obs::trace::intern("canon_ties"),
-                     static_cast<std::int64_t>(layer_ties.load()));
-    }
+    layer.arg("visited", static_cast<std::int64_t>(visited.size()));
+    layer.arg("successors",
+              static_cast<std::int64_t>(layer_successors.load()));
+    layer.arg("canon_ties", static_cast<std::int64_t>(layer_ties.load()));
     if (stop) break;
     // Sorting makes the next layer's batch boundaries (and therefore any
     // mid-layer stop) identical for every thread count.
@@ -474,7 +457,7 @@ void broadcast_bfs(const std::vector<Round>& moves, const Canonicalizer& canon,
 }  // namespace
 
 SolveResult solve(const graph::Digraph& g, const SolveOptions& opts) {
-  const obs::ScopedTimer span(search_metrics().solve_micros);
+  const obs::Scope scope(search_metrics().solve);
   const int n = g.vertex_count();
   if (n > kMaxVertices)
     throw std::invalid_argument("search::solve: n <= 12 required");

@@ -1,5 +1,6 @@
 #include "simulator/kernels.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -269,7 +270,10 @@ const RowKernels& resolve_initial() {
   return kScalarKernels;
 }
 
-const RowKernels* g_active = nullptr;
+/// Set only by force_kernel (tests and bench arms); null selects the
+/// dispatch resolved at first use.  kernels() only reads it, from any
+/// thread, so concurrent first calls no longer race on a lazy write.
+std::atomic<const RowKernels*> g_forced{nullptr};
 
 }  // namespace
 
@@ -307,8 +311,8 @@ const RowKernels& kernels() {
   // to the first caller (and re-arms on the next call, but a bad env var is
   // fatal to any entry point anyway).
   static const RowKernels& initial = resolve_initial();
-  if (g_active == nullptr) g_active = &initial;
-  return *g_active;
+  const RowKernels* forced = g_forced.load(std::memory_order_acquire);
+  return forced != nullptr ? *forced : initial;
 }
 
 KernelKind active_kernel() { return kernels().kind; }
@@ -327,7 +331,7 @@ const char* kernel_name(KernelKind k) noexcept {
 
 KernelKind force_kernel(KernelKind k) {
   const KernelKind prev = kernels().kind;  // ensures dispatch ran
-  g_active = &kernel_table(k);
+  g_forced.store(&kernel_table(k), std::memory_order_release);
   return prev;
 }
 

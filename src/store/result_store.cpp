@@ -9,7 +9,7 @@
 
 #include "io/sweep_io.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/fs.hpp"
 #include "util/table.hpp"
 
@@ -19,11 +19,12 @@ namespace {
 
 constexpr std::string_view kHeader = "# sysgo-store v1";
 
-/// Store observability (catalog in README "Observability"): API-level
-/// lookup/insert latency and outcomes, plus bytes appended to the log.
+/// Store observability (catalog in README "Observability"): one scope per
+/// lookup/insert call, whose span carries the outcome, plus outcome
+/// counters and bytes appended to the log.
 struct StoreMetrics {
-  obs::Histogram& lookup_micros = obs::histogram("store.lookup.micros");
-  obs::Histogram& insert_micros = obs::histogram("store.insert.micros");
+  obs::ScopeSite lookup{"store.lookup"};
+  obs::ScopeSite insert{"store.insert"};
   obs::Counter& lookup_hits = obs::counter("store.lookup.hits");
   obs::Counter& lookup_misses = obs::counter("store.lookup.misses");
   obs::Counter& inserted = obs::counter("store.insert.inserted");
@@ -38,19 +39,6 @@ StoreMetrics& store_metrics() {
 }
 
 [[maybe_unused]] const bool kStoreMetricsRegistered = (store_metrics(), true);
-
-/// Trace instants marking store outcomes on the calling lane's timeline
-/// (cache hits explain "why was this task instantaneous" in a sweep trace).
-struct StoreTraceNames {
-  obs::trace::NameId hit = obs::trace::intern("store.hit");
-  obs::trace::NameId miss = obs::trace::intern("store.miss");
-  obs::trace::NameId insert = obs::trace::intern("store.insert");
-};
-
-const StoreTraceNames& store_trace_names() {
-  static const StoreTraceNames n;
-  return n;
-}
 
 std::string digest_hex(std::uint64_t digest) {
   char buf[17];
@@ -223,32 +211,32 @@ void ResultStore::append_locked(const Row& row) {
 std::optional<engine::SweepRecord> ResultStore::lookup(
     const StoreKey& key) const {
   auto& sm = store_metrics();
-  const obs::ScopedTimer span(sm.lookup_micros);
+  obs::Scope scope(sm.lookup);
   std::lock_guard<std::mutex> lock(mutex_);
   const Row* row = find_locked(key);
+  scope.arg("outcome", row != nullptr ? "hit" : "miss");
   if (row == nullptr) {
     sm.lookup_misses.add(1);
-    obs::trace::instant(store_trace_names().miss);
     return std::nullopt;
   }
   sm.lookup_hits.add(1);
-  obs::trace::instant(store_trace_names().hit);
   return row->record;
 }
 
 InsertOutcome ResultStore::insert(const StoreKey& key,
                                   const engine::SweepRecord& record) {
   auto& sm = store_metrics();
-  const obs::ScopedTimer span(sm.insert_micros);
+  obs::Scope scope(sm.insert);
   std::lock_guard<std::mutex> lock(mutex_);
   if (const Row* existing = find_locked(key)) {
     const bool same = engine::same_result(existing->record, record);
     (same ? sm.duplicates : sm.conflicts).add(1);
+    scope.arg("outcome", same ? "duplicate" : "conflict");
     return same ? InsertOutcome::kDuplicate : InsertOutcome::kConflict;
   }
   append_locked(Row{key, record});
   sm.inserted.add(1);
-  obs::trace::instant(store_trace_names().insert);
+  scope.arg("outcome", "inserted");
   return InsertOutcome::kInserted;
 }
 

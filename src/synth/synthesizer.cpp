@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/perf.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "obs/wall_timer.hpp"
 #include "protocol/builders.hpp"
 #include "protocol/compiled.hpp"
@@ -36,11 +35,10 @@ struct SynthMetrics {
   // Rounds simulated per draft evaluation (a round count, not micros).
   obs::Histogram& replay_depth = obs::histogram("synth.replay_depth");
   obs::Gauge& last_best_objective = obs::gauge("synth.last_best_objective");
-  obs::Histogram& restart_micros = obs::histogram("synth.restart.micros");
-  obs::Histogram& synthesize_micros =
-      obs::histogram("synth.synthesize.micros");
-  // --perf: per-restart IPC / cache behavior of the annealing loop.
-  obs::perf::PerfRollup restart_perf{"synth.restart"};
+  // One scope per restart, and one around the whole call (which also
+  // covers the coloring build and the best-of-K).
+  obs::ScopeSite restart{"synth.restart"};
+  obs::ScopeSite synthesize{"synth.synthesize"};
 };
 
 SynthMetrics& synth_metrics() {
@@ -225,7 +223,7 @@ protocol::SystolicSchedule initial_schedule(
 }  // namespace
 
 SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
-  const obs::WallTimer timer;
+  const obs::Scope scope(synth_metrics().synthesize);
   if (g.vertex_count() < 2)
     throw std::invalid_argument("synthesize: need at least 2 vertices");
   if (opts.restarts < 1)
@@ -248,12 +246,7 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
 
   std::vector<RestartOutcome> outcomes(static_cast<std::size_t>(opts.restarts));
   const auto run_one = [&](std::size_t r) {
-    const obs::ScopedTimer span(synth_metrics().restart_micros);
-    obs::trace::TraceSpan trace_span(
-        obs::trace::enabled() ? obs::trace::intern("synth.restart") : 0);
-    // Declared after trace_span so the perf delta lands in its args.
-    obs::perf::PerfScope perf_scope(synth_metrics().restart_perf);
-    if (perf_scope.armed()) perf_scope.attach(&trace_span);
+    obs::Scope restart(synth_metrics().restart);
     util::Rng rng(util::derive_seed(opts.seed, r));
     const auto initial =
         initial_schedule(g, static_cast<int>(r), coloring, opts, rng);
@@ -265,12 +258,9 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
     out.objective = evaluate(
         protocol::CompiledSchedule::compile(out.schedule, membership),
         opts.objective);
-    if (trace_span.armed()) {
-      trace_span.arg(obs::trace::intern("restart"),
-                     static_cast<std::int64_t>(r));
-      trace_span.arg(obs::trace::intern("accepted"), out.accepted);
-      trace_span.arg(obs::trace::intern("improved"), out.improved);
-    }
+    restart.arg("restart", static_cast<std::int64_t>(r));
+    restart.arg("accepted", out.accepted);
+    restart.arg("improved", out.improved);
   };
   if (opts.threads == 1) {
     for (std::size_t r = 0; r < outcomes.size(); ++r) run_one(r);
@@ -298,7 +288,7 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
       result.schedule = outcomes[r].schedule;
     }
   }
-  result.millis = timer.millis();
+  result.millis = scope.millis();
   auto& sm = synth_metrics();
   sm.restarts_run.add(static_cast<std::uint64_t>(opts.restarts));
   sm.moves_proposed.add(static_cast<std::uint64_t>(result.moves_proposed));
@@ -306,7 +296,6 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
   sm.improvements.add(static_cast<std::uint64_t>(improved));
   sm.last_best_objective.set(
       static_cast<std::int64_t>(result.objective.score()));
-  sm.synthesize_micros.record_micros(timer.micros());
   return result;
 }
 

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "obs/wall_timer.hpp"
 #include "util/parallel.hpp"
 
@@ -17,9 +17,11 @@ namespace {
 /// Pool observability (metric catalog in README "Observability").  The
 /// handles are resolved once; steady-state cost per event is one relaxed
 /// sharded atomic.  tasks_* count pool closures (a parallel region submits
-/// helpers, not indices); idle time is accumulated around the workers' cv
-/// waits, where it is free.
+/// helpers, not indices), and each executed closure runs in a `pool.task`
+/// scope; idle time is accumulated around the workers' cv waits, where it
+/// is free.
 struct PoolMetrics {
+  obs::ScopeSite task{"pool.task"};
   obs::Counter& submitted = obs::counter("pool.tasks_submitted");
   obs::Counter& executed = obs::counter("pool.tasks_executed");
   obs::Counter& stolen = obs::counter("pool.tasks_stolen");
@@ -37,17 +39,20 @@ PoolMetrics& pool_metrics() {
 /// --metrics snapshots even before the first task runs.
 [[maybe_unused]] const bool kPoolMetricsRegistered = (pool_metrics(), true);
 
-/// Trace names, interned once.  Flow arrows pair a kFlowBegin on the
-/// submitting lane with a kFlowEnd on the executing worker's lane; the
-/// per-task "pool.task" span shows the closure's run on the worker.
-struct PoolTraceNames {
-  obs::trace::NameId submit = obs::trace::intern("pool.submit");
-  obs::trace::NameId task = obs::trace::intern("pool.task");
-};
+/// Flow arrows pair a kFlowBegin on the submitting lane with a kFlowEnd on
+/// the executing worker's lane, both named "pool.submit".
+obs::trace::NameId submit_flow_name() {
+  static const obs::trace::NameId name = obs::trace::intern("pool.submit");
+  return name;
+}
 
-const PoolTraceNames& pool_trace_names() {
-  static const PoolTraceNames n;
-  return n;
+/// Run one pool closure in its `pool.task` scope.
+void execute(const std::function<void()>& task) {
+  {
+    const obs::Scope scope(pool_metrics().task);
+    task();
+  }
+  pool_metrics().executed.add(1);
 }
 
 }  // namespace
@@ -103,22 +108,20 @@ ThreadPool& ThreadPool::instance() {
 
 void ThreadPool::submit(std::function<void()> task) {
   if (obs::trace::enabled()) {
-    // Arrow tail on the submitting lane now; the wrapper emits the head and
-    // the "pool.task" span on whichever lane executes it.  The extra
-    // std::function hop exists only while tracing is on.
-    const PoolTraceNames& names = pool_trace_names();
+    // Arrow tail on the submitting lane now; the wrapper emits the head on
+    // whichever lane executes it.  The extra std::function hop exists only
+    // while tracing is on.
+    const obs::trace::NameId name = submit_flow_name();
     const std::uint32_t flow = obs::trace::next_flow_id();
-    obs::trace::flow_begin(names.submit, flow);
-    task = [inner = std::move(task), &names, flow] {
-      obs::trace::flow_end(names.submit, flow);
-      obs::trace::TraceSpan span(names.task);
+    obs::trace::flow_begin(name, flow);
+    task = [inner = std::move(task), name, flow] {
+      obs::trace::flow_end(name, flow);
       inner();
     };
   }
   if (queues_.empty()) {  // no workers: run inline
     pool_metrics().submitted.add(1);
-    task();
-    pool_metrics().executed.add(1);
+    execute(task);
     return;
   }
   const std::size_t q =
@@ -158,8 +161,7 @@ bool ThreadPool::try_run_one(std::size_t home) {
   if (!task) return false;
   pending_.fetch_sub(1, std::memory_order_acq_rel);
   if (stolen) pool_metrics().stolen.add(1);
-  task();
-  pool_metrics().executed.add(1);
+  execute(task);
   return true;
 }
 

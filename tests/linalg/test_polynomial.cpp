@@ -72,6 +72,43 @@ TEST(Polynomial, GeometricSumLimit) {
   EXPECT_DOUBLE_EQ(geometric_sum_limit(0.5), 1.0);
 }
 
+// The plain full-length loops the early-exit sums must match bit for bit.
+double full_delay_polynomial(int i, double lambda) {
+  if (i <= 0) return 0.0;
+  const double l2 = lambda * lambda;
+  double term = 1.0;
+  double sum = 0.0;
+  for (int j = 0; j < i; ++j) {
+    sum += term;
+    term *= l2;
+  }
+  return sum;
+}
+
+double full_geometric_sum(int k, double lambda) {
+  double term = lambda;
+  double sum = 0.0;
+  for (int j = 1; j <= k; ++j) {
+    sum += term;
+    term *= lambda;
+  }
+  return sum;
+}
+
+TEST(Polynomial, EarlyExitSumsAreBitIdenticalToTheFullLoop) {
+  // Lambdas from tiny to the bisection's upper end (1 - 1e-12), lengths
+  // past the point where the terms stop changing the sum.
+  for (const double l : {1e-9, 0.01, 0.3, 0.5, 0.61803398874989, 0.786151378,
+                         0.9, 0.99, 0.999999, 1.0 - 1e-12}) {
+    for (const int n : {0, 1, 2, 3, 7, 64, 1000, 100'000, 1'000'000}) {
+      EXPECT_EQ(delay_polynomial(n, l), full_delay_polynomial(n, l))
+          << "lambda=" << l << " i=" << n;
+      EXPECT_EQ(geometric_sum(n, l), full_geometric_sum(n, l))
+          << "lambda=" << l << " k=" << n;
+    }
+  }
+}
+
 TEST(Polynomial, MonotoneInLambda) {
   for (int i = 2; i <= 6; ++i)
     EXPECT_LT(delay_polynomial(i, 0.3), delay_polynomial(i, 0.7));

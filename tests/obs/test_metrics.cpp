@@ -145,13 +145,6 @@ TEST(Histogram, ZeroMicrosecondsLandInBucketZero) {
   EXPECT_DOUBLE_EQ(agg.quantile_us(0.99), 0.0);
 }
 
-TEST(ScopedTimer, RecordsOnDestruction) {
-  Histogram& h = histogram("test.obs.histogram.scoped");
-  h.reset();
-  { const ScopedTimer span(h); }
-  EXPECT_EQ(h.aggregate().count, 1u);
-}
-
 TEST(Registry, SameNameReturnsSameMetric) {
   Counter& a = counter("test.obs.registry.same");
   Counter& b = counter("test.obs.registry.same");

@@ -18,10 +18,10 @@
 //
 // sweep/solve/synth accept --metrics PATH (write an obs snapshot at exit),
 // --progress (throttled stderr heartbeat with ETA and cache hit rate),
-// --trace PATH (record a span timeline: Chrome trace-event JSON for *.json,
-// binary flight-recorder bytes otherwise; analyze with `sysgo trace
-// report`), and --perf (collect perf_event counters into the --metrics
-// snapshot and --trace span args; degrades to a no-op without PMU access).
+// --trace PATH (record a span timeline as Chrome trace-event JSON, whatever
+// the extension; analyze with `sysgo trace report`), and --perf (collect
+// perf_event counters into the --metrics snapshot and --trace span args;
+// degrades to a no-op without PMU access).
 //
 // Schedule files use the io/protocol_text format ("sysgo-schedule v1").
 // All numeric flags go through util/parse: garbage ("--threads 4x"),
@@ -106,10 +106,9 @@ int usage() {
                "CSV for *.csv)\n"
                "      --progress     throttled stderr heartbeat: done/total, "
                "ETA, cache hit rate\n"
-               "      --trace PATH   record a span timeline: Chrome "
-               "trace-event JSON for *.json\n"
-               "                     (chrome://tracing / Perfetto), binary "
-               "flight bytes otherwise\n"
+               "      --trace PATH   record a span timeline as Chrome "
+               "trace-event JSON\n"
+               "                     (chrome://tracing / Perfetto)\n"
                "      --perf         collect perf_event counters (cycles, "
                "IPC, cache misses)\n"
                "                     into --metrics rollups and --trace span "
@@ -157,8 +156,7 @@ int usage() {
                "      render the metric catalog (zeros in a fresh process) — "
                "the --metrics schema\n"
                "  sysgo trace report <PATH> [--top K]\n"
-               "      analyze a --trace file (JSON or flight binary): "
-               "critical path,\n"
+               "      analyze a --trace file (Chrome JSON): critical path,\n"
                "      per-worker utilization, span-duration top-K, per-stage "
                "breakdown\n"
                "  sysgo bench compare <BASELINE.json> <CURRENT.json> "
@@ -207,9 +205,12 @@ int cmd_bound(int argc, char** argv) {
   const int s = std::strcmp(argv[0], "inf") == 0
                     ? sysgo::core::kUnboundedPeriod
                     : sysgo::util::parse_int_in(argv[0], "<s>", {3, 1 << 30});
-  const auto duplex = (argc >= 2 && std::strcmp(argv[1], "full") == 0)
-                          ? sysgo::core::Duplex::kFull
-                          : sysgo::core::Duplex::kHalf;
+  const std::string mode = argc >= 2 ? argv[1] : "half";
+  if (mode != "half" && mode != "full")
+    throw std::invalid_argument("bound: duplex must be half or full, got '" +
+                                mode + "'");
+  const auto duplex = mode == "full" ? sysgo::core::Duplex::kFull
+                                     : sysgo::core::Duplex::kHalf;
   const double lam = sysgo::core::lambda_star(s, duplex);
   std::printf("s=%s duplex=%s lambda*=%.9f e(s)=%.6f\n", argv[0],
               duplex == sysgo::core::Duplex::kFull ? "full" : "half", lam,
@@ -429,17 +430,22 @@ int stream_spec(const sysgo::engine::ScenarioSpec& spec,
       if (cfg.progress) meter.tick();
     };
   }
-  engine::SweepRunner runner(opts);
-  meter.attach(&runner);
-  const auto records = runner.run_jobs(jobs, spec.limits);
+  auto runner = std::make_unique<engine::SweepRunner>(opts);
+  meter.attach(runner.get());
+  const auto records = runner->run_jobs(jobs, spec.limits);
   if (cfg.progress) meter.finish();
+  const auto stats = runner->cache_stats();
+  const auto rs = runner->run_stats();
+  // Join a --threads pool before the trace and metrics are written: pool
+  // closures still queued when the last record came in run first, inside
+  // their pool.task scopes.
+  runner.reset();
   if (!cfg.trace_path.empty()) {
     sysgo::obs::trace::set_enabled(false);
     sysgo::obs::trace::write_trace_file(cfg.trace_path);
     std::fprintf(stderr, "trace: wrote %s\n", cfg.trace_path.c_str());
   }
   if (cfg.json) std::fputs("]\n", stdout);
-  const auto stats = runner.cache_stats();
   const double hit_pct =
       stats.hits + stats.misses > 0
           ? 100.0 * static_cast<double>(stats.hits) /
@@ -458,7 +464,6 @@ int stream_spec(const sysgo::engine::ScenarioSpec& spec,
     sysgo::obs::write_metrics_file(cfg.metrics_path);
   }
   if (store != nullptr) {
-    const auto rs = runner.run_stats();
     std::fprintf(stderr,
                  "store: hits=%zu executed=%zu conflicts=%zu "
                  "(%zu records in %s)\n",
@@ -888,9 +893,9 @@ int cmd_bench(int argc, char** argv) {
 
 // ---------------------------------------------------------------- trace
 
-/// `sysgo trace report <PATH> [--top K]`: parse a saved trace (Chrome JSON
-/// or flight binary, auto-detected) and print the derived tables — critical
-/// path, per-worker utilization, top-K spans, per-stage breakdown.
+/// `sysgo trace report <PATH> [--top K]`: parse a saved Chrome JSON trace
+/// and print the derived tables — critical path, per-worker utilization,
+/// top-K spans, per-stage breakdown.
 int cmd_trace(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[0], "report") != 0) return usage();
   const std::string path = argv[1];
@@ -907,11 +912,7 @@ int cmd_trace(int argc, char** argv) {
       return usage();
     }
   }
-  std::ifstream in(path, std::ios::binary);  // flight bytes are binary
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto dump = sysgo::obs::trace::parse_trace(buf.str());
+  const auto dump = sysgo::obs::trace::parse_chrome_json(read_file(path));
   const auto report = sysgo::obs::trace::analyze(dump, opts);
   std::fputs(sysgo::obs::trace::report_text(report).c_str(), stdout);
   return 0;
