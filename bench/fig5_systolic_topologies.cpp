@@ -2,9 +2,9 @@
 // half-duplex/directed gossip on Butterfly, Wrapped Butterfly, de Bruijn
 // and Kautz families (Theorem 5.1 + Lemma 3.1), s = 3..8.
 //
-// The table is produced by the sweep engine (engine::fig5_spec) rather than
-// a bespoke families×periods loop; the benchmark measures a full engine
-// sweep and the single-entry separator-bound kernel.
+// The table comes from core::fig5_rows, the one generator behind `sysgo
+// table fig5` (and its spelling `sysgo sweep fig5`); the benchmark measures
+// that generator and the single-entry separator-bound kernel.
 //
 // Quoted checkpoints: WBF(2,D) @ s=4 -> 2.0218, DB(2,D) @ s=4 -> 1.8133.
 #include <benchmark/benchmark.h>
@@ -16,33 +16,26 @@
 
 #include "core/separator_bound.hpp"
 #include "core/tables.hpp"
-#include "engine/figures.hpp"
-#include "engine/sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
+
+const std::vector<int> kPeriods{3, 4, 5, 6, 7, 8};
 
 void print_fig5() {
   std::printf(
       "=== Fig. 5: systolic half-duplex/directed bounds for specific networks ===\n");
   std::printf("entries: e(s) such that t >= e(s)*log2(n)*(1 - o(1))\n\n");
-  const auto spec = sysgo::engine::fig5_spec();
   std::vector<std::string> header{"network", "alpha", "l"};
-  for (int s : spec.periods) header.push_back("s=" + sysgo::core::period_label(s));
+  for (int s : kPeriods) header.push_back("s=" + sysgo::core::period_label(s));
   sysgo::util::Table table(header);
-
-  sysgo::engine::SweepRunner runner;
-  const auto records = runner.run(spec);
-  // Expansion order: one (family, d) row per spec.periods.size() records.
-  const std::size_t stride = spec.periods.size();
-  for (std::size_t i = 0; i + stride <= records.size(); i += stride) {
-    const auto& first = records[i];
+  for (const auto& row : sysgo::core::fig5_rows(kPeriods)) {
     std::vector<std::string> cells{
-        sysgo::topology::family_name(first.key.family, first.key.d),
-        sysgo::util::format_fixed(first.alpha, 4),
-        sysgo::util::format_fixed(first.ell, 4)};
-    for (std::size_t j = 0; j < stride; ++j)
-      cells.push_back(sysgo::util::format_fixed(records[i + j].e, 4));
+        sysgo::topology::family_name(row.family, row.d),
+        sysgo::util::format_fixed(row.alpha, 4),
+        sysgo::util::format_fixed(row.ell, 4)};
+    for (double e : row.e_by_period)
+      cells.push_back(sysgo::util::format_fixed(e, 4));
     table.add_row(std::move(cells));
   }
   std::printf("%s", table.str().c_str());
@@ -68,14 +61,13 @@ BENCHMARK(BM_Fig5Entry)
     ->Name("fig5/separator_bound")
     ->ArgsProduct({{0, 4, 8, 12}, {3, 4, 8}});
 
-void BM_Fig5Sweep(benchmark::State& state) {
+void BM_Fig5Rows(benchmark::State& state) {
   for (auto _ : state) {
-    sysgo::engine::SweepRunner runner;
-    const auto records = runner.run(sysgo::engine::fig5_spec());
-    benchmark::DoNotOptimize(records);
+    const auto rows = sysgo::core::fig5_rows(kPeriods);
+    benchmark::DoNotOptimize(rows);
   }
 }
-BENCHMARK(BM_Fig5Sweep)->Name("fig5/engine_sweep")->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fig5Rows)->Name("fig5/full_table")->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,19 +2,18 @@
 // bounds for specific networks, compared with the trivial diameter bound
 // (the paper's "diam." entries) and the 1.4404 general bound.
 //
-// The table is produced by the sweep engine (engine::fig6_spec); the
-// benchmark measures the full engine sweep.
+// The table comes from core::fig6_rows, the one generator behind `sysgo
+// table fig6` (and its spelling `sysgo sweep fig6`); the benchmark measures
+// that generator.
 //
 // Quoted checkpoints: WBF(2,D) -> 1.9750, DB(2,D) -> 1.5876.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
-#include "engine/figures.hpp"
-#include "engine/sweep.hpp"
+#include "core/tables.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -23,27 +22,20 @@ void print_fig6() {
   std::printf("=== Fig. 6: non-systolic half-duplex/directed bounds ===\n");
   std::printf("entries multiply log2(n)*(1 - o(1)); general bound = 1.4404\n\n");
   sysgo::util::Table table({"network", "matrix bound", "diameter", "best"});
-  sysgo::engine::SweepRunner runner;
-  const auto records = runner.run(sysgo::engine::fig6_spec());
-  // Expansion order: a kBound record at s = ∞ then kDiameterBound per row.
-  for (std::size_t i = 0; i + 2 <= records.size(); i += 2) {
-    const auto& matrix = records[i];
-    const auto& diam = records[i + 1];
-    table.add_row({sysgo::topology::family_name(matrix.key.family, matrix.key.d),
-                   sysgo::util::format_fixed(matrix.e, 4),
-                   sysgo::util::format_fixed(diam.e, 4),
-                   sysgo::util::format_fixed(std::max(matrix.e, diam.e), 4)});
-  }
+  for (const auto& row : sysgo::core::fig6_rows())
+    table.add_row({sysgo::topology::family_name(row.family, row.d),
+                   sysgo::util::format_fixed(row.e_matrix, 4),
+                   sysgo::util::format_fixed(row.e_diameter, 4),
+                   sysgo::util::format_fixed(row.e_best, 4)});
   std::printf("%s\n", table.str().c_str());
 }
 
 void BM_Fig6AllRows(benchmark::State& state) {
   std::size_t rows = 0;
   for (auto _ : state) {
-    sysgo::engine::SweepRunner runner;
-    const auto records = runner.run(sysgo::engine::fig6_spec());
-    rows = records.size() / 2;
-    benchmark::DoNotOptimize(records);
+    const auto table = sysgo::core::fig6_rows();
+    rows = table.size();
+    benchmark::DoNotOptimize(table);
   }
   state.counters["rows"] = static_cast<double>(rows);
 }

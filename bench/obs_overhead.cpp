@@ -6,7 +6,7 @@
 // that are instrumented per task / per chunk, never per inner-loop step).
 // A third table section pins --perf the same way: the obs::Scope perf
 // reads (two perf_event group reads per scope: per job, per store call,
-// per pool closure) must stay under 3% on the sweep workload.  The same
+// per pool region stay) must stay under 3% on the sweep workload.  The same
 // workloads are also registered as google benchmarks, so
 // BENCH_obs_overhead.json carries machine-readable on/off medians.
 #include <benchmark/benchmark.h>

@@ -1,10 +1,10 @@
 // Tracing overhead guard: the same sweep and synthesis workloads run with
 // span recording OFF (the default: one relaxed atomic load per obs::Scope)
-// and ACTIVELY RECORDING (every scope's span and the pool's flow arrows
-// land in the per-lane rings), interleaved rep by rep so machine drift
-// hits both arms equally.  The src/obs/ contract pins the
-// actively-recording delta under 3% — spans are per task / per restart /
-// per BFS layer / per pool closure, never per inner-loop step, and a ring
+// and ACTIVELY RECORDING (every scope's span lands in the per-lane rings;
+// every event is a span), interleaved rep by rep so machine drift hits
+// both arms equally.  The src/obs/ contract pins the actively-recording
+// delta under 3% — spans are per task / per restart / per BFS layer / per
+// worker's stay in a pool region, never per inner-loop step, and a ring
 // write is a handful of relaxed stores.  Rings are rewound between reps
 // so the recording arm pays steady-state cost, not allocation.  The
 // workloads are also registered as google benchmarks for

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/audit.hpp"
 #include "linalg/matrix.hpp"
@@ -12,23 +13,25 @@
 namespace sysgo::analysis {
 namespace {
 
-// Rounds (1-based) within the window where `vertex` has an incoming /
-// outgoing activation, read off the compiled role tables.
+// Rounds (1-based) within the window where a vertex has an incoming /
+// outgoing activation.
 struct LocalRounds {
   std::vector<int> in_rounds;
   std::vector<int> out_rounds;
 };
 
-LocalRounds local_rounds(const protocol::CompiledSchedule& cs, int vertex,
-                         int window) {
-  using protocol::RoundRole;
-  LocalRounds lr;
-  for (int i = 1; i <= window; ++i) {
-    const RoundRole role = cs.role(cs.round_index(i), vertex);
-    if (role == RoundRole::kIdle) continue;
-    if (role != RoundRole::kSend) lr.in_rounds.push_back(i);
-    if (role != RoundRole::kReceive) lr.out_rounds.push_back(i);
-  }
+// Every vertex's local rounds in one pass over the window's arcs: an arc
+// is an outgoing activation of its tail and an incoming one of its head (a
+// full-duplex round holds both arcs of each pair).  A round is a matching,
+// so each list gains at most one entry per round and stays ascending.
+std::vector<LocalRounds> local_rounds(const protocol::CompiledSchedule& cs,
+                                      int window) {
+  std::vector<LocalRounds> lr(static_cast<std::size_t>(cs.n()));
+  for (int i = 1; i <= window; ++i)
+    for (const graph::Arc& a : cs.round_arcs(cs.round_index(i))) {
+      lr[static_cast<std::size_t>(a.tail)].out_rounds.push_back(i);
+      lr[static_cast<std::size_t>(a.head)].in_rounds.push_back(i);
+    }
   return lr;
 }
 
@@ -45,21 +48,30 @@ linalg::Matrix local_matrix(const LocalRounds& lr, int s, double lambda) {
   return m;
 }
 
+// The exact norm of one vertex's local delay matrix (0 when it never
+// relays).
+double local_norm(const LocalRounds& lr, int s, double lambda) {
+  if (lr.in_rounds.empty() || lr.out_rounds.empty()) return 0.0;
+  return linalg::operator_norm(local_matrix(lr, s, lambda)).value;
+}
+
+void check_args(const protocol::CompiledSchedule& cs, double lambda,
+                const char* who) {
+  if (!(lambda > 0.0 && lambda < 1.0))
+    throw std::invalid_argument(std::string(who) + ": need 0 < lambda < 1");
+  cs.require_periodic(who);  // the window spans `periods` periods
+}
+
 }  // namespace
 
 double exact_local_norm(const protocol::CompiledSchedule& cs, int vertex,
                         double lambda, int periods) {
-  if (!(lambda > 0.0 && lambda < 1.0))
-    throw std::invalid_argument("exact_local_norm: need 0 < lambda < 1");
-  cs.require_periodic("exact_local_norm");  // window spans `periods` periods
-  // Match the legacy arc scan: a vertex outside the network matches no
-  // activation and has norm 0 (no out-of-bounds table read).
+  check_args(cs, lambda, "exact_local_norm");
+  // A vertex outside the network matches no activation and has norm 0.
   if (vertex < 0 || vertex >= cs.n()) return 0.0;
-  const int window = periods * cs.period_length();
-  const auto lr = local_rounds(cs, vertex, window);
-  if (lr.in_rounds.empty() || lr.out_rounds.empty()) return 0.0;
-  return linalg::operator_norm(local_matrix(lr, cs.period_length(), lambda))
-      .value;
+  const auto lr = local_rounds(cs, periods * cs.period_length());
+  return local_norm(lr[static_cast<std::size_t>(vertex)], cs.period_length(),
+                    lambda);
 }
 
 double exact_local_norm(const protocol::SystolicSchedule& sched, int vertex,
@@ -70,8 +82,9 @@ double exact_local_norm(const protocol::SystolicSchedule& sched, int vertex,
 
 std::vector<VertexGapRow> audit_gap_report(const protocol::CompiledSchedule& cs,
                                            double lambda, int periods) {
-  cs.require_periodic("audit_gap_report");
+  check_args(cs, lambda, "audit_gap_report");
   const auto acts = core::vertex_activities(cs);
+  const auto lr = local_rounds(cs, periods * cs.period_length());
   std::vector<VertexGapRow> rows;
   rows.reserve(acts.size());
   for (int v = 0; v < cs.n(); ++v) {
@@ -79,7 +92,8 @@ std::vector<VertexGapRow> audit_gap_report(const protocol::CompiledSchedule& cs,
     row.vertex = v;
     row.left_rounds = acts[static_cast<std::size_t>(v)].left_rounds;
     row.right_rounds = acts[static_cast<std::size_t>(v)].right_rounds;
-    row.exact_norm = exact_local_norm(cs, v, lambda, periods);
+    row.exact_norm = local_norm(lr[static_cast<std::size_t>(v)],
+                                cs.period_length(), lambda);
     row.analytic_bound =
         core::vertex_norm_bound(acts[static_cast<std::size_t>(v)],
                                 cs.period_length(), lambda, cs.mode());

@@ -25,16 +25,17 @@ struct VertexGapRow {
 /// Per-vertex exact-vs-analytic local norms at the given λ, over a window
 /// of `periods` schedule periods.  Rows are sorted by descending analytic
 /// bound (the certificate's binding vertices first).  The compiled overload
-/// reads activations off the per-round role tables and requires a periodic
-/// schedule (the window spans `periods` repetitions); the schedule overload
-/// compiles once and delegates.
+/// derives every vertex's in/out activation rounds in one pass over the
+/// window's arcs and requires a periodic schedule (the window spans
+/// `periods` repetitions); the schedule overload compiles once and
+/// delegates.
 [[nodiscard]] std::vector<VertexGapRow> audit_gap_report(
     const protocol::CompiledSchedule& cs, double lambda, int periods = 4);
 [[nodiscard]] std::vector<VertexGapRow> audit_gap_report(
     const protocol::SystolicSchedule& sched, double lambda, int periods = 4);
 
 /// The exact local norm of one vertex over the window (0 when the vertex
-/// never relays).
+/// never relays, or lies outside [0, n)).
 [[nodiscard]] double exact_local_norm(const protocol::CompiledSchedule& cs,
                                       int vertex, double lambda, int periods = 4);
 [[nodiscard]] double exact_local_norm(const protocol::SystolicSchedule& sched,

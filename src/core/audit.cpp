@@ -14,17 +14,23 @@ namespace sysgo::core {
 
 std::vector<VertexActivity> vertex_activities(
     const protocol::CompiledSchedule& cs) {
-  using protocol::RoundRole;
   std::vector<VertexActivity> acts(static_cast<std::size_t>(cs.n()));
+  const bool full = cs.mode() == protocol::Mode::kFullDuplex;
   for (int r = 0; r < cs.round_count(); ++r) {
-    const auto roles = cs.roles(r);
-    for (int v = 0; v < cs.n(); ++v) {
-      const RoundRole role = roles[static_cast<std::size_t>(v)];
-      if (role == RoundRole::kIdle) continue;
-      auto& act = acts[static_cast<std::size_t>(v)];
-      if (role != RoundRole::kSend) ++act.left_rounds;      // receive/exchange
-      if (role != RoundRole::kReceive) ++act.right_rounds;  // send/exchange
-      act.active_rounds.push_back(r);
+    // A round is a matching, so a vertex is an endpoint of at most one arc
+    // (half duplex) or pair (full duplex): one entry per active round, in
+    // round order.
+    for (const graph::Arc& a : cs.round_pairs(r)) {
+      auto& tail = acts[static_cast<std::size_t>(a.tail)];
+      auto& head = acts[static_cast<std::size_t>(a.head)];
+      ++tail.right_rounds;  // sends, or exchanges
+      ++head.left_rounds;   // receives, or exchanges
+      if (full) {
+        ++tail.left_rounds;
+        ++head.right_rounds;
+      }
+      tail.active_rounds.push_back(r);
+      head.active_rounds.push_back(r);
     }
   }
   return acts;

@@ -49,13 +49,13 @@ struct VertexActivity {
                           const VertexActivity&) = default;
 };
 
-/// Summaries for every vertex of a compiled period, read straight off the
-/// per-round role tables.
+/// Summaries for every vertex of a compiled period, from one walk over each
+/// round's arc span (half duplex) or pair span (full duplex).
 [[nodiscard]] std::vector<VertexActivity> vertex_activities(
     const protocol::CompiledSchedule& cs);
 
 /// Summaries for every vertex of a schedule's period (compiles once, which
-/// validates the schedule, then reads the tables).
+/// validates the schedule, then walks the rounds).
 [[nodiscard]] std::vector<VertexActivity> vertex_activities(
     const protocol::SystolicSchedule& sched);
 

@@ -67,7 +67,8 @@ struct SweepJob {
 };
 
 /// Per-task execution limits shared by every job of a run.  solve_threads
-/// is the INNER solver parallelism (jobs already run concurrently on the
+/// is the INNER solver parallelism (decoded by util::pool_for, like
+/// synth_threads; jobs already run concurrently on the
 /// runner's pool; solver results are thread-count independent either way).
 /// simulate_parallel_rounds turns on the simulator's within-round parallel
 /// merges (GossipOptions::parallel) — a toggle, not a degree: the merges

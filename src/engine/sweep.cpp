@@ -60,20 +60,6 @@ struct InflightGuard {
   ~InflightGuard() { engine_metrics().jobs_inflight.add(-1); }
 };
 
-/// Run body(i) for i in [0, count) honoring the options' threading choice:
-/// serial, the process-wide pool, or a private pool of `threads` lanes.
-void run_indexed_with_options(const SweepOptions& opts,
-                              util::ThreadPool* own_pool, std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
-  if (opts.threads == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  util::ThreadPool& pool =
-      own_pool != nullptr ? *own_pool : util::ThreadPool::instance();
-  pool.run_indexed(count, body);
-}
-
 }  // namespace
 
 // ------------------------------------------------------------ ArtifactCache
@@ -120,10 +106,8 @@ void ArtifactCache::clear() {
 
 // -------------------------------------------------------------- SweepRunner
 
-SweepRunner::SweepRunner(SweepOptions opts) : opts_(std::move(opts)) {
-  if (opts_.threads > 1)
-    own_pool_ = std::make_unique<util::ThreadPool>(opts_.threads - 1);
-}
+SweepRunner::SweepRunner(SweepOptions opts)
+    : opts_(std::move(opts)), pool_(&util::pool_for(opts_.threads, own_pool_)) {}
 
 SweepRunner::~SweepRunner() = default;
 
@@ -335,11 +319,10 @@ SweepRunner::RunStats SweepRunner::run_stats() const {
 std::vector<SweepRecord> SweepRunner::run_jobs(const std::vector<SweepJob>& jobs,
                                                const ExecutionLimits& limits) {
   std::vector<SweepRecord> records(jobs.size());
-  run_indexed_with_options(opts_, own_pool_.get(), jobs.size(),
-                           [&](std::size_t i) {
-                             records[i] = run_or_fetch(jobs[i], limits);
-                             if (opts_.on_record) opts_.on_record(i, records[i]);
-                           });
+  pool_->run_indexed(jobs.size(), [&](std::size_t i) {
+    records[i] = run_or_fetch(jobs[i], limits);
+    if (opts_.on_record) opts_.on_record(i, records[i]);
+  });
   return records;
 }
 
@@ -351,26 +334,21 @@ std::vector<SweepRecord> SweepRunner::run(const ScenarioSpec& spec) {
 
 std::vector<CaseRecord> run_cases(const std::vector<ScheduleCase>& cases,
                                   const SweepOptions& opts) {
-  std::unique_ptr<util::ThreadPool> own_pool;
-  if (opts.threads > 1)
-    own_pool = std::make_unique<util::ThreadPool>(opts.threads - 1);
+  std::unique_ptr<util::ThreadPool> own;
   std::vector<CaseRecord> records(cases.size());
-  run_indexed_with_options(opts, own_pool.get(), cases.size(),
-                           [&](std::size_t i) {
-                             const obs::WallTimer timer;
-                             const ScheduleCase& c = cases[i];
-                             CaseRecord& r = records[i];
-                             r.name = c.name;
-                             r.n = c.schedule.n;
-                             r.s = c.schedule.period_length();
-                             const auto compiled =
-                                 protocol::CompiledSchedule::compile(c.schedule);
-                             thread_local simulator::GossipArena arena;
-                             r.measured = simulator::gossip_time(
-                                 compiled, c.max_rounds, {}, arena);
-                             r.audit = core::audit_schedule(compiled);
-                             r.millis = timer.millis();
-                           });
+  util::pool_for(opts.threads, own).run_indexed(cases.size(), [&](std::size_t i) {
+    const obs::WallTimer timer;
+    const ScheduleCase& c = cases[i];
+    CaseRecord& r = records[i];
+    r.name = c.name;
+    r.n = c.schedule.n;
+    r.s = c.schedule.period_length();
+    const auto compiled = protocol::CompiledSchedule::compile(c.schedule);
+    thread_local simulator::GossipArena arena;
+    r.measured = simulator::gossip_time(compiled, c.max_rounds, {}, arena);
+    r.audit = core::audit_schedule(compiled);
+    r.millis = timer.millis();
+  });
   return records;
 }
 

@@ -81,10 +81,10 @@ class ArtifactCache {
 };
 
 struct SweepOptions {
-  /// 0: run on the process-wide pool; 1: the job loop runs on the calling
-  /// thread (individual jobs may still use the process-wide pool
-  /// internally, e.g. diameter BFS); k > 1: a private pool with k lanes
-  /// (k - 1 workers plus the calling thread).
+  /// Lanes of the job loop, decoded by util::pool_for: 0 = the
+  /// process-wide pool; k >= 1 = a private pool of k - 1 workers plus the
+  /// calling thread (1: the job loop runs on the caller; individual jobs
+  /// may still use the process-wide pool internally, e.g. diameter BFS).
   unsigned threads = 0;
   bool use_cache = true;
   /// Persistent result store (not owned; must outlive the runner).  When
@@ -144,7 +144,8 @@ class SweepRunner {
 
   SweepOptions opts_;
   ArtifactCache cache_;
-  std::unique_ptr<util::ThreadPool> own_pool_;
+  std::unique_ptr<util::ThreadPool> own_pool_;  // threads >= 1
+  util::ThreadPool* pool_;                      // own_pool_ or instance()
   std::atomic<std::size_t> executed_{0};
   std::atomic<std::size_t> store_hits_{0};
   std::atomic<std::size_t> store_conflicts_{0};

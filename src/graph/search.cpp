@@ -4,7 +4,7 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "util/parallel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sysgo::graph {
 namespace {
@@ -60,8 +60,8 @@ int diameter(const Digraph& g) {
   if (n == 0) return 0;
   std::atomic<int> worst{0};
   std::atomic<bool> disconnected{false};
-  util::parallel_for_blocks(
-      0, static_cast<std::size_t>(n),
+  util::ThreadPool::instance().run_blocks(
+      static_cast<std::size_t>(n),
       [&](std::size_t lo, std::size_t hi) {
         std::vector<int> dist(static_cast<std::size_t>(n));
         std::vector<int> queue;

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/parallel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sysgo::linalg {
 
@@ -54,7 +54,7 @@ std::vector<double> SparseMatrix::mul(std::span<const double> x,
     }
   };
   if (parallel)
-    util::parallel_for_blocks(0, rows_, kernel, 4096);
+    util::ThreadPool::instance().run_blocks(rows_, kernel, 4096);
   else
     kernel(0, rows_);
   return y;

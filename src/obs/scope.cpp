@@ -42,8 +42,8 @@ Scope::~Scope() {
   site_.micros_.record_micros(timer_.micros());
   if (perf_armed_) charge_perf();
   if (traced_)
-    trace::emit(trace::EventKind::kComplete, site_.span_name_, start_us_,
-                trace::now_us() - start_us_, 0, args_.data(), argc_);
+    trace::emit(site_.span_name_, start_us_, trace::now_us() - start_us_,
+                args_.data(), argc_);
 }
 
 void Scope::arg(std::string_view key, std::int64_t value) {

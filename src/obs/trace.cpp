@@ -52,10 +52,8 @@ struct Slot {
   std::atomic<std::uint64_t> ts{0};
   std::atomic<std::uint64_t> dur{0};
   std::atomic<NameId> name{0};
-  std::atomic<std::uint8_t> kind{0};
   std::atomic<std::uint8_t> argc{0};
   std::atomic<std::uint8_t> smask{0};
-  std::atomic<std::uint32_t> flow{0};
   std::array<std::atomic<NameId>, kMaxArgs> keys{};
   std::array<std::atomic<std::int64_t>, kMaxArgs> vals{};
 };
@@ -200,16 +198,8 @@ void set_this_lane_name(std::string_view name) {
   t_pending_name.assign(name.data(), name.size());
 }
 
-std::uint32_t next_flow_id() noexcept {
-  static std::atomic<std::uint32_t> next{1};
-  std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
-  if (id == 0) id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
-void emit(EventKind kind, NameId name, std::uint64_t ts_us,
-          std::uint64_t dur_us, std::uint32_t flow_id, const Arg* args,
-          std::size_t arg_count) noexcept {
+void emit(NameId name, std::uint64_t ts_us, std::uint64_t dur_us,
+          const Arg* args, std::size_t arg_count) noexcept {
   if (!enabled()) return;
   Lane& lane = this_lane();
   const std::uint64_t idx = lane.head.load(std::memory_order_relaxed);
@@ -220,7 +210,6 @@ void emit(EventKind kind, NameId name, std::uint64_t ts_us,
   s.ts.store(ts_us, std::memory_order_relaxed);
   s.dur.store(dur_us, std::memory_order_relaxed);
   s.name.store(name, std::memory_order_relaxed);
-  s.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
   const auto argc =
       static_cast<std::uint8_t>(std::min(arg_count, kMaxArgs));
   s.argc.store(argc, std::memory_order_relaxed);
@@ -231,19 +220,8 @@ void emit(EventKind kind, NameId name, std::uint64_t ts_us,
     if (args[a].is_string) smask |= static_cast<std::uint8_t>(1u << a);
   }
   s.smask.store(smask, std::memory_order_relaxed);
-  s.flow.store(flow_id, std::memory_order_relaxed);
   s.seq.store(2 * (idx + 1), std::memory_order_release);
   lane.head.store(idx + 1, std::memory_order_release);
-}
-
-void flow_begin(NameId name, std::uint32_t flow_id) noexcept {
-  if (!enabled()) return;
-  emit(EventKind::kFlowBegin, name, now_us(), 0, flow_id, nullptr, 0);
-}
-
-void flow_end(NameId name, std::uint32_t flow_id) noexcept {
-  if (!enabled()) return;
-  emit(EventKind::kFlowEnd, name, now_us(), 0, flow_id, nullptr, 0);
 }
 
 // -------------------------------------------------------------------- drain
@@ -279,11 +257,9 @@ TraceDump drain() {
       e.ts_us = s.ts.load(std::memory_order_relaxed);
       e.dur_us = s.dur.load(std::memory_order_relaxed);
       e.name = s.name.load(std::memory_order_relaxed);
-      e.kind = static_cast<EventKind>(s.kind.load(std::memory_order_relaxed));
       e.arg_count = std::min<std::uint8_t>(
           s.argc.load(std::memory_order_relaxed), kMaxArgs);
       e.str_mask = s.smask.load(std::memory_order_relaxed);
-      e.flow_id = s.flow.load(std::memory_order_relaxed);
       for (std::size_t a = 0; a < e.arg_count; ++a) {
         e.arg_keys[a] = s.keys[a].load(std::memory_order_relaxed);
         e.arg_vals[a] = s.vals[a].load(std::memory_order_relaxed);
@@ -333,22 +309,11 @@ std::string to_chrome_json(const TraceDump& dump) {
     }
     for (const Event& e : lane.events) {
       sep();
-      const char* ph = "X";
-      if (e.kind == EventKind::kFlowBegin) ph = "s";
-      if (e.kind == EventKind::kFlowEnd) ph = "f";
-      out += "{\"ph\":\"";
-      out += ph;
-      out += "\",\"pid\":1,\"tid\":" + std::to_string(l) +
-             ",\"ts\":" + std::to_string(e.ts_us);
-      if (e.kind == EventKind::kComplete)
-        out += ",\"dur\":" + std::to_string(e.dur_us);
-      out += ",\"name\":";
+      out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(l) +
+             ",\"ts\":" + std::to_string(e.ts_us) +
+             ",\"dur\":" + std::to_string(e.dur_us) + ",\"name\":";
       append_json_string(out, string_of(dump, e.name));
       out += ",\"cat\":\"sysgo\"";
-      if (e.kind == EventKind::kFlowBegin || e.kind == EventKind::kFlowEnd) {
-        out += ",\"id\":" + std::to_string(e.flow_id);
-        if (e.kind == EventKind::kFlowEnd) out += ",\"bp\":\"e\"";
-      }
       append_args(out, dump, e);
       out += '}';
     }

@@ -9,12 +9,9 @@
 // ring keeps only the last N events per lane, so always-on recording is a
 // bounded-memory flight recorder: a drain holds the tail of the run.
 //
-// Two event shapes:
-//  * Complete — a span [ts, ts+dur) emitted once at span end, carrying up
-//    to kMaxArgs key/value args.  Every span comes from an obs::Scope
-//    (obs/scope.hpp), which names it after its site.
-//  * Flow     — begin/end pairs sharing a flow id, rendered as arrows in
-//    Chrome tracing (thread-pool submit → execute).
+// One event shape: a complete span [ts, ts+dur) emitted once at span end,
+// carrying up to kMaxArgs key/value args.  Every span comes from an
+// obs::Scope (obs/scope.hpp), which names it after its site.
 //
 // One exporter: Chrome trace-event JSON (loadable in chrome://tracing and
 // Perfetto; deterministic field ordering); src/obs/trace_report.* parses it
@@ -61,15 +58,6 @@ void set_ring_capacity(std::size_t events_per_lane);
 /// Unnamed lanes render as "lane-<k>" in creation order.
 void set_this_lane_name(std::string_view name);
 
-/// Monotonic flow-arrow ids (never 0) pairing kFlowBegin with kFlowEnd.
-[[nodiscard]] std::uint32_t next_flow_id() noexcept;
-
-enum class EventKind : std::uint8_t {
-  kComplete,   // span: [ts_us, ts_us + dur_us)
-  kFlowBegin,  // arrow tail at ts_us (flow_id pairs it with its head)
-  kFlowEnd,    // arrow head at ts_us
-};
-
 // 8 fits str_mask's uint8 bit-per-arg exactly; the widest emitter is a
 // search.layer span under --perf (its five args + the three perf args).
 inline constexpr std::size_t kMaxArgs = 8;
@@ -82,27 +70,22 @@ struct Arg {
   bool is_string = false;
 };
 
-/// Drained event (also the payload layout of a ring slot).
+/// Drained event — a span [ts_us, ts_us + dur_us) — and the payload
+/// layout of a ring slot.
 struct Event {
   std::uint64_t ts_us = 0;
-  std::uint64_t dur_us = 0;   // kComplete only
+  std::uint64_t dur_us = 0;
   NameId name = 0;
-  EventKind kind = EventKind::kComplete;
   std::uint8_t arg_count = 0;
   std::uint8_t str_mask = 0;  // bit i: arg_vals[i] is a string-table id
-  std::uint32_t flow_id = 0;  // kFlowBegin/kFlowEnd only
   std::array<NameId, kMaxArgs> arg_keys{};
   std::array<std::int64_t, kMaxArgs> arg_vals{};
 };
 
-/// Record an event on this thread's lane (no-op when disabled).  `args`
+/// Record a span on this thread's lane (no-op when disabled).  `args`
 /// beyond kMaxArgs are ignored.
-void emit(EventKind kind, NameId name, std::uint64_t ts_us,
-          std::uint64_t dur_us, std::uint32_t flow_id, const Arg* args,
-          std::size_t arg_count) noexcept;
-
-void flow_begin(NameId name, std::uint32_t flow_id) noexcept;
-void flow_end(NameId name, std::uint32_t flow_id) noexcept;
+void emit(NameId name, std::uint64_t ts_us, std::uint64_t dur_us,
+          const Arg* args, std::size_t arg_count) noexcept;
 
 // -------------------------------------------------------------------- drain
 
@@ -132,10 +115,11 @@ void reset_for_testing();
 // ---------------------------------------------------------------- exporters
 
 /// Chrome trace-event JSON: {"traceEvents": [...], "displayTimeUnit":"ms"}.
-/// Lanes map to tids in creation order with thread_name metadata; field
-/// order within an event object is fixed (ph, pid, tid, ts, dur, name, cat,
-/// id, bp, args) and args keys render in recorded order, so the document
-/// layout is deterministic.  Load in chrome://tracing or ui.perfetto.dev.
+/// Lanes map to tids in creation order with thread_name metadata; every
+/// event is a complete span ("ph":"X"), field order within an event object
+/// is fixed (ph, pid, tid, ts, dur, name, cat, args) and args keys render
+/// in recorded order, so the document layout is deterministic.  Load in
+/// chrome://tracing or ui.perfetto.dev.
 [[nodiscard]] std::string to_chrome_json(const TraceDump& dump);
 
 /// Drain and atomically write the Chrome JSON to `path` (the `--trace PATH`

@@ -99,18 +99,13 @@ TraceDump parse_chrome_json(const std::string& json) {
       }
       continue;
     }
+    if (ph->str != "X") continue;  // foreign phase (instants, flows): skip
     Event e;
-    if (ph->str == "X") e.kind = EventKind::kComplete;
-    else if (ph->str == "s") e.kind = EventKind::kFlowBegin;
-    else if (ph->str == "f") e.kind = EventKind::kFlowEnd;
-    else continue;  // foreign phase: skip
     e.name = intern.id(name_str);
     // Timestamps stay below 2^62 us so ts + dur cannot wrap.
     constexpr std::uint64_t kMaxMicros = std::uint64_t{1} << 62;
     e.ts_us = bounded_field(ev, "ts", kMaxMicros);
     e.dur_us = bounded_field(ev, "dur", kMaxMicros);
-    e.flow_id = static_cast<std::uint32_t>(
-        bounded_field(ev, "id", std::uint64_t{1} << 32));
     if (args != nullptr && args->kind == json::Value::Kind::kObject) {
       for (const auto& [key, val] : args->members) {
         if (e.arg_count >= kMaxArgs) break;
@@ -187,23 +182,19 @@ double ms(std::uint64_t us) { return static_cast<double>(us) / 1000.0; }
 Report analyze(const TraceDump& dump, const ReportOptions& opts) {
   Report rep;
   std::vector<FlatSpan> spans;
-  bool any_event = false;
   std::uint64_t first = ~std::uint64_t{0};
   std::uint64_t last = 0;
   for (std::size_t l = 0; l < dump.lanes.size(); ++l) {
     const LaneDump& lane = dump.lanes[l];
     rep.dropped += lane.dropped;
     for (const Event& e : lane.events) {
-      any_event = true;
       first = std::min(first, e.ts_us);
       last = std::max(last, e.ts_us + e.dur_us);
-      if (e.kind == EventKind::kComplete) {
-        spans.push_back({l, e.name, e.ts_us, e.ts_us + e.dur_us});
-        ++rep.span_count;
-      }
+      spans.push_back({l, e.name, e.ts_us, e.ts_us + e.dur_us});
     }
   }
-  if (!any_event) return rep;
+  rep.span_count = spans.size();
+  if (spans.empty()) return rep;
   rep.first_us = first;
   rep.last_us = last;
   rep.wall_us = last - first;

@@ -16,9 +16,9 @@ namespace sysgo::obs::trace {
 /// Parse a Chrome trace-event JSON document (the to_chrome_json schema;
 /// tolerant of reordered fields and foreign events, such as other phases).
 /// Lanes are keyed by tid in order of first appearance; thread_name
-/// metadata names them.  Throws std::runtime_error on malformed input,
-/// including a negative `ts` or `dur` and a flow `id` outside the u32
-/// range.
+/// metadata names them; every phase but "X" (complete spans) and "M"
+/// (metadata) is foreign and skipped.  Throws std::runtime_error on
+/// malformed input, including a negative `ts` or `dur`.
 [[nodiscard]] TraceDump parse_chrome_json(const std::string& json);
 
 // ----------------------------------------------------------------- analysis
@@ -56,7 +56,7 @@ struct ReportOptions {
 /// gaps on it are moments when nothing was completing anywhere).
 struct Report {
   std::uint64_t first_us = 0;
-  std::uint64_t last_us = 0;   // max span end / event ts
+  std::uint64_t last_us = 0;   // max span end
   std::uint64_t wall_us = 0;   // last - first
   std::size_t span_count = 0;
   std::uint64_t dropped = 0;   // summed over lanes

@@ -29,8 +29,6 @@ CompiledSchedule CompiledSchedule::build(int n, Mode mode, bool periodic,
   cs.periodic_ = periodic;
   const std::size_t nr = rounds.size();
   cs.arc_begin_.reserve(nr + 1);
-  cs.partner_.assign(nr * static_cast<std::size_t>(n), -1);
-  cs.role_.assign(nr * static_cast<std::size_t>(n), RoundRole::kIdle);
   if (mode == Mode::kFullDuplex) cs.pair_begin_.reserve(nr + 1);
   if (mode == Mode::kFullDuplex) cs.pair_begin_.push_back(0);
 
@@ -56,23 +54,9 @@ CompiledSchedule CompiledSchedule::build(int n, Mode mode, bool periodic,
                          "-duplex matching");
     Round canon = rounds[r];
     canon.canonicalize();
-
-    std::int32_t* partners =
-        cs.partner_.data() + r * static_cast<std::size_t>(n);
-    RoundRole* roles = cs.role_.data() + r * static_cast<std::size_t>(n);
-    for (const graph::Arc& a : canon.arcs) {
-      if (mode == Mode::kFullDuplex) {
-        partners[a.tail] = a.head;
-        partners[a.head] = a.tail;
-        roles[a.tail] = roles[a.head] = RoundRole::kExchange;
+    if (mode == Mode::kFullDuplex)
+      for (const graph::Arc& a : canon.arcs)
         if (a.tail < a.head) cs.pairs_.push_back(a);
-      } else {
-        partners[a.tail] = a.head;
-        partners[a.head] = a.tail;
-        roles[a.tail] = RoundRole::kSend;
-        roles[a.head] = RoundRole::kReceive;
-      }
-    }
     cs.arcs_.insert(cs.arcs_.end(), canon.arcs.begin(), canon.arcs.end());
     cs.arc_begin_.push_back(static_cast<std::int32_t>(cs.arcs_.size()));
     if (mode == Mode::kFullDuplex)

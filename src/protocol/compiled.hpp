@@ -4,16 +4,18 @@
 // Protocol / SystolicSchedule (Definitions 3.1/3.2) are authoring formats:
 // readable, mutable, pointer-chasing (one heap vector of arcs per round).
 // A CompiledSchedule is built from them exactly once and stores the rounds
-// as CSR-style arrays over one contiguous arc buffer, plus dense per-round
-// per-vertex partner/direction tables, so executing a round is a
-// branch-light gather instead of an arc-list walk:
+// as CSR-style arrays over one contiguous arc buffer, so executing a round
+// is one walk over a flat span instead of a pointer chase:
 //
 //   arcs_       one contiguous buffer of all rounds' arcs (canonical order)
 //   arc_begin_  per-round spans into arcs_ (round r = [begin[r], begin[r+1]))
 //   pairs_      full-duplex only: one tail < head representative per active
 //               link (the simulator's merge work list)
-//   partner_    partner_[r*n + v] = v's matching partner in round r, or -1
-//   role_       what v does in round r: idle / send / receive / exchange
+//
+// There are no dense per-round, per-vertex tables: compiled memory is
+// O(arcs + rounds), whatever n.  A consumer that needs what each vertex
+// does per round (the audit's activity summaries, the gap analysis's
+// in/out rounds) walks each round's arc or pair span once.
 //
 // compile() performs the structural validation all consumers used to repeat
 // — every round a matching in the schedule's mode, every arc present in the
@@ -34,14 +36,6 @@
 #include "protocol/systolic.hpp"
 
 namespace sysgo::protocol {
-
-/// What a vertex does in one compiled round.
-enum class RoundRole : std::int8_t {
-  kIdle = 0,
-  kSend = 1,      // half-duplex: tail of the vertex's arc
-  kReceive = 2,   // half-duplex: head of the vertex's arc
-  kExchange = 3,  // full-duplex: both directions active
-};
 
 class CompiledSchedule {
  public:
@@ -101,24 +95,6 @@ class CompiledSchedule {
             pairs_.data() + pair_begin_[static_cast<std::size_t>(r) + 1]};
   }
 
-  /// Dense partner table of round r: n entries, -1 when idle.
-  [[nodiscard]] std::span<const std::int32_t> partners(int r) const noexcept {
-    return {partner_.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(n_),
-            static_cast<std::size_t>(n_)};
-  }
-  /// Dense role table of round r: n entries.
-  [[nodiscard]] std::span<const RoundRole> roles(int r) const noexcept {
-    return {role_.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(n_),
-            static_cast<std::size_t>(n_)};
-  }
-
-  [[nodiscard]] int partner(int r, int v) const noexcept {
-    return partners(r)[static_cast<std::size_t>(v)];
-  }
-  [[nodiscard]] RoundRole role(int r, int v) const noexcept {
-    return roles(r)[static_cast<std::size_t>(v)];
-  }
-
   /// Total arcs across all stored rounds.
   [[nodiscard]] std::size_t arc_total() const noexcept { return arcs_.size(); }
 
@@ -130,7 +106,7 @@ class CompiledSchedule {
 
   /// Structural equality: same network size, mode, periodicity and per-round
   /// arc sets.  Authored arc order does not matter (rounds are canonical);
-  /// the derived tables are determined by these fields.
+  /// the pair spans are determined by these fields.
   friend bool operator==(const CompiledSchedule& a, const CompiledSchedule& b) {
     return a.n_ == b.n_ && a.mode_ == b.mode_ && a.periodic_ == b.periodic_ &&
            a.arc_begin_ == b.arc_begin_ && a.arcs_ == b.arcs_;
@@ -148,8 +124,6 @@ class CompiledSchedule {
   std::vector<graph::Arc> arcs_;
   std::vector<std::int32_t> pair_begin_;  // full-duplex only
   std::vector<graph::Arc> pairs_;         // full-duplex only
-  std::vector<std::int32_t> partner_;     // round_count() * n
-  std::vector<RoundRole> role_;           // round_count() * n
 };
 
 }  // namespace sysgo::protocol

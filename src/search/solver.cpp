@@ -283,13 +283,7 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
   const State goal = gossip_goal_state(n);
 
   std::unique_ptr<util::ThreadPool> own_pool;
-  util::ThreadPool* pool = nullptr;
-  if (opts.threads == 0) {
-    pool = &util::ThreadPool::instance();
-  } else if (opts.threads > 1) {
-    own_pool = std::make_unique<util::ThreadPool>(opts.threads - 1);
-    pool = own_pool.get();
-  }
+  util::ThreadPool& pool = util::pool_for(opts.threads, own_pool);
 
   ShardedStateSet visited;
   visited.insert(root);
@@ -355,11 +349,7 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
         }
       };
       const std::size_t chunks = (count + kChunk - 1) / kChunk;
-      if (pool != nullptr) {
-        pool->run_indexed(chunks, body);
-      } else {
-        for (std::size_t c = 0; c < chunks; ++c) body(c);
-      }
+      pool.run_indexed(chunks, body);
       if (found.load(std::memory_order_relaxed)) {
         res.rounds = depth;
         stop = true;

@@ -45,11 +45,10 @@ struct SolveOptions {
   /// Abort with budget_exhausted once this many canonical states are
   /// stored (checked at batch barriers, so the last batch may overshoot).
   std::size_t max_states = 20'000'000;
-  /// Like engine::SweepOptions::threads: 0 runs BFS batches on the
-  /// process-wide pool, 1 is serial, k > 1 spawns a private pool of k
-  /// lanes FOR THIS CALL (prefer 0 when solving many instances — the
-  /// process-wide pool is persistent).  Results do not depend on this
-  /// value.
+  /// Lanes of the BFS batches, decoded by util::pool_for: 0 = the
+  /// process-wide pool, 1 = serial, k > 1 = a private pool of k lanes FOR
+  /// THIS CALL (prefer 0 when solving many instances — the process-wide
+  /// pool is persistent).  Results do not depend on this value.
   unsigned threads = 0;
   /// Store states canonically under the automorphism group, capped at
   /// this order: a larger group falls back to identity-only

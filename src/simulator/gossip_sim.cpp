@@ -2,7 +2,7 @@
 
 #include "simulator/batch.hpp"
 #include "simulator/periodic.hpp"
-#include "util/parallel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sysgo::simulator {
 
@@ -14,8 +14,8 @@ void apply_round(KnowledgeMatrix& know, const protocol::CompiledSchedule& cs,
   if (cs.mode() == protocol::Mode::kFullDuplex) {
     const auto pairs = cs.round_pairs(r);
     if (parallel)
-      util::parallel_for_blocks(
-          0, pairs.size(),
+      util::ThreadPool::instance().run_blocks(
+          pairs.size(),
           [&](std::size_t lo, std::size_t hi) {
             know.merge_pairs(pairs.subspan(lo, hi - lo));
           },
@@ -25,8 +25,8 @@ void apply_round(KnowledgeMatrix& know, const protocol::CompiledSchedule& cs,
   } else {
     const auto arcs = cs.round_arcs(r);
     if (parallel)
-      util::parallel_for_blocks(
-          0, arcs.size(),
+      util::ThreadPool::instance().run_blocks(
+          arcs.size(),
           [&](std::size_t lo, std::size_t hi) {
             know.merge_arcs(arcs.subspan(lo, hi - lo));
           },

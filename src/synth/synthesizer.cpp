@@ -262,15 +262,8 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
     restart.arg("accepted", out.accepted);
     restart.arg("improved", out.improved);
   };
-  if (opts.threads == 1) {
-    for (std::size_t r = 0; r < outcomes.size(); ++r) run_one(r);
-  } else {
-    std::unique_ptr<util::ThreadPool> own;
-    if (opts.threads > 1)
-      own = std::make_unique<util::ThreadPool>(opts.threads - 1);
-    (own ? *own : util::ThreadPool::instance())
-        .run_indexed(outcomes.size(), run_one);
-  }
+  std::unique_ptr<util::ThreadPool> own;
+  util::pool_for(opts.threads, own).run_indexed(outcomes.size(), run_one);
 
   // Best-of-K over the full-budget objectives: strictly better wins; ties
   // keep the lowest restart index (the documented deterministic tie order).

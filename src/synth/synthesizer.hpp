@@ -41,8 +41,9 @@ struct SynthOptions {
   /// guaranteed at the default 0.
   double time_budget_ms = 0.0;
   std::uint64_t seed = 0x5397a11cULL;
-  /// 0: restarts on the process-wide pool; 1: serial; k > 1: a private
-  /// pool of k lanes for this call.  Results identical for any value.
+  /// Lanes of the restarts, decoded by util::pool_for: 0 = the
+  /// process-wide pool, 1 = serial, k > 1 = a private pool of k lanes for
+  /// this call.  Results identical for any value.
   unsigned threads = 0;
 };
 

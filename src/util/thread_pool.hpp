@@ -1,22 +1,26 @@
-// Persistent work-stealing thread pool.
+// Persistent thread pool whose one operation is a cooperative parallel
+// region.
 //
-// Workers own a deque each: submissions are distributed round-robin, a
-// worker pops its own deque LIFO (cache-warm) and steals FIFO from the
-// others when idle.  Parallel regions (run_indexed) are cooperative — the
-// calling thread claims blocks alongside the workers, so regions nest
-// safely (a worker that opens a region drains it itself in the worst case)
-// and never deadlock even with a single hardware thread.
+// run_indexed(count, body) publishes a region; the calling thread and any
+// idle worker claim indices from the region's one shared counter.  Workers
+// sleep on one condition variable, join any open region that still has
+// unclaimed indices, and leave it when its indices run out.  The caller
+// runs index 0 and claims further indices too, so a region always makes
+// progress (regions nest: a worker that opens one inside an index drains
+// it itself in the worst case, and a single hardware thread never
+// deadlocks).  While its last indices run on workers, the caller helps any
+// other open region instead of idling.
 //
-// parallel_for / parallel_for_blocks (util/parallel.hpp) run on the
-// process-wide instance(), replacing the old fork-join model that spawned
-// and joined fresh std::threads on every call.
+// The region contract: run_indexed returns only when every index has run
+// AND every worker that joined the region has left it.  No pool work
+// outlives its region, so once a region returns its `pool.task` scopes have
+// closed — a trace or metrics snapshot written afterwards holds all of them.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -25,13 +29,13 @@ namespace sysgo::util {
 
 class ThreadPool {
  public:
-  /// Default worker count: hardware_threads() - 1 (the calling thread
+  /// Default worker count: hardware threads - 1 (the calling thread
   /// participates in parallel regions, so n workers + caller saturate
   /// n + 1 cores).
   static constexpr unsigned kDefaultWorkers = ~0u;
 
-  /// Start `workers` threads; 0 is a valid serial pool (submit runs
-  /// inline, run_indexed loops on the caller).
+  /// Start `workers` threads; 0 is a valid serial pool (run_indexed loops
+  /// on the caller).
   explicit ThreadPool(unsigned workers = kDefaultWorkers);
   ~ThreadPool();
 
@@ -48,30 +52,48 @@ class ThreadPool {
   /// lifetime.
   static ThreadPool& instance();
 
-  /// Enqueue a task for asynchronous execution (caller synchronizes).
-  void submit(std::function<void()> task);
+  /// Run body(i) for every i in [0, count) as one region (see the file
+  /// comment); returns when all indices have run and every joined worker
+  /// has left.  Exceptions from body propagate to the caller (first one
+  /// wins); the region still runs every other index.
+  void run_indexed(std::size_t count,
+                   const std::function<void(std::size_t)>& body);
 
-  /// Run body(i) for every i in [0, count), distributing dynamically over
-  /// the workers and the calling thread; returns when all are done.
-  /// Exceptions from body propagate to the caller (first one wins).
-  void run_indexed(std::size_t count, const std::function<void(std::size_t)>& body);
+  /// Block form: body(lo, hi) over contiguous blocks that partition
+  /// [0, count) — at most one per lane, and at most ceil(count / min_grain)
+  /// of them, so one block (a direct call) when count <= min_grain or the
+  /// pool has no workers.  Preferred for tight numeric kernels: one
+  /// std::function call per block, cache-friendly order inside it.
+  void run_blocks(std::size_t count,
+                  const std::function<void(std::size_t, std::size_t)>& body,
+                  std::size_t min_grain = 1024);
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Region;
 
-  void worker_loop(std::size_t self);
-  bool try_run_one(std::size_t home);
+  void worker_loop();
+  /// Stop and join every worker (no region may be open).
+  void join_workers() noexcept;
+  /// The newest open region with unclaimed indices, or null (mutex_ held).
+  Region* claimable() const;
+  /// Join `r` as a helper (mutex_ held on entry and exit): claim and run
+  /// its indices in one `pool.task` scope, then leave it.
+  void help(Region& r, std::unique_lock<std::mutex>& lock);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
+  std::mutex mutex_;  // guards open_, stop_ and every open region's helpers
+  std::condition_variable work_;  // workers: a region opened, or stop
+  std::condition_variable left_;  // callers: a helper left, or a region opened
+  std::vector<Region*> open_;     // regions published and not yet drained
+  bool stop_ = false;
   std::vector<std::thread> threads_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<bool> stop_{false};
 };
+
+/// The pool a `threads` setting names — the one decoding of the engine,
+/// search and synth `threads` fields: 0 selects the process-wide
+/// instance(); k >= 1 a private pool of k - 1 workers plus the caller,
+/// created into `own` (k = 1 has no workers, so its regions run serially
+/// on the caller).
+[[nodiscard]] ThreadPool& pool_for(unsigned threads,
+                                   std::unique_ptr<ThreadPool>& own);
 
 }  // namespace sysgo::util

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/audit.hpp"
+#include "linalg/matrix.hpp"
+#include "linalg/power_iteration.hpp"
 #include "protocol/classic_protocols.hpp"
 #include "topology/classic.hpp"
 
@@ -97,10 +102,51 @@ TEST(Gap, CompiledOverloadsMatchScheduleOverloads) {
   }
 }
 
+// The report derives every vertex's in/out rounds in one pass over the
+// window; the reference scans the authored period once per vertex.
+TEST(Gap, ReportMatchesAPerVertexScanOfTheAuthoredRounds) {
+  constexpr int kPeriods = 3;
+  constexpr double kLambda = 0.6;
+  for (Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
+    const auto sched = protocol::cycle_schedule(7, mode);
+    const int s = sched.period_length();
+    std::vector<double> want(static_cast<std::size_t>(sched.n), 0.0);
+    for (int v = 0; v < sched.n; ++v) {
+      std::vector<int> in, out;
+      for (int i = 1; i <= kPeriods * s; ++i) {
+        bool receives = false, sends = false;
+        for (const auto& a : sched.period[static_cast<std::size_t>((i - 1) % s)].arcs) {
+          receives = receives || a.head == v;
+          sends = sends || a.tail == v;
+        }
+        if (receives) in.push_back(i);
+        if (sends) out.push_back(i);
+      }
+      if (in.empty() || out.empty()) continue;
+      linalg::Matrix m(in.size(), out.size());
+      for (std::size_t r = 0; r < in.size(); ++r)
+        for (std::size_t c = 0; c < out.size(); ++c)
+          if (out[c] - in[r] > 0 && out[c] - in[r] < s)
+            m(r, c) = std::pow(kLambda, out[c] - in[r]);
+      want[static_cast<std::size_t>(v)] = linalg::operator_norm(m).value;
+    }
+    const auto rows = audit_gap_report(sched, kLambda, kPeriods);
+    ASSERT_EQ(rows.size(), want.size());
+    for (const auto& row : rows) {
+      EXPECT_DOUBLE_EQ(row.exact_norm,
+                       want[static_cast<std::size_t>(row.vertex)])
+          << "vertex " << row.vertex;
+      EXPECT_DOUBLE_EQ(row.exact_norm,
+                       exact_local_norm(sched, row.vertex, kLambda, kPeriods));
+    }
+  }
+}
+
 TEST(Gap, RejectsBadLambda) {
   const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
   EXPECT_THROW((void)exact_local_norm(sched, 0, 0.0), std::invalid_argument);
   EXPECT_THROW((void)exact_local_norm(sched, 0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)audit_gap_report(sched, 1.0), std::invalid_argument);
 }
 
 }  // namespace

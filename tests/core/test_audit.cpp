@@ -299,9 +299,44 @@ TEST(Audit, NonRelayingScheduleDegenerates) {
   EXPECT_GT(res.lambda_star, 0.9);  // norm below 1 for all λ
 }
 
+// vertex_activities walks each compiled round's arc (half duplex) or pair
+// (full duplex) span; the reference flags every vertex's incoming and
+// outgoing activations per round straight from the authored arcs.
+TEST(Audit, ActivitiesMatchAnAuthoredArcWalk) {
+  util::Rng rng(42);
+  const auto g = topology::de_bruijn(2, 4).symmetric_closure();
+  for (Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
+    for (const auto& sched :
+         {protocol::random_systolic_schedule(g, 6, mode, rng),
+          protocol::edge_coloring_schedule(g, mode)}) {
+      const auto n = static_cast<std::size_t>(sched.n);
+      std::vector<VertexActivity> want(n);
+      for (int r = 0; r < sched.period_length(); ++r) {
+        std::vector<int> in(n, 0);
+        std::vector<int> out(n, 0);
+        for (const auto& a : sched.period[static_cast<std::size_t>(r)].arcs) {
+          out[static_cast<std::size_t>(a.tail)] = 1;
+          in[static_cast<std::size_t>(a.head)] = 1;
+        }
+        for (std::size_t v = 0; v < n; ++v) {
+          want[v].left_rounds += in[v];
+          want[v].right_rounds += out[v];
+          if (in[v] != 0 || out[v] != 0) want[v].active_rounds.push_back(r);
+        }
+      }
+      const auto acts = vertex_activities(sched);
+      ASSERT_EQ(acts.size(), n);
+      for (std::size_t v = 0; v < n; ++v) {
+        EXPECT_EQ(acts[v].left_rounds, want[v].left_rounds) << v;
+        EXPECT_EQ(acts[v].right_rounds, want[v].right_rounds) << v;
+        EXPECT_EQ(acts[v].active_rounds, want[v].active_rounds) << v;
+      }
+    }
+  }
+}
+
 // The audit must be a pure function of the compiled representation:
-// compiled and schedule entry points agree bit-for-bit, and activities
-// derived from the role tables equal the legacy arc-walk summaries.
+// compiled and schedule entry points agree bit-for-bit.
 TEST(Audit, CompiledEntryPointsMatchScheduleEntryPoints) {
   const std::vector<protocol::SystolicSchedule> corpus = {
       protocol::path_schedule(6, Mode::kHalfDuplex),

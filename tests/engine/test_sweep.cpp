@@ -42,6 +42,18 @@ TEST(Sweep, RecordsMatchDirectComputation) {
   EXPECT_DOUBLE_EQ(records[0].e, direct.e);
   EXPECT_DOUBLE_EQ(records[0].lambda, direct.lambda);
 
+  // Likewise the kDiameterBound record reproduces diameter_coefficient.
+  ScenarioSpec diameter;
+  diameter.families = {Family::kDeBruijn, Family::kKautz};
+  diameter.degrees = {2, 3};
+  diameter.tasks = {Task::kDiameterBound};
+  const auto diameter_records = runner.run(diameter);
+  ASSERT_EQ(diameter_records.size(), 4u);
+  for (const auto& r : diameter_records) {
+    EXPECT_EQ(r.task, Task::kDiameterBound);
+    EXPECT_DOUBLE_EQ(r.e, core::diameter_coefficient(r.key.family, r.key.d));
+  }
+
   // The simulate record reproduces gossip_time on the same schedule.
   const auto sched = protocol::edge_coloring_schedule(
       topology::de_bruijn(2, 4), Mode::kHalfDuplex);

@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <exception>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -19,104 +17,47 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_report.hpp"
-#include "util/rng.hpp"
+#include "../mutation.hpp"
 
 namespace sysgo::obs {
 namespace {
 
-/// Two lanes with both event kinds, numeric and string args, a dropped
-/// count, and a flow pair — the shapes a recorded sweep trace holds.
+using test::run_mutations;
+
+/// Two lanes of spans with numeric and string args and a dropped count —
+/// the shapes a recorded sweep trace holds.
 trace::TraceDump sample_dump() {
   using trace::Event;
-  using trace::EventKind;
   trace::TraceDump dump;
   dump.strings = {"", "engine.task.simulate", "synth.restart", "family", "db",
-                  "restart", "pool.submit"};
-  const auto event = [](EventKind kind, std::uint64_t ts, std::uint64_t dur,
+                  "restart"};
+  const auto event = [](std::uint64_t ts, std::uint64_t dur,
                         trace::NameId name) {
     Event e;
-    e.kind = kind;
     e.ts_us = ts;
     e.dur_us = dur;
     e.name = name;
     return e;
   };
-  Event task = event(EventKind::kComplete, 10, 400, 1);
+  Event task = event(10, 400, 1);
   task.arg_count = 2;
   task.arg_keys = {3, 5};
   task.arg_vals = {4, 7};
   task.str_mask = 1;  // arg 0 is the string "db"
-  Event restart = event(EventKind::kComplete, 120, 90, 2);
+  Event restart = event(120, 90, 2);
   restart.arg_count = 1;
   restart.arg_keys[0] = 5;
   restart.arg_vals[0] = 3;
-  Event begin = event(EventKind::kFlowBegin, 15, 0, 6);
-  begin.flow_id = 9;
-  Event end = event(EventKind::kFlowEnd, 130, 0, 6);
-  end.flow_id = 9;
 
   trace::LaneDump main_lane;
   main_lane.name = "main";
-  main_lane.events = {task, begin, event(EventKind::kComplete, 300, 5, 2)};
+  main_lane.events = {task, event(300, 5, 2)};
   trace::LaneDump worker;
   worker.name = "pool-0";
   worker.dropped = 2;
-  worker.events = {end, restart, event(EventKind::kComplete, 220, 50, 1)};
+  worker.events = {restart, event(220, 50, 1)};
   dump.lanes = {main_lane, worker};
   return dump;
-}
-
-/// One to three byte-level edits: flip a bit, overwrite a byte with a
-/// random value, insert a short random run, or truncate.
-std::string mutate(const std::string& base, util::Rng& rng) {
-  std::string s = base;
-  const int edits = rng.uniform_int(1, 3);
-  for (int k = 0; k < edits && !s.empty(); ++k) {
-    const std::size_t at = rng.uniform_index(s.size());
-    switch (rng.uniform_index(4)) {
-      case 0:
-        s[at] = static_cast<char>(s[at] ^ (1 << rng.uniform_int(0, 7)));
-        break;
-      case 1:
-        s[at] = static_cast<char>(rng.uniform_int(0, 255));
-        break;
-      case 2: {
-        std::string run(static_cast<std::size_t>(rng.uniform_int(1, 8)), '\0');
-        for (char& c : run) c = static_cast<char>(rng.uniform_int(0, 255));
-        s.insert(at, run);
-        break;
-      }
-      default:
-        s.resize(at);
-        break;
-    }
-  }
-  return s;
-}
-
-/// "Reject cleanly or round-trip": `consume` returns false when it
-/// rejected the input with std::runtime_error.
-using Consumer = std::function<bool(const std::string&)>;
-
-void run_mutations(const std::string& base, std::uint64_t seed,
-                   const std::string& what, const Consumer& consume) {
-  constexpr int kMutations = 3000;
-  ASSERT_TRUE(consume(base)) << what;
-  util::Rng rng(seed);
-  int parsed = 0;
-  for (int i = 0; i < kMutations; ++i) {
-    const std::string input = mutate(base, rng);
-    try {
-      parsed += consume(input) ? 1 : 0;
-    } catch (const std::exception& e) {
-      FAIL() << what << " mutation " << i
-             << " threw a non-runtime_error: " << e.what();
-    }
-  }
-  // Both outcomes occur: the test exercises the parser, not just its
-  // first byte.
-  EXPECT_GT(parsed, 0) << what;
-  EXPECT_LT(parsed, kMutations) << what;
 }
 
 TEST(TraceMutation, ChromeJsonRejectsCleanlyOrRoundTrips) {

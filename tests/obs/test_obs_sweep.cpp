@@ -51,8 +51,8 @@ TEST(ObsSweep, RecordsAreIdenticalWithMetricsOnAndOff) {
 
 TEST(ObsSweep, RecordsAreIdenticalWithTracingOnAndOff) {
   // The tracing analog of the metrics contract: span recording must never
-  // feed results.  A threaded run exercises the pool's flow-arrow wrapping
-  // and the per-task spans while the records stay byte-identical.
+  // feed results.  A threaded run exercises the pool.task and per-task
+  // spans while the records stay byte-identical.
   const ScenarioSpec spec = small_spec();
   SweepOptions opts;
   opts.threads = 4;
@@ -69,8 +69,7 @@ TEST(ObsSweep, RecordsAreIdenticalWithTracingOnAndOff) {
   std::size_t engine_spans = 0;
   for (const auto& lane : dump.lanes)
     for (const auto& e : lane.events)
-      if (e.kind == obs::trace::EventKind::kComplete &&
-          e.name < dump.strings.size() &&
+      if (e.name < dump.strings.size() &&
           dump.strings[e.name].rfind("engine.task.", 0) == 0)
         ++engine_spans;
   EXPECT_GT(engine_spans, 0u);

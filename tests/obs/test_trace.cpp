@@ -39,7 +39,7 @@ class TraceTest : public ::testing::Test {
   /// A zero-length span with one integer arg, written straight to the ring.
   static void emit_span(NameId name, NameId key, std::int64_t value) {
     const Arg arg{key, value, false};
-    emit(EventKind::kComplete, name, now_us(), 0, 0, &arg, 1);
+    emit(name, now_us(), 0, &arg, 1);
   }
 
   /// A span with an integer arg `a` and a string arg `s`.
@@ -47,29 +47,24 @@ class TraceTest : public ::testing::Test {
     const Arg args[] = {{intern("a"), 42, false},
                         {intern("s"), intern("value-string"), true}};
     const std::uint64_t start = now_us();
-    emit(EventKind::kComplete, name, start, now_us() - start, 0, args, 2);
+    emit(name, start, now_us() - start, args, 2);
   }
 };
 
-TEST_F(TraceTest, SpanAndFlowRoundTripThroughDrain) {
+TEST_F(TraceTest, SpanRoundTripsThroughDrain) {
   const NameId span_name = intern("test.trace.span");
-  const NameId flow_name = intern("test.trace.flow");
   std::thread([&] {
     set_this_lane_name("test-basic");
     emit_span_with_args(span_name);
-    const std::uint32_t flow = next_flow_id();
-    flow_begin(flow_name, flow);
-    flow_end(flow_name, flow);
   }).join();
 
   const TraceDump dump = drain();
   const LaneDump* lane = lane_named(dump, "test-basic");
   ASSERT_NE(lane, nullptr);
   EXPECT_EQ(lane->dropped, 0u);
-  ASSERT_EQ(lane->events.size(), 3u);
+  ASSERT_EQ(lane->events.size(), 1u);
 
   const Event& span = lane->events[0];
-  EXPECT_EQ(span.kind, EventKind::kComplete);
   EXPECT_EQ(dump.strings[span.name], "test.trace.span");
   ASSERT_EQ(span.arg_count, 2u);
   EXPECT_EQ(dump.strings[span.arg_keys[0]], "a");
@@ -78,13 +73,6 @@ TEST_F(TraceTest, SpanAndFlowRoundTripThroughDrain) {
   EXPECT_TRUE((span.str_mask >> 1) & 1u);
   EXPECT_EQ(dump.strings[static_cast<NameId>(span.arg_vals[1])],
             "value-string");
-
-  const Event& fb = lane->events[1];
-  const Event& fe = lane->events[2];
-  EXPECT_EQ(fb.kind, EventKind::kFlowBegin);
-  EXPECT_EQ(fe.kind, EventKind::kFlowEnd);
-  EXPECT_EQ(fb.flow_id, fe.flow_id);
-  EXPECT_NE(fb.flow_id, 0u);
 }
 
 TEST_F(TraceTest, DisabledRecordingEmitsNothing) {
@@ -93,7 +81,6 @@ TEST_F(TraceTest, DisabledRecordingEmitsNothing) {
   std::thread([&] {
     set_this_lane_name("test-disabled");
     emit_span(name, name, 1);
-    flow_begin(name, next_flow_id());
   }).join();
   const LaneDump* lane = lane_named(drain(), "test-disabled");
   // The lane may not even exist (nothing recorded => no lane allocated).
@@ -182,9 +169,7 @@ TEST_F(TraceTest, ChromeJsonRoundTripsThroughTheParser) {
   std::thread([&] {
     set_this_lane_name("test-json");
     emit_span_with_args(span_name);
-    const std::uint32_t flow = next_flow_id();
-    flow_begin(span_name, flow);
-    flow_end(span_name, flow);
+    emit_span(span_name, intern("k"), 7);
   }).join();
 
   const TraceDump dump = drain();
@@ -199,7 +184,6 @@ TEST_F(TraceTest, ChromeJsonRoundTripsThroughTheParser) {
   for (std::size_t i = 0; i < orig->events.size(); ++i) {
     const Event& a = orig->events[i];
     const Event& b = rt->events[i];
-    EXPECT_EQ(a.kind, b.kind) << "event " << i;
     EXPECT_EQ(a.ts_us, b.ts_us) << "event " << i;
     EXPECT_EQ(a.dur_us, b.dur_us) << "event " << i;
     EXPECT_EQ(dump.strings[a.name], back.strings[b.name]) << "event " << i;
@@ -215,16 +199,9 @@ TEST_F(TraceTest, ChromeJsonRoundTripsThroughTheParser) {
       }
     }
   }
-  // Flow pairing survives the round trip (ids may be renumbered 1:1 — here
-  // they are copied verbatim).
-  const auto is_flow = [](const Event& e) {
-    return e.kind == EventKind::kFlowBegin || e.kind == EventKind::kFlowEnd;
-  };
-  for (std::size_t i = 0; i < orig->events.size(); ++i) {
-    if (is_flow(orig->events[i])) {
-      EXPECT_EQ(orig->events[i].flow_id, rt->events[i].flow_id);
-    }
-  }
+  // Every exported event is a complete span.
+  EXPECT_EQ(json.find("\"ph\":\"s\""), std::string::npos);
+  EXPECT_EQ(json.find("\"ph\":\"f\""), std::string::npos);
 }
 
 TEST_F(TraceTest, ChromeJsonIsDeterministicForTheSameDump) {
@@ -241,8 +218,7 @@ TEST_F(TraceTest, ParserRejectsGarbage) {
   EXPECT_THROW((void)parse_chrome_json("not json"), std::runtime_error);
   EXPECT_THROW((void)parse_chrome_json("{\"no\":\"events\"}"),
                std::runtime_error);
-  // A negative dur or ts, or a flow id past u32, is malformed — not a
-  // huge unsigned duration or a silently truncated id.
+  // A negative dur or ts is malformed — not a huge unsigned duration.
   EXPECT_THROW((void)parse_chrome_json(
                    R"({"traceEvents":[{"ph":"X","tid":0,"ts":5,"dur":-10,)"
                    R"("name":"a"}]})"),
@@ -251,18 +227,17 @@ TEST_F(TraceTest, ParserRejectsGarbage) {
                    R"({"traceEvents":[{"ph":"X","tid":0,"ts":-5,"dur":1,)"
                    R"("name":"a"}]})"),
                std::runtime_error);
-  EXPECT_THROW((void)parse_chrome_json(
-                   R"({"traceEvents":[{"ph":"s","tid":0,"ts":5,)"
-                   R"("id":4294967296,"name":"a"}]})"),
-               std::runtime_error);
-  // The largest u32 id is fine, and foreign phases (instants here) are
-  // skipped rather than rejected.
+  // Foreign phases — flow arrows and instants here, whatever their ids —
+  // are skipped rather than rejected; only the span is read.
   const TraceDump dump = parse_chrome_json(
-      R"({"traceEvents":[{"ph":"s","tid":0,"ts":5,"id":4294967295,)"
-      R"("name":"a"},{"ph":"i","tid":0,"ts":6,"name":"b"}]})");
+      R"({"traceEvents":[{"ph":"s","tid":0,"ts":5,"id":4294967296,)"
+      R"("name":"a"},{"ph":"f","tid":0,"ts":6,"id":-1,"bp":"e","name":"a"},)"
+      R"({"ph":"i","tid":0,"ts":6,"name":"b"},)"
+      R"({"ph":"X","tid":0,"ts":7,"dur":2,"name":"c"}]})");
   ASSERT_EQ(dump.lanes.size(), 1u);
   ASSERT_EQ(dump.lanes[0].events.size(), 1u);
-  EXPECT_EQ(dump.lanes[0].events[0].flow_id, 4294967295u);
+  EXPECT_EQ(dump.strings[dump.lanes[0].events[0].name], "c");
+  EXPECT_EQ(dump.lanes[0].events[0].dur_us, 2u);
 }
 
 TEST(TraceReport, CriticalPathUtilizationAndStagesFromHandBuiltDump) {
@@ -276,7 +251,6 @@ TEST(TraceReport, CriticalPathUtilizationAndStagesFromHandBuiltDump) {
   dump.strings = {"", "prepare", "compute", "finish"};
   const auto span = [](std::uint64_t ts, std::uint64_t dur, NameId name) {
     Event e;
-    e.kind = EventKind::kComplete;
     e.ts_us = ts;
     e.dur_us = dur;
     e.name = name;
@@ -329,7 +303,6 @@ TEST(TraceReport, NestedSpansCountBusyTimeOnce) {
   TraceDump dump;
   dump.strings = {"", "outer", "inner"};
   Event outer;
-  outer.kind = EventKind::kComplete;
   outer.ts_us = 0;
   outer.dur_us = 100;
   outer.name = 1;

@@ -6,9 +6,13 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "engine/scenario.hpp"
+#include "engine/sweep.hpp"
+#include "io/sweep_io.hpp"
 #include "util/fs.hpp"
+#include "../mutation.hpp"
 
 namespace sysgo::store {
 namespace {
@@ -229,6 +233,46 @@ TEST(ResultStore, SecondOpenOfALockedStoreThrows) {
   const std::string path = temp_store("locked");
   ResultStore first(path);
   EXPECT_THROW(ResultStore{path}, std::runtime_error);
+}
+
+// Seeded mutation test of the log: every mutant either makes the store
+// refuse to open with std::runtime_error (a torn final line is dropped
+// instead), or loads, compacts, and reopens to the same records.
+TEST(StoreMutation, LogRejectsCleanlyOrReopensToTheSameRecords) {
+  const std::string base_path = temp_store("mutation_base");
+  {
+    ResultStore store(base_path);
+    engine::SweepOptions opts;
+    opts.store = &store;
+    engine::ScenarioSpec spec;
+    spec.families = {Family::kDeBruijn, Family::kKautz};
+    spec.degrees = {2};
+    spec.dimensions = {3};
+    spec.periods = {4};
+    spec.tasks = {Task::kBound, Task::kSimulate, Task::kAudit};
+    (void)engine::SweepRunner(opts).run(spec);
+  }
+  const std::string base = util::read_text_file(base_path);
+  const auto rendered = [](const std::vector<SweepRecord>& records) {
+    std::vector<std::string> rows;
+    for (const SweepRecord& r : records) rows.push_back(io::sweep_csv_row(r));
+    return rows;
+  };
+  const std::string path = temp_store("mutation");
+  test::run_mutations(base, 0x570e1ULL, "store log", [&](const std::string& text) {
+    util::write_file_atomic(path, text);
+    std::vector<std::string> rows;
+    try {
+      ResultStore store(path);
+      store.compact();
+      rows = rendered(store.records());
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+    const ResultStore reopened(path);
+    EXPECT_EQ(rendered(reopened.records()), rows);
+    return true;
+  });
 }
 
 }  // namespace

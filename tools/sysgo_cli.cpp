@@ -2,7 +2,7 @@
 //
 //   sysgo bound <s|inf> [half|full]       general coefficient e(s)
 //   sysgo table <fig4|fig5|fig6|fig8>     reproduce a paper table (CSV)
-//   sysgo sweep fig5|fig6                 engine-reproduced paper tables
+//   sysgo sweep fig5|fig6                 same as table fig5|fig6
 //   sysgo sweep [grid flags]              parallel scenario sweep (CSV/JSON)
 //   sysgo solve [grid flags]              exact gossip/broadcast optima
 //   sysgo synth [grid flags]              heuristic schedule synthesis
@@ -22,6 +22,10 @@
 // the extension; analyze with `sysgo trace report`), and --perf (collect
 // perf_event counters into the --metrics snapshot and --trace span args;
 // degrades to a no-op without PMU access).
+//
+// The positional commands (bound, table, sweep fig5|fig6, audit, simulate,
+// topology) take exactly the arguments listed: a trailing extra argument
+// prints the usage and exits 2 instead of being ignored.
 //
 // Schedule files use the io/protocol_text format ("sysgo-schedule v1").
 // All numeric flags go through util/parse: garbage ("--threads 4x"),
@@ -46,7 +50,6 @@
 
 #include "core/audit.hpp"
 #include "core/bounds.hpp"
-#include "engine/figures.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep.hpp"
 #include "io/csv.hpp"
@@ -201,7 +204,7 @@ long long flag_i64(const std::string& flag, const std::string& value) {
 }
 
 int cmd_bound(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc < 1 || argc > 2) return usage();
   const int s = std::strcmp(argv[0], "inf") == 0
                     ? sysgo::core::kUnboundedPeriod
                     : sysgo::util::parse_int_in(argv[0], "<s>", {3, 1 << 30});
@@ -219,7 +222,7 @@ int cmd_bound(int argc, char** argv) {
 }
 
 int cmd_table(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   const std::string which = argv[0];
   std::string csv;
   if (which == "fig4") csv = sysgo::io::fig4_csv();
@@ -430,16 +433,14 @@ int stream_spec(const sysgo::engine::ScenarioSpec& spec,
       if (cfg.progress) meter.tick();
     };
   }
-  auto runner = std::make_unique<engine::SweepRunner>(opts);
-  meter.attach(runner.get());
-  const auto records = runner->run_jobs(jobs, spec.limits);
+  engine::SweepRunner runner(opts);
+  meter.attach(&runner);
+  // The job region returns only after every pool worker has left it, so
+  // every pool.task scope has closed before the trace is written.
+  const auto records = runner.run_jobs(jobs, spec.limits);
   if (cfg.progress) meter.finish();
-  const auto stats = runner->cache_stats();
-  const auto rs = runner->run_stats();
-  // Join a --threads pool before the trace and metrics are written: pool
-  // closures still queued when the last record came in run first, inside
-  // their pool.task scopes.
-  runner.reset();
+  const auto stats = runner.cache_stats();
+  const auto rs = runner.run_stats();
   if (!cfg.trace_path.empty()) {
     sysgo::obs::trace::set_enabled(false);
     sysgo::obs::trace::write_trace_file(cfg.trace_path);
@@ -566,15 +567,11 @@ bool parse_grid_flags(int argc, char** argv, const GridCommand& cmd,
 
 int cmd_sweep(int argc, char** argv) {
   namespace engine = sysgo::engine;
+  // The paper tables have one generator: `sweep fig5|fig6` is a spelling
+  // of `table fig5|fig6`.
   if (argc >= 1 && (std::strcmp(argv[0], "fig5") == 0 ||
-                    std::strcmp(argv[0], "fig6") == 0)) {
-    engine::SweepRunner runner;
-    const std::string csv = std::strcmp(argv[0], "fig5") == 0
-                                ? engine::fig5_csv(runner)
-                                : engine::fig6_csv(runner);
-    std::fputs(csv.c_str(), stdout);
-    return 0;
-  }
+                    std::strcmp(argv[0], "fig6") == 0))
+    return cmd_table(argc, argv);
 
   engine::ScenarioSpec spec;
   spec.families = engine::all_families();
@@ -774,7 +771,7 @@ int cmd_store(int argc, char** argv) {
 }
 
 int cmd_audit(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   const auto sched = sysgo::io::parse_schedule(read_file(argv[0]));
   sysgo::protocol::CompiledSchedule cs;
   try {
@@ -792,7 +789,7 @@ int cmd_audit(int argc, char** argv) {
 }
 
 int cmd_simulate(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc < 1 || argc > 2) return usage();
   const auto sched = sysgo::io::parse_schedule(read_file(argv[0]));
   const int max_rounds =
       argc >= 2
@@ -947,7 +944,7 @@ int cmd_kernels(int argc, char** argv) {
 }
 
 int cmd_topology(int argc, char** argv) {
-  if (argc < 3) return usage();
+  if (argc != 3) return usage();
   const int d = sysgo::util::parse_int_in(argv[1], "<d>", {1, 1 << 20});
   const int D = sysgo::util::parse_int_in(argv[2], "<D>", {1, 1 << 20});
   sysgo::topology::Family f;
