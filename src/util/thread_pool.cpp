@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
@@ -36,12 +37,14 @@ PoolMetrics& pool_metrics() {
 }  // namespace
 
 /// Shared state of one region.  It lives on the opening caller's stack:
-/// the caller returns only after every helper has left.
+/// the caller returns only after every helper has left, so every region
+/// outlives the regions nested inside its indices.
 struct ThreadPool::Region {
   Region(std::size_t c, const std::function<void(std::size_t)>& b)
-      : count(c), body(b) {}
+      : count(c), body(b), parent(running_) {}
   const std::size_t count;
   const std::function<void(std::size_t)>& body;
+  Region* const parent;  // the region whose index opened this one, or null
   std::atomic<std::size_t> next{1};  // the one shared index counter; 0 is
                                      // the caller's, so it always runs one
   std::size_t helpers = 0;           // threads inside but the caller; mutex_
@@ -54,9 +57,16 @@ struct ThreadPool::Region {
   [[nodiscard]] bool claimable() const noexcept {
     return next.load(std::memory_order_relaxed) < count;
   }
+  /// Whether this region was opened, at any depth, inside an index of `r`.
+  [[nodiscard]] bool nested_in(const Region* r) const noexcept {
+    for (const Region* p = parent; p != nullptr; p = p->parent)
+      if (p == r) return true;
+    return false;
+  }
 
   /// Run index `i`, then every further index this thread claims.
   void run_from(std::size_t i) {
+    Region* const outer = std::exchange(running_, this);
     for (; i < count; i = claim()) {
       try {
         body(i);
@@ -65,8 +75,11 @@ struct ThreadPool::Region {
         if (!error) error = std::current_exception();
       }
     }
+    running_ = outer;
   }
 };
+
+thread_local ThreadPool::Region* ThreadPool::running_ = nullptr;
 
 ThreadPool::ThreadPool(unsigned workers) {
   if (workers == kDefaultWorkers) {
@@ -112,10 +125,11 @@ ThreadPool& ThreadPool::instance() {
   return pool;
 }
 
-ThreadPool::Region* ThreadPool::claimable() const {
+ThreadPool::Region* ThreadPool::claimable(const Region* within) const {
   // Newest first: a nested region blocks the index that opened it.
   for (auto it = open_.rbegin(); it != open_.rend(); ++it)
-    if ((*it)->claimable()) return *it;
+    if ((*it)->claimable() && (within == nullptr || (*it)->nested_in(within)))
+      return *it;
   return nullptr;
 }
 
@@ -164,9 +178,13 @@ void ThreadPool::run_indexed(std::size_t count,
 
   std::unique_lock<std::mutex> lock(mutex_);
   std::erase(open_, &region);  // every index is claimed: nobody joins now
+  // Help only regions nested inside this one.  This thread is suspended in
+  // whatever index opened `region`; an index of an enclosing or unrelated
+  // region run on top of it could clobber that index's thread_local state
+  // (a sweep job's simulation arena) and would stack one job per level.
   while (region.helpers > 0) {
-    if (Region* other = claimable())
-      help(*other, lock);
+    if (Region* nested = claimable(&region))
+      help(*nested, lock);
     else
       left_.wait(lock);
   }

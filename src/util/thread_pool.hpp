@@ -8,8 +8,11 @@
 // runs index 0 and claims further indices too, so a region always makes
 // progress (regions nest: a worker that opens one inside an index drains
 // it itself in the worst case, and a single hardware thread never
-// deadlocks).  While its last indices run on workers, the caller helps any
-// other open region instead of idling.
+// deadlocks).  While its last indices run on workers, the caller helps the
+// regions nested inside its own, which the workers opened in its indices;
+// it never joins an enclosing or unrelated region, since it is suspended
+// inside an index and another index run on top of that one would share
+// its thread_local state.
 //
 // The region contract: run_indexed returns only when every index has run
 // AND every worker that joined the region has left it.  No pool work
@@ -55,7 +58,8 @@ class ThreadPool {
   /// Run body(i) for every i in [0, count) as one region (see the file
   /// comment); returns when all indices have run and every joined worker
   /// has left.  Exceptions from body propagate to the caller (first one
-  /// wins); the region still runs every other index.
+  /// wins).  With workers the region still runs every other index; a pool
+  /// without workers loops on the caller and stops at the first throw.
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& body);
 
@@ -74,8 +78,9 @@ class ThreadPool {
   void worker_loop();
   /// Stop and join every worker (no region may be open).
   void join_workers() noexcept;
-  /// The newest open region with unclaimed indices, or null (mutex_ held).
-  Region* claimable() const;
+  /// The newest open region with unclaimed indices, or null (mutex_ held);
+  /// with `within`, only a region nested inside that one.
+  Region* claimable(const Region* within = nullptr) const;
   /// Join `r` as a helper (mutex_ held on entry and exit): claim and run
   /// its indices in one `pool.task` scope, then leave it.
   void help(Region& r, std::unique_lock<std::mutex>& lock);
@@ -86,6 +91,9 @@ class ThreadPool {
   std::vector<Region*> open_;     // regions published and not yet drained
   bool stop_ = false;
   std::vector<std::thread> threads_;
+  /// The region whose index this thread is running, of any pool: the
+  /// parent of a region opened now.
+  static thread_local Region* running_;
 };
 
 /// The pool a `threads` setting names — the one decoding of the engine,

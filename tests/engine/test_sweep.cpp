@@ -124,24 +124,36 @@ TEST(Sweep, ThreadedMatchesSerialAcrossAllFamilies) {
 
 // Satellite: GossipOptions::parallel surfaced through ExecutionLimits —
 // within-round threaded merges must reproduce the serial records exactly
-// over the fig5 corpus (the paper's seven families).
+// over the fig5 corpus (the paper's seven families), and over members whose
+// rounds have more than 512 arcs.  There each round opens a region nested in
+// the job region on the default pool, with more jobs than lanes: a lane
+// waiting for its round's helpers must not pick up another simulate job,
+// which would reset the thread_local arena the waiting one still merges into.
 TEST(Sweep, RoundThreadsProduceSameSimulateRecords) {
-  ScenarioSpec spec;
-  spec.families = all_families();
-  spec.degrees = {2};
-  spec.dimensions = {3, 4, 5, 6};
-  spec.tasks = {Task::kSimulate, Task::kAudit};
+  ScenarioSpec fig5;
+  fig5.families = all_families();
+  fig5.degrees = {2};
+  fig5.dimensions = {3, 4, 5, 6};
+  fig5.tasks = {Task::kSimulate, Task::kAudit};
+  ScenarioSpec large;
+  large.families = {Family::kDeBruijn, Family::kKautz};
+  large.degrees = {2};
+  large.dimensions = {12, 11, 10};
+  large.modes = {Mode::kHalfDuplex, Mode::kFullDuplex};
+  large.tasks = {Task::kSimulate};
 
-  SweepRunner serial_runner;
-  const auto expected = serial_runner.run(spec);
+  for (const ScenarioSpec& spec : {fig5, large}) {
+    SweepRunner serial_runner;
+    const auto expected = serial_runner.run(spec);
 
-  ScenarioSpec threaded = spec;
-  threaded.limits.simulate_parallel_rounds = true;
-  SweepRunner threaded_runner;
-  const auto got = threaded_runner.run(threaded);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_TRUE(same_result(got[i], expected[i])) << "record " << i;
+    ScenarioSpec threaded = spec;
+    threaded.limits.simulate_parallel_rounds = true;
+    SweepRunner threaded_runner;
+    const auto got = threaded_runner.run(threaded);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_TRUE(same_result(got[i], expected[i])) << "record " << i;
+  }
 }
 
 TEST(Sweep, OnRecordSeesEveryIndexOnce) {

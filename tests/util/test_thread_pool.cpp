@@ -83,6 +83,53 @@ TEST(ThreadPool, WaitingCallerHelpsANestedRegion) {
   EXPECT_TRUE(helped.load());
 }
 
+TEST(ThreadPool, WaitingCallerNeverJoinsTheRegionItIsInside) {
+  // The worker is held in a region of another thread (which itself stays
+  // inside its index 0 throughout) while the caller opens `outer` and,
+  // inside outer's index 0, `inner`.  Released, the worker joins inner (the
+  // newest) and holds its index 1 for up to 200 ms.  The caller, done with
+  // inner's index 0, waits for it with outer's index 1 still unclaimed: it
+  // must not run that index on top of its suspended index 0.
+  ThreadPool pool(1);
+  const auto holds = [](const std::atomic<bool>& flag, int millis) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(millis);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  };
+  std::atomic<bool> worker_held{false}, release{false}, inner_taken{false},
+      reentered{false}, finished{false};
+  std::thread other([&] {
+    pool.run_indexed(2, [&](std::size_t i) {
+      if (i == 0) return holds(finished, 5000);
+      worker_held = true;
+      holds(release, 5000);
+    });
+  });
+  holds(worker_held, 5000);
+  ASSERT_TRUE(worker_held.load());
+  static thread_local int depth = 0;
+  pool.run_indexed(2, [&](std::size_t i) {
+    if (++depth > 1) reentered = true;
+    if (i == 0) {
+      pool.run_indexed(2, [&](std::size_t j) {
+        if (j == 1) {
+          inner_taken = true;
+          holds(reentered, 200);
+          return;
+        }
+        release = true;
+        holds(inner_taken, 5000);
+      });
+    }
+    --depth;
+  });
+  finished = true;
+  other.join();
+  EXPECT_TRUE(inner_taken.load());
+  EXPECT_FALSE(reentered.load());
+}
+
 TEST(ThreadPool, ExceptionsPropagateToCaller) {
   ThreadPool pool(2);
   std::atomic<int> completed{0};
