@@ -132,9 +132,10 @@ double audit_norm_bound(const protocol::SystolicSchedule& sched, double lambda) 
 
 AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
   cs.require_periodic("audit_schedule");
+  const int s = cs.period_length();
+  if (s < 3) return {-1.0, -1.0, -1, -1};  // Theorem 4.1 needs s >= 3
   AuditResult res;
   const auto classes = activity_classes(cs);
-  const int s = cs.period_length();
   const protocol::Mode mode = cs.mode();
 
   constexpr double kLoLambda = 1e-9;

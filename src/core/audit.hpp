@@ -79,14 +79,24 @@ struct AuditResult {
   double e_coeff = 0.0;      // 1/log2(1/λ*)
   int round_lower_bound = 0; // Theorem 4.1 round count at λ*
   int worst_vertex = -1;     // vertex attaining the norm bound at λ*
+
+  /// False when no Theorem 4.1 certificate applies (period < 3); every
+  /// field is then -1.
+  [[nodiscard]] bool certified() const noexcept {
+    return round_lower_bound >= 0;
+  }
 };
 
 /// Run the audit.  The bound holds for *any* execution length of this
-/// schedule that achieves gossip on an n-vertex network.  The compiled
-/// overload derives the activity classes once and reuses them across the
-/// whole λ bisection, and requires a periodic compiled schedule (as do the
-/// other compiled audit entry points); the schedule overload compiles
-/// first.
+/// schedule that achieves gossip on an n-vertex network.  A period below 3
+/// gets no certificate (all fields -1), the way core::lambda_star refuses
+/// s < 3: there the norm bound stays below 1 for every λ < 1, so λ* would
+/// sit at the bisection's upper end and the round count built from it is
+/// not a lower bound (C6 full duplex at period 2 gossips in 3 rounds; it
+/// would "certify" 4).  The compiled overload derives the activity classes
+/// once and reuses them across the whole λ bisection, and requires a
+/// periodic compiled schedule (as do the other compiled audit entry
+/// points); the schedule overload compiles first.
 [[nodiscard]] AuditResult audit_schedule(const protocol::CompiledSchedule& cs);
 [[nodiscard]] AuditResult audit_schedule(const protocol::SystolicSchedule& sched);
 

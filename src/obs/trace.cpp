@@ -44,9 +44,12 @@ StringTable& string_table() {
 /// concurrent drain safe against the single producer: a slot holding the
 /// i-th event (0-based) carries seq == 2 * (i + 1); the producer sets seq
 /// odd before rewriting the payload and even after, so a drainer that reads
-/// an unexpected or changed seq discards the copy as torn.  Payload fields
-/// are relaxed atomics purely to keep the concurrent access well-defined —
-/// on mainstream hardware they compile to plain loads/stores.
+/// an unexpected or changed seq discards the copy as torn.  The producer
+/// writes the payload with release stores and the drainer reads it with
+/// acquire loads, so a drainer that sees any field of a newer write also
+/// sees that write's odd seq on its re-check.  No fences: ThreadSanitizer
+/// models these orderings (it does not model fences), and on x86 they
+/// compile to the same plain loads and stores.
 struct Slot {
   std::atomic<std::uint64_t> seq{0};
   std::atomic<std::uint64_t> ts{0};
@@ -205,21 +208,22 @@ void emit(NameId name, std::uint64_t ts_us, std::uint64_t dur_us,
   const std::uint64_t idx = lane.head.load(std::memory_order_relaxed);
   Slot& s = lane.ring[idx & lane.mask];
   // Seqlock write: odd while the payload is inconsistent, 2*(idx+1) after.
+  // Each payload store is a release, so it publishes the odd seq before it.
+  constexpr auto kPublish = std::memory_order_release;
   s.seq.store(2 * idx + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.ts.store(ts_us, std::memory_order_relaxed);
-  s.dur.store(dur_us, std::memory_order_relaxed);
-  s.name.store(name, std::memory_order_relaxed);
+  s.ts.store(ts_us, kPublish);
+  s.dur.store(dur_us, kPublish);
+  s.name.store(name, kPublish);
   const auto argc =
       static_cast<std::uint8_t>(std::min(arg_count, kMaxArgs));
-  s.argc.store(argc, std::memory_order_relaxed);
+  s.argc.store(argc, kPublish);
   std::uint8_t smask = 0;
   for (std::size_t a = 0; a < argc; ++a) {
-    s.keys[a].store(args[a].key, std::memory_order_relaxed);
-    s.vals[a].store(args[a].value, std::memory_order_relaxed);
+    s.keys[a].store(args[a].key, kPublish);
+    s.vals[a].store(args[a].value, kPublish);
     if (args[a].is_string) smask |= static_cast<std::uint8_t>(1u << a);
   }
-  s.smask.store(smask, std::memory_order_relaxed);
+  s.smask.store(smask, kPublish);
   s.seq.store(2 * (idx + 1), std::memory_order_release);
   lane.head.store(idx + 1, std::memory_order_release);
 }
@@ -253,18 +257,19 @@ TraceDump drain() {
         ++out.dropped;  // already overwritten (or mid-write) by the producer
         continue;
       }
+      // Acquire loads: a field from a newer write brings that write's odd
+      // seq with it, so the re-check below sees the tear.
+      constexpr auto kObserve = std::memory_order_acquire;
       Event e;
-      e.ts_us = s.ts.load(std::memory_order_relaxed);
-      e.dur_us = s.dur.load(std::memory_order_relaxed);
-      e.name = s.name.load(std::memory_order_relaxed);
-      e.arg_count = std::min<std::uint8_t>(
-          s.argc.load(std::memory_order_relaxed), kMaxArgs);
-      e.str_mask = s.smask.load(std::memory_order_relaxed);
+      e.ts_us = s.ts.load(kObserve);
+      e.dur_us = s.dur.load(kObserve);
+      e.name = s.name.load(kObserve);
+      e.arg_count = std::min<std::uint8_t>(s.argc.load(kObserve), kMaxArgs);
+      e.str_mask = s.smask.load(kObserve);
       for (std::size_t a = 0; a < e.arg_count; ++a) {
-        e.arg_keys[a] = s.keys[a].load(std::memory_order_relaxed);
-        e.arg_vals[a] = s.vals[a].load(std::memory_order_relaxed);
+        e.arg_keys[a] = s.keys[a].load(kObserve);
+        e.arg_vals[a] = s.vals[a].load(kObserve);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != want) {
         ++out.dropped;  // torn: the producer lapped us mid-copy
         continue;

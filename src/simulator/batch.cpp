@@ -26,7 +26,7 @@ int gossip_time(const protocol::CompiledSchedule& cs, int max_rounds,
     KnowledgeMatrix& know = arena.acquire(n, first, std::min(width, n - first));
     const int t = run_periodic(
         cs.round_count(), cs.periodic(), max_rounds,
-        [&](int r, int) { apply_round(know, cs, r, opts.parallel); },
+        [&](int r, int) { return apply_round(know, cs, r, opts.parallel); },
         [&] { return know.all_full(); });
     if (t < 0) return -1;
     rounds = std::max(rounds, t);

@@ -26,6 +26,7 @@ int run_reach(const protocol::CompiledSchedule& cs, int src, int max_rounds,
         // arc has no other arc to forward along in the same round (a
         // full-duplex pair's reverse arc points back at an informed
         // tail), so marking immediately equals start-of-round semantics.
+        const int before = informed;
         for (const auto& a : cs.round_arcs(r)) {
           int& head = reach[static_cast<std::size_t>(a.head)];
           if (head == -1 && reach[static_cast<std::size_t>(a.tail)] != -1) {
@@ -33,6 +34,7 @@ int run_reach(const protocol::CompiledSchedule& cs, int src, int max_rounds,
             ++informed;
           }
         }
+        return informed != before;  // the informed set grew
       },
       [&] { return informed == n; });
 }

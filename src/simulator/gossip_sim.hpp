@@ -12,6 +12,7 @@
 // naming the round, never simulated.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "protocol/compiled.hpp"
@@ -41,9 +42,11 @@ struct GossipResult {
 /// Apply stored round r of a compiled schedule: a branch-light walk of the
 /// round's flat spans — half-duplex merges along the contiguous arc span,
 /// full-duplex along the tail < head pair list (no per-pair direction
-/// filtering, no per-round heap hop).
-void apply_round(KnowledgeMatrix& know, const protocol::CompiledSchedule& cs,
-                 int r, bool parallel = false);
+/// filtering, no per-round heap hop).  Returns the bits the round added,
+/// so 0 means the round changed nothing (run_periodic's stall signal).
+std::int64_t apply_round(KnowledgeMatrix& know,
+                         const protocol::CompiledSchedule& cs, int r,
+                         bool parallel = false);
 
 /// Run a finite protocol to its end (or early-exit once complete).  Compiles
 /// first: throws std::invalid_argument for a structurally invalid round.

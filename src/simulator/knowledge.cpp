@@ -94,12 +94,14 @@ void KnowledgeMatrix::merge_both(int a, int b) noexcept {
   bump(b, deltas[1]);
 }
 
-void KnowledgeMatrix::merge_arcs(std::span<const graph::Arc> arcs) noexcept {
+std::int64_t KnowledgeMatrix::merge_arcs(
+    std::span<const graph::Arc> arcs) noexcept {
   // One kernel fetch and one base/stride resolution for the whole span —
   // the per-arc work is two pointer adds and the kernel call.
   const RowKernels& k = kernels();
   std::uint64_t* const base = bits_.data();
   const std::size_t stride = stride_;
+  std::int64_t gained = 0;
   for (const graph::Arc& a : arcs) {
     // A full head row can gain nothing, nor can any row from an empty
     // tail; the tail row is never written within a matching round, so both
@@ -111,13 +113,17 @@ void KnowledgeMatrix::merge_arcs(std::span<const graph::Arc> arcs) noexcept {
         k.merge_delta(base + static_cast<std::size_t>(a.head) * stride,
                       base + static_cast<std::size_t>(a.tail) * stride, stride);
     bump(a.head, added);
+    gained += added;
   }
+  return gained;
 }
 
-void KnowledgeMatrix::merge_pairs(std::span<const graph::Arc> pairs) noexcept {
+std::int64_t KnowledgeMatrix::merge_pairs(
+    std::span<const graph::Arc> pairs) noexcept {
   const RowKernels& k = kernels();
   std::uint64_t* const base = bits_.data();
   const std::size_t stride = stride_;
+  std::int64_t gained = 0;
   for (const graph::Arc& p : pairs) {
     // A row gains nothing when it is full or its partner is empty.
     const int ca = counts_[static_cast<std::size_t>(p.tail)];
@@ -127,17 +133,18 @@ void KnowledgeMatrix::merge_pairs(std::span<const graph::Arc> pairs) noexcept {
     if (!a_gains && !b_gains) continue;
     std::uint64_t* const ra = base + static_cast<std::size_t>(p.tail) * stride;
     std::uint64_t* const rb = base + static_cast<std::size_t>(p.head) * stride;
-    if (!a_gains) {
-      bump(p.head, k.merge_delta(rb, ra, stride));
-    } else if (!b_gains) {
-      bump(p.tail, k.merge_delta(ra, rb, stride));
-    } else {
-      int deltas[2];
+    int deltas[2] = {0, 0};
+    if (!a_gains)
+      deltas[1] = k.merge_delta(rb, ra, stride);
+    else if (!b_gains)
+      deltas[0] = k.merge_delta(ra, rb, stride);
+    else
       k.merge_both_delta(ra, rb, stride, deltas);
-      bump(p.tail, deltas[0]);
-      bump(p.head, deltas[1]);
-    }
+    bump(p.tail, deltas[0]);
+    bump(p.head, deltas[1]);
+    gained += deltas[0] + deltas[1];
   }
+  return gained;
 }
 
 }  // namespace sysgo::simulator

@@ -87,12 +87,13 @@ class KnowledgeMatrix {
   /// (tail -> head per arc): one call per round; a merge into a full row or
   /// from an empty one is skipped without touching its words.  Within one
   /// matching the merges are independent, so disjoint sub-spans may run
-  /// concurrently.
-  void merge_arcs(std::span<const graph::Arc> arcs) noexcept;
+  /// concurrently.  Returns the bits the rows gained (0: nothing changed).
+  std::int64_t merge_arcs(std::span<const graph::Arc> arcs) noexcept;
 
   /// Batch form of merge_both over a round's tail < head pair list; each
   /// direction is skipped when its destination is full or its source empty.
-  void merge_pairs(std::span<const graph::Arc> pairs) noexcept;
+  /// Returns the bits the rows gained.
+  std::int64_t merge_pairs(std::span<const graph::Arc> pairs) noexcept;
 
   /// Number of window items vertex v knows.  O(1).
   [[nodiscard]] int count(int v) const noexcept {

@@ -11,23 +11,25 @@ namespace {
 /// yields stored round r's merge work list: directed arcs (half duplex) or
 /// tail < head pair representatives (full duplex) —
 /// CompiledSchedule::round_pairs and ScheduleDraft::links share that form,
-/// and merge order within a matching is irrelevant.
+/// and merge order within a matching is irrelevant.  `simulated` receives
+/// the rounds the run executed.
 template <typename LinksOf>
 Objective score_rounds(int n, protocol::Mode mode, int period, int links,
                        const ObjectiveOptions& opts,
-                       simulator::GossipArena& arena, LinksOf&& links_of) {
+                       simulator::GossipArena& arena, int& simulated,
+                       LinksOf&& links_of) {
   Objective obj;
   obj.period = period;
   obj.links = links;
   const bool full = mode == protocol::Mode::kFullDuplex;
   simulator::KnowledgeMatrix& know = arena.acquire(n);
+  simulated = 0;
   obj.rounds = simulator::run_periodic(
       period, /*periodic=*/true, opts.max_rounds,
-      [&](int r, int) {
-        if (full)
-          know.merge_pairs(links_of(r));
-        else
-          know.merge_arcs(links_of(r));
+      [&](int r, int i) {
+        simulated = i;
+        return full ? know.merge_pairs(links_of(r))
+                    : know.merge_arcs(links_of(r));
       },
       [&] { return know.all_full(); });
   obj.feasible = obj.rounds >= 0;
@@ -69,15 +71,17 @@ Objective evaluate(const protocol::CompiledSchedule& cs,
                                          ? cs.arc_total() / 2
                                          : cs.arc_total());
   simulator::GossipArena arena;
+  int simulated = 0;
   return score_rounds(cs.n(), cs.mode(), cs.period_length(), links, opts,
-                      arena, [&cs](int r) { return cs.round_pairs(r); });
+                      arena, simulated,
+                      [&cs](int r) { return cs.round_pairs(r); });
 }
 
 Objective DraftEvaluator::evaluate(const ScheduleDraft& draft,
                                    const ObjectiveOptions& opts) {
   return score_rounds(
       draft.n(), draft.mode(), draft.period(),
-      static_cast<int>(draft.total_links()), opts, arena_,
+      static_cast<int>(draft.total_links()), opts, arena_, simulated_,
       [&draft](int r) -> std::span<const graph::Arc> { return draft.links(r); });
 }
 

@@ -70,8 +70,14 @@ class DraftEvaluator {
   [[nodiscard]] Objective evaluate(const ScheduleDraft& draft,
                                    const ObjectiveOptions& opts);
 
+  /// Rounds the last evaluate simulated: the completion round when it was
+  /// feasible; else the cap, or fewer when the run stalled at a fixed point
+  /// (see simulator::run_periodic).
+  [[nodiscard]] int rounds_simulated() const noexcept { return simulated_; }
+
  private:
   simulator::GossipArena arena_;
+  int simulated_ = 0;
 };
 
 }  // namespace sysgo::synth

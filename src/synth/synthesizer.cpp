@@ -95,9 +95,9 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
     ObjectiveOptions capped = opts.objective;
     capped.max_rounds = cap;
     const Objective o = evaluator.evaluate(d, capped);
-    // Rounds simulated: up to completion, or the whole cap.
+    // Rounds simulated: up to completion, to a stall, or the whole cap.
     replay_depth.record_micros(
-        static_cast<std::uint64_t>(o.feasible ? o.rounds : cap));
+        static_cast<std::uint64_t>(evaluator.rounds_simulated()));
     return o;
   };
 
@@ -109,14 +109,16 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
   constexpr double kT0 = 2.0;    // round-unit temperatures
   constexpr double kTEnd = 0.05;
   const double steps = opts.iterations > 1 ? opts.iterations - 1 : 1;
+  // Snapshot-undo: every move starts by copying the draft into `backup`
+  // and a rejected move swaps it back.  The copy assigns into the same
+  // snapshot all restart long, so its per-round link and occupancy vectors
+  // keep their capacity instead of being allocated afresh every move.
+  ScheduleDraft backup = draft;
   for (int it = 0; it < opts.iterations; ++it) {
     if (opts.time_budget_ms > 0.0 && timer.millis() >= opts.time_budget_ms)
       break;
     ++out.proposed;
-    // Snapshot-undo: drafts are small (period × links), so a full copy is
-    // cheap next to the simulation below and makes every move trivially
-    // reversible.
-    const ScheduleDraft backup = draft;
+    backup = draft;
 
     bool changed = false;
     switch (rng.uniform_index(7)) {
@@ -182,7 +184,7 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
       }
     }
     if (!changed) {
-      draft = backup;  // inapplicable or rejected-by-structure: no-op
+      std::swap(draft, backup);  // inapplicable or rejected-by-structure
       continue;
     }
 
@@ -203,7 +205,7 @@ RestartOutcome anneal(const protocol::SystolicSchedule& initial,
         out.schedule = draft.to_schedule();
       }
     } else {
-      draft = backup;
+      std::swap(draft, backup);
     }
   }
   return out;

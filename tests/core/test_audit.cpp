@@ -267,6 +267,31 @@ TEST(Audit, RandomSchedulesNeverBeatTheirAudit) {
   }
 }
 
+TEST(Audit, PeriodBelowThreeGetsNoCertificate) {
+  // C6 full duplex in period 2 gossips in 3 rounds.  Theorem 4.1 needs
+  // s >= 3: at s = 2 the norm bound stays below 1 for every lambda < 1, and
+  // the round count built from lambda* ~ 1 would claim 4.
+  protocol::SystolicSchedule c6;
+  c6.n = 6;
+  c6.mode = Mode::kFullDuplex;
+  c6.period = {{{{0, 1}, {1, 0}, {2, 3}, {3, 2}, {4, 5}, {5, 4}}},
+               {{{1, 2}, {2, 1}, {3, 4}, {4, 3}, {5, 0}, {0, 5}}}};
+  ASSERT_EQ(simulator::gossip_time(c6, 100), 3);
+  const auto res = audit_schedule(c6);
+  EXPECT_FALSE(res.certified());
+  EXPECT_EQ(res.lambda_star, -1.0);
+  EXPECT_EQ(res.e_coeff, -1.0);
+  EXPECT_EQ(res.round_lower_bound, -1);
+  EXPECT_EQ(res.worst_vertex, -1);
+  // Period 1 is degenerate too; period 3 is certified.
+  protocol::SystolicSchedule one = c6;
+  one.period.resize(1);
+  EXPECT_FALSE(audit_schedule(one).certified());
+  protocol::SystolicSchedule three = c6;
+  three.period.push_back({});
+  EXPECT_TRUE(audit_schedule(three).certified());
+}
+
 TEST(Audit, EmptyPeriodRejected) {
   protocol::SystolicSchedule sched;
   sched.n = 4;
@@ -294,7 +319,9 @@ TEST(Audit, NonRelayingScheduleDegenerates) {
   protocol::SystolicSchedule sched;
   sched.n = 3;
   sched.mode = Mode::kHalfDuplex;
-  sched.period = {{{{1, 0}}}, {{{2, 0}}}};  // only inbound to 0
+  // Only inbound to 0; the idle third round keeps the period at 3, the
+  // shortest one Theorem 4.1 certifies.
+  sched.period = {{{{1, 0}}}, {{{2, 0}}}, {}};
   const auto res = audit_schedule(sched);
   EXPECT_GT(res.lambda_star, 0.9);  // norm below 1 for all λ
 }

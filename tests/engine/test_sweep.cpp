@@ -71,6 +71,39 @@ TEST(Sweep, RecordsMatchDirectComputation) {
   for (const auto& r : records) EXPECT_GE(r.millis, 0.0);
 }
 
+TEST(Sweep, AuditNeverCertifiesMoreRoundsThanSimulateMeasures) {
+  // Full-duplex cycles: even C_n colour in period 2, where Theorem 4.1
+  // gives no certificate (e, lambda and rounds all -1), odd C_n in period 3.
+  ScenarioSpec spec;
+  spec.families = {Family::kCycle};
+  spec.degrees = {2};
+  spec.dimensions = {4, 5, 6, 7, 8};
+  spec.modes = {Mode::kFullDuplex};
+  spec.tasks = {Task::kSimulate, Task::kAudit};
+  SweepRunner runner;
+  const auto records = runner.run(spec);
+  ASSERT_EQ(records.size(), 10u);
+  for (std::size_t i = 0; i < records.size(); i += 2) {
+    const SweepRecord& sim = records[i];
+    const SweepRecord& audit = records[i + 1];
+    ASSERT_EQ(sim.task, Task::kSimulate);
+    ASSERT_EQ(audit.task, Task::kAudit);
+    ASSERT_EQ(audit.key.D, sim.key.D);
+    ASSERT_GT(sim.rounds, 0) << "C" << sim.key.D;
+    EXPECT_LE(audit.rounds, sim.rounds) << "C" << sim.key.D;
+    if (audit.s < 3) {
+      EXPECT_EQ(audit.e, -1.0) << "C" << sim.key.D;
+      EXPECT_EQ(audit.lambda, -1.0) << "C" << sim.key.D;
+      EXPECT_EQ(audit.rounds, -1) << "C" << sim.key.D;
+    }
+  }
+  // C6: period 2, gossip in 3 rounds; the audit used to certify 4.
+  EXPECT_EQ(records[4].key.D, 6);
+  EXPECT_EQ(records[4].s, 2);
+  EXPECT_EQ(records[4].rounds, 3);
+  EXPECT_EQ(records[5].rounds, -1);
+}
+
 TEST(Sweep, CacheHitsOnRepeatedScenarioKeys) {
   SweepRunner runner;
   const auto records = runner.run(small_grid());

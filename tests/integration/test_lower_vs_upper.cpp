@@ -60,6 +60,11 @@ TEST(LowerVsUpper, CertificateNeverExceedsMeasuredTime) {
     ASSERT_GT(measured, 0) << c.name << " did not complete";
     const auto audit = audit_schedule(c.sched);
     EXPECT_LE(audit.round_lower_bound, measured) << c.name;
+    // path16-fd repeats two rounds; Theorem 4.1 certifies periods >= 3.
+    if (c.sched.period_length() < 3) {
+      EXPECT_FALSE(audit.certified()) << c.name;
+      continue;
+    }
     EXPECT_GT(audit.round_lower_bound, 0) << c.name;
   }
 }

@@ -74,7 +74,7 @@ int run(KnowledgeMatrix& know, const CompiledSchedule& cs, int max_rounds,
         bool parallel = false) {
   return run_periodic(
       cs.round_count(), cs.periodic(), max_rounds,
-      [&](int r, int) { apply_round(know, cs, r, parallel); },
+      [&](int r, int) { return apply_round(know, cs, r, parallel); },
       [&] { return know.all_full(); });
 }
 

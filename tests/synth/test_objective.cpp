@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "protocol/builders.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/kautz.hpp"
+#include "util/rng.hpp"
 
 namespace sysgo::synth {
 namespace {
@@ -94,6 +99,91 @@ TEST(Objective, InfeasibleReportsCoverageGradient) {
   EXPECT_EQ(obj.rounds, -1);
   // Each vertex ends with exactly its pair's two items.
   EXPECT_EQ(obj.coverage, 12);
+}
+
+/// The objective of `d` under a round cap by a plain loop with no stall
+/// exit: snapshot semantics over one 64-bit row per vertex (n <= 64),
+/// every round up to the cap.
+Objective reference_objective(const ScheduleDraft& d, int cap) {
+  const int n = d.n();
+  const std::uint64_t full = n == 64 ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << n) - 1;
+  std::vector<std::uint64_t> rows(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v)
+    rows[static_cast<std::size_t>(v)] = std::uint64_t{1} << v;
+  Objective o;
+  o.period = d.period();
+  o.links = static_cast<int>(d.total_links());
+  for (int i = 1; i <= cap; ++i) {
+    const std::vector<std::uint64_t> before = rows;
+    for (const graph::Arc& l : d.links((i - 1) % d.period())) {
+      const auto t = static_cast<std::size_t>(l.tail);
+      const auto h = static_cast<std::size_t>(l.head);
+      rows[h] |= before[t];
+      if (d.mode() == Mode::kFullDuplex) rows[t] |= before[h];
+    }
+    bool done = true;
+    for (const std::uint64_t w : rows) done = done && w == full;
+    if (done) {
+      o.feasible = true;
+      o.rounds = i;
+      o.coverage = n * n;
+      return o;
+    }
+  }
+  for (const std::uint64_t w : rows) o.coverage += std::popcount(w);
+  return o;
+}
+
+TEST(Objective, DraftEvaluatorMatchesAPlainLoopOnRandomDrafts) {
+  // Random drafts on 2..40 vertices: links drawn from all pairs, or only
+  // from within two halves (never feasible), with empty rounds left where
+  // no insert landed.
+  util::Rng rng(5);
+  DraftEvaluator evaluator;
+  constexpr int kDeepCap = 10000;
+  int infeasible = 0;
+  int feasible = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const Mode mode = trial % 2 == 0 ? Mode::kHalfDuplex : Mode::kFullDuplex;
+    const int n = rng.uniform_int(2, 40);
+    const bool split = rng.uniform_int(0, 1) == 1;
+    ScheduleDraft d(n, mode, rng.uniform_int(1, 6));
+    const int attempts = rng.uniform_int(0, 4 * n * d.period());
+    for (int k = 0; k < attempts; ++k) {
+      int u = rng.uniform_int(0, n - 1);
+      int v = rng.uniform_int(0, n - 1);
+      if (split && (u < n / 2) != (v < n / 2)) continue;
+      if (mode == Mode::kFullDuplex && u > v) std::swap(u, v);
+      (void)d.insert(rng.uniform_int(0, d.period() - 1), {u, v});
+    }
+    const int p = d.period();
+    for (int cap = 1; cap <= 3 * p + 1; ++cap) {
+      const int c = cap == 3 * p + 1 ? kDeepCap : cap;
+      const Objective want = reference_objective(d, c);
+      const Objective got = evaluator.evaluate(d, {c});
+      EXPECT_EQ(got.feasible, want.feasible) << "trial " << trial << " cap " << c;
+      EXPECT_EQ(got.rounds, want.rounds) << "trial " << trial << " cap " << c;
+      EXPECT_EQ(got.period, want.period) << "trial " << trial;
+      EXPECT_EQ(got.links, want.links) << "trial " << trial;
+      EXPECT_EQ(got.coverage, want.coverage) << "trial " << trial << " cap " << c;
+      EXPECT_LE(evaluator.rounds_simulated(), c);
+      if (got.feasible) {
+        EXPECT_EQ(evaluator.rounds_simulated(), got.rounds);
+      }
+    }
+    // At the deep cap an infeasible draft has stalled long before it: each
+    // gaining round adds a bit (at most n^2 - n of them) and fewer than a
+    // period of idle rounds separate two gains, so at most 9,366 rounds.
+    if (evaluator.evaluate(d, {kDeepCap}).feasible) {
+      ++feasible;
+    } else {
+      ++infeasible;
+      EXPECT_LT(evaluator.rounds_simulated(), kDeepCap) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(infeasible, 30);
+  EXPECT_GT(feasible, 30);
 }
 
 }  // namespace

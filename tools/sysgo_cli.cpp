@@ -781,6 +781,12 @@ int cmd_audit(int argc, char** argv) {
     return 1;
   }
   const auto res = sysgo::core::audit_schedule(cs);
+  if (!res.certified()) {
+    std::printf("n=%d period=%d no Theorem 4.1 certificate applies "
+                "(it needs period >= 3)\n",
+                sched.n, sched.period_length());
+    return 0;
+  }
   std::printf("n=%d period=%d lambda*=%.6f e=%.4f certified-rounds>=%d "
               "worst-vertex=%d\n",
               sched.n, sched.period_length(), res.lambda_star, res.e_coeff,
