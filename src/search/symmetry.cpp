@@ -197,6 +197,23 @@ Canonicalizer::Canonicalizer(int n, AutomorphismGroup group)
       hi_[m * k + j] = hi;
     }
   }
+  // Each run's minimum row-0 image of every row mask, one element at a
+  // time: its images of the masks sharing bits 6..11 differ only in the
+  // low table's entry.
+  const std::size_t runs = run_.size() - 1;
+  run_stride_ = std::max<std::size_t>(std::size_t{1} << n, 64);
+  run_min_.assign(runs * run_stride_, UINT16_MAX);
+  std::array<std::uint16_t, 64> lo_image{};
+  for (std::size_t u = 0; u < runs; ++u)
+    for (std::uint32_t j = run_[u]; j < run_[u + 1]; ++j) {
+      for (std::size_t m = 0; m < 64; ++m) lo_image[m] = lo_[m * k + j];
+      for (std::size_t high = 0; high < run_stride_; high += 64) {
+        const std::uint16_t hi = hi_[(high >> 6) * k + j];
+        std::uint16_t* const min = &run_min_[u * run_stride_ + high];
+        for (std::size_t m = 0; m < 64; ++m)
+          min[m] = std::min(min[m], static_cast<std::uint16_t>(lo_image[m] | hi));
+      }
+    }
 }
 
 State Canonicalizer::canonical(const State& s, std::size_t* perm_index,
@@ -219,12 +236,23 @@ State Canonicalizer::canonical(const State& s, std::size_t* perm_index,
     t[count] = j;
     count += row == min;
   };
-  for (std::size_t u = 0; u + 1 < run_.size(); ++u) {
+  // Row 0's minimum comes from the run table; only the runs reaching it
+  // are scanned, in run order, so the ties are those of a full scan.
+  const std::size_t runs = run_.size() - 1;
+  const std::size_t row_mask = (std::size_t{1} << n_) - 1;
+  const auto run_min = [&](std::size_t u) {
+    return run_min_[u * run_stride_ + (s.rows[u] & row_mask)];
+  };
+  for (std::size_t u = 0; u < runs; ++u) min = std::min(min, run_min(u));
+  for (std::size_t u = 0; u < runs; ++u) {
+    if (run_min(u) != min) continue;
     const std::uint16_t mask = s.rows[u];
     const std::uint16_t* lo = &lo_[(mask & 63u) * k];
     const std::uint16_t* hi = &hi_[((mask >> 6) & 63u) * k];
-    for (std::uint32_t j = run_[u]; j < run_[u + 1]; ++j)
-      keep(static_cast<std::uint16_t>(lo[j] | hi[j]), j);
+    for (std::uint32_t j = run_[u]; j < run_[u + 1]; ++j) {
+      t[count] = j;
+      count += static_cast<std::uint16_t>(lo[j] | hi[j]) == min;
+    }
   }
   if (ties != nullptr) *ties += count;
   State best;

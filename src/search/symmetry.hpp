@@ -61,16 +61,21 @@ struct AutomorphismGroup {
 /// one contiguous run and read the same row of s.  Each element's column
 /// bit-permutation is two 6-bit lookup tables (bits 0..5 and 6..11), stored
 /// transposed as [mask][element], so one row mask addresses a contiguous
-/// run of images.  The two tables take 256 B per element.
+/// run of images.  The two tables take 256 B per element.  A run table
+/// holds, for every source u and row mask, the minimum image of the mask
+/// over u's run: n·max(2^n, 64) entries of 2 B, 96 KB at n = 12, built once
+/// per Canonicalizer.
 ///
-/// canonical() scores row 0 of every element in one pass over the runs,
-/// keeping the running minimum and the elements tied on it.  Rows 1..n-1
-/// are scored only for the tied elements, each row narrowing the ties to
-/// its minimum, so the rows found are the orbit minimum.  Among the
-/// elements left, the one with the lowest index in group().perms wins,
-/// whatever the run order (witness replay depends on that choice).  The
-/// tie list is thread_local scratch owned by canonical() itself, so
-/// concurrent calls may share one Canonicalizer.
+/// canonical() reads row 0's minimum from the run table (one entry per
+/// source), then scans, in run order, only the runs whose entry equals it,
+/// collecting the elements that reach it: the same tie list as scoring
+/// row 0 of every element.  Rows 1..n-1 are scored only for the tied
+/// elements, each row narrowing the ties to its minimum, so the rows found
+/// are the orbit minimum.  Among the elements left, the one with the
+/// lowest index in group().perms wins, whatever the run order (witness
+/// replay depends on that choice).  The tie list is thread_local scratch
+/// owned by canonical() itself, so concurrent calls may share one
+/// Canonicalizer.
 class Canonicalizer {
  public:
   /// n <= kMaxVertices; every perm in group must have size n.
@@ -110,6 +115,8 @@ class Canonicalizer {
   std::vector<std::array<std::uint8_t, kMaxVertices>> inv_;  // by position
   std::vector<std::uint16_t> lo_;  // [mask of bits 0..5][position]
   std::vector<std::uint16_t> hi_;  // [mask of bits 6..11][position]
+  std::size_t run_stride_ = 0;  // max(2^n, 64) row masks per source
+  std::vector<std::uint16_t> run_min_;  // [source u][row mask]: run minimum
 };
 
 }  // namespace sysgo::search

@@ -18,35 +18,157 @@ namespace sysgo::simulator {
 
 namespace {
 
+// ------------------------------------------------------------- round loops
+//
+// The two round loops every kernel shares.  `Rows` supplies the kernel's
+// row ops: merge(dst, src, words) ORs src into dst and returns the bits dst
+// gained; merge_both(a, b, words, da, db) makes both rows a | b.  Each ISA
+// instantiates the loops inside its own target-attributed entry function,
+// and always_inline keeps every instantiation there, so the loop and its
+// std::popcount compile for that ISA.
+
+/// Row ops for rows of one logical word.
+struct OneWordRows {
+  [[gnu::always_inline]] static int merge(std::uint64_t* dst,
+                                          const std::uint64_t* src,
+                                          std::size_t) {
+    const int added = std::popcount(*src & ~*dst);
+    *dst |= *src;
+    return added;
+  }
+  [[gnu::always_inline]] static void merge_both(std::uint64_t* a,
+                                                std::uint64_t* b, std::size_t,
+                                                int& da, int& db) {
+    const std::uint64_t u = *a | *b;
+    da = std::popcount(u & ~*a);
+    db = std::popcount(u & ~*b);
+    *a = u;
+    *b = u;
+  }
+};
+
+[[gnu::always_inline]] inline std::uint64_t* row_of(const RowBlock& m,
+                                                    int v) {
+  return m.bits + static_cast<std::size_t>(v) * m.stride;
+}
+
+[[gnu::always_inline]] inline void add_full_rows(const RowBlock& m,
+                                                 int filled) {
+  if (filled != 0)
+    std::atomic_ref<int>(*m.full_rows)
+        .fetch_add(filled, std::memory_order_relaxed);
+}
+
+template <class Rows>
+[[gnu::always_inline]] inline std::int64_t arcs_loop(
+    RowBlock m, std::span<const graph::Arc> arcs) {
+  int* const counts = m.counts;
+  std::int64_t gained = 0;
+  int filled = 0;
+  for (const graph::Arc& a : arcs) {
+    // A full head row can gain nothing, nor can any row from an empty
+    // tail; the tail row is never written within a matching round, so both
+    // count reads are stable.
+    int& head = counts[a.head];
+    if (head == m.items || counts[a.tail] == 0) continue;
+    const int added = Rows::merge(row_of(m, a.head), row_of(m, a.tail),
+                                  m.stride);
+    head += added;
+    filled += head == m.items;
+    gained += added;
+  }
+  add_full_rows(m, filled);
+  return gained;
+}
+
+template <class Rows>
+[[gnu::always_inline]] inline std::int64_t pairs_loop(
+    RowBlock m, std::span<const graph::Arc> pairs) {
+  int* const counts = m.counts;
+  std::int64_t gained = 0;
+  int filled = 0;
+  for (const graph::Arc& p : pairs) {
+    // A row gains nothing when it is full or its partner is empty.
+    int& ca = counts[p.tail];
+    int& cb = counts[p.head];
+    const bool a_gains = ca != m.items && cb != 0;
+    const bool b_gains = cb != m.items && ca != 0;
+    if (!a_gains && !b_gains) continue;
+    std::uint64_t* const ra = row_of(m, p.tail);
+    std::uint64_t* const rb = row_of(m, p.head);
+    int da = 0;
+    int db = 0;
+    if (!a_gains)
+      db = Rows::merge(rb, ra, m.stride);
+    else if (!b_gains)
+      da = Rows::merge(ra, rb, m.stride);
+    else
+      Rows::merge_both(ra, rb, m.stride, da, db);
+    ca += da;
+    cb += db;
+    filled += (da != 0 && ca == m.items) + (db != 0 && cb == m.items);
+    gained += da + db;
+  }
+  add_full_rows(m, filled);
+  return gained;
+}
+
+// The kernel's row ops for multi-word rows, the one-word ops otherwise.
+template <class Rows>
+[[gnu::always_inline]] inline std::int64_t merge_arcs_with(
+    const RowBlock& m, std::span<const graph::Arc> arcs) {
+  return m.words == 1 ? arcs_loop<OneWordRows>(m, arcs)
+                      : arcs_loop<Rows>(m, arcs);
+}
+
+template <class Rows>
+[[gnu::always_inline]] inline std::int64_t merge_pairs_with(
+    const RowBlock& m, std::span<const graph::Arc> pairs) {
+  return m.words == 1 ? pairs_loop<OneWordRows>(m, pairs)
+                      : pairs_loop<Rows>(m, pairs);
+}
+
 // ------------------------------------------------------------------ scalar
 
-int merge_delta_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                       std::size_t words) {
-  int added = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    added += std::popcount(src[w] & ~dst[w]);
-    dst[w] |= src[w];
+struct ScalarRows {
+  [[gnu::always_inline]] static int merge(std::uint64_t* dst,
+                                          const std::uint64_t* src,
+                                          std::size_t words) {
+    int added = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      added += std::popcount(src[w] & ~dst[w]);
+      dst[w] |= src[w];
+    }
+    return added;
   }
-  return added;
+  [[gnu::always_inline]] static void merge_both(std::uint64_t* a,
+                                                std::uint64_t* b,
+                                                std::size_t words, int& da,
+                                                int& db) {
+    da = 0;
+    db = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t u = a[w] | b[w];
+      da += std::popcount(u & ~a[w]);
+      db += std::popcount(u & ~b[w]);
+      a[w] = u;
+      b[w] = u;
+    }
+  }
+};
+
+std::int64_t merge_arcs_scalar(const RowBlock& m,
+                               std::span<const graph::Arc> arcs) {
+  return merge_arcs_with<ScalarRows>(m, arcs);
 }
 
-void merge_both_delta_scalar(std::uint64_t* a, std::uint64_t* b,
-                             std::size_t words, int deltas[2]) {
-  int da = 0;
-  int db = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t u = a[w] | b[w];
-    da += std::popcount(u & ~a[w]);
-    db += std::popcount(u & ~b[w]);
-    a[w] = u;
-    b[w] = u;
-  }
-  deltas[0] = da;
-  deltas[1] = db;
+std::int64_t merge_pairs_scalar(const RowBlock& m,
+                                std::span<const graph::Arc> pairs) {
+  return merge_pairs_with<ScalarRows>(m, pairs);
 }
 
-constexpr RowKernels kScalarKernels{KernelKind::kScalar, merge_delta_scalar,
-                                    merge_both_delta_scalar};
+constexpr RowKernels kScalarKernels{KernelKind::kScalar, merge_arcs_scalar,
+                                    merge_pairs_scalar};
 
 #if SYSGO_KERNELS_X86
 
@@ -56,8 +178,9 @@ constexpr RowKernels kScalarKernels{KernelKind::kScalar, merge_delta_scalar,
 // counts from two 16-entry table lookups, then vpsadbw folds bytes into four
 // 64-bit partial sums that accumulate across iterations.
 
-__attribute__((target("avx2"))) inline __m256i popcount_bytes_avx2(
-    __m256i v) {
+#define SYSGO_AVX2_TARGET __attribute__((target("avx2")))
+
+SYSGO_AVX2_TARGET inline __m256i popcount_bytes_avx2(__m256i v) {
   const __m256i lut =
       _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
                        1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
@@ -68,76 +191,87 @@ __attribute__((target("avx2"))) inline __m256i popcount_bytes_avx2(
                          _mm256_shuffle_epi8(lut, hi));
 }
 
-__attribute__((target("avx2"))) inline int hsum_epi64_avx2(__m256i v) {
+SYSGO_AVX2_TARGET inline int hsum_epi64_avx2(__m256i v) {
   return static_cast<int>(_mm256_extract_epi64(v, 0) +
                           _mm256_extract_epi64(v, 1) +
                           _mm256_extract_epi64(v, 2) +
                           _mm256_extract_epi64(v, 3));
 }
 
-__attribute__((target("avx2"))) int merge_delta_avx2(std::uint64_t* dst,
-                                                     const std::uint64_t* src,
-                                                     std::size_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    const __m256i fresh = _mm256_andnot_si256(d, s);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(d, s));
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(popcount_bytes_avx2(fresh),
-                             _mm256_setzero_si256()));
+struct Avx2Rows {
+  SYSGO_AVX2_TARGET static int merge(std::uint64_t* dst,
+                                     const std::uint64_t* src,
+                                     std::size_t words) {
+    __m256i acc = _mm256_setzero_si256();
+    std::size_t w = 0;
+    for (; w + 4 <= words; w += 4) {
+      const __m256i d =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
+      const __m256i s =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
+      const __m256i fresh = _mm256_andnot_si256(d, s);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
+                          _mm256_or_si256(d, s));
+      acc = _mm256_add_epi64(
+          acc, _mm256_sad_epu8(popcount_bytes_avx2(fresh),
+                               _mm256_setzero_si256()));
+    }
+    int added = hsum_epi64_avx2(acc);
+    for (; w < words; ++w) {
+      added += std::popcount(src[w] & ~dst[w]);
+      dst[w] |= src[w];
+    }
+    return added;
   }
-  int added = hsum_epi64_avx2(acc);
-  for (; w < words; ++w) {
-    added += std::popcount(src[w] & ~dst[w]);
-    dst[w] |= src[w];
+
+  SYSGO_AVX2_TARGET static void merge_both(std::uint64_t* a, std::uint64_t* b,
+                                           std::size_t words, int& da,
+                                           int& db) {
+    __m256i acc_a = _mm256_setzero_si256();
+    __m256i acc_b = _mm256_setzero_si256();
+    std::size_t w = 0;
+    for (; w + 4 <= words; w += 4) {
+      const __m256i va =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
+      const __m256i vb =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
+      const __m256i u = _mm256_or_si256(va, vb);
+      const __m256i zero = _mm256_setzero_si256();
+      acc_a = _mm256_add_epi64(
+          acc_a,
+          _mm256_sad_epu8(popcount_bytes_avx2(_mm256_andnot_si256(va, vb)),
+                          zero));
+      acc_b = _mm256_add_epi64(
+          acc_b,
+          _mm256_sad_epu8(popcount_bytes_avx2(_mm256_andnot_si256(vb, va)),
+                          zero));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + w), u);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + w), u);
+    }
+    da = hsum_epi64_avx2(acc_a);
+    db = hsum_epi64_avx2(acc_b);
+    for (; w < words; ++w) {
+      const std::uint64_t u = a[w] | b[w];
+      da += std::popcount(u & ~a[w]);
+      db += std::popcount(u & ~b[w]);
+      a[w] = u;
+      b[w] = u;
+    }
   }
-  return added;
+};
+
+SYSGO_AVX2_TARGET std::int64_t merge_arcs_avx2(
+    const RowBlock& m, std::span<const graph::Arc> arcs) {
+  return merge_arcs_with<Avx2Rows>(m, arcs);
 }
 
-__attribute__((target("avx2"))) void merge_both_delta_avx2(
-    std::uint64_t* a, std::uint64_t* b, std::size_t words, int deltas[2]) {
-  __m256i acc_a = _mm256_setzero_si256();
-  __m256i acc_b = _mm256_setzero_si256();
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    const __m256i u = _mm256_or_si256(va, vb);
-    const __m256i zero = _mm256_setzero_si256();
-    acc_a = _mm256_add_epi64(
-        acc_a,
-        _mm256_sad_epu8(popcount_bytes_avx2(_mm256_andnot_si256(va, vb)),
-                        zero));
-    acc_b = _mm256_add_epi64(
-        acc_b,
-        _mm256_sad_epu8(popcount_bytes_avx2(_mm256_andnot_si256(vb, va)),
-                        zero));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + w), u);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(b + w), u);
-  }
-  int da = hsum_epi64_avx2(acc_a);
-  int db = hsum_epi64_avx2(acc_b);
-  for (; w < words; ++w) {
-    const std::uint64_t u = a[w] | b[w];
-    da += std::popcount(u & ~a[w]);
-    db += std::popcount(u & ~b[w]);
-    a[w] = u;
-    b[w] = u;
-  }
-  deltas[0] = da;
-  deltas[1] = db;
+SYSGO_AVX2_TARGET std::int64_t merge_pairs_avx2(
+    const RowBlock& m, std::span<const graph::Arc> pairs) {
+  return merge_pairs_with<Avx2Rows>(m, pairs);
 }
 
-constexpr RowKernels kAvx2Kernels{KernelKind::kAvx2, merge_delta_avx2,
-                                  merge_both_delta_avx2};
+constexpr RowKernels kAvx2Kernels{KernelKind::kAvx2, merge_arcs_avx2,
+                                  merge_pairs_avx2};
 
 // ------------------------------------------------------------------ AVX-512
 //
@@ -155,66 +289,80 @@ constexpr RowKernels kAvx2Kernels{KernelKind::kAvx2, merge_delta_avx2,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-#define SYSGO_AVX512_TARGET "avx512f,avx512bw,avx512vl,avx512vpopcntdq"
+#define SYSGO_AVX512_TARGET \
+  __attribute__((target("avx512f,avx512bw,avx512vl,avx512vpopcntdq")))
 
-__attribute__((target(SYSGO_AVX512_TARGET))) int merge_delta_avx512(
-    std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + w);
-    const __m512i s = _mm512_loadu_si512(src + w);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_andnot_si512(d, s)));
-    _mm512_storeu_si512(dst + w, _mm512_or_si512(d, s));
+struct Avx512Rows {
+  SYSGO_AVX512_TARGET static int merge(std::uint64_t* dst,
+                                       const std::uint64_t* src,
+                                       std::size_t words) {
+    __m512i acc = _mm512_setzero_si512();
+    std::size_t w = 0;
+    for (; w + 8 <= words; w += 8) {
+      const __m512i d = _mm512_loadu_si512(dst + w);
+      const __m512i s = _mm512_loadu_si512(src + w);
+      acc = _mm512_add_epi64(acc,
+                             _mm512_popcnt_epi64(_mm512_andnot_si512(d, s)));
+      _mm512_storeu_si512(dst + w, _mm512_or_si512(d, s));
+    }
+    if (w < words) {
+      const __mmask8 m = static_cast<__mmask8>((1u << (words - w)) - 1u);
+      const __m512i d = _mm512_maskz_loadu_epi64(m, dst + w);
+      const __m512i s = _mm512_maskz_loadu_epi64(m, src + w);
+      acc = _mm512_add_epi64(acc,
+                             _mm512_popcnt_epi64(_mm512_andnot_si512(d, s)));
+      _mm512_mask_storeu_epi64(dst + w, m, _mm512_or_si512(d, s));
+    }
+    return static_cast<int>(_mm512_reduce_add_epi64(acc));
   }
-  if (w < words) {
-    const __mmask8 m =
-        static_cast<__mmask8>((1u << (words - w)) - 1u);
-    const __m512i d = _mm512_maskz_loadu_epi64(m, dst + w);
-    const __m512i s = _mm512_maskz_loadu_epi64(m, src + w);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_andnot_si512(d, s)));
-    _mm512_mask_storeu_epi64(dst + w, m, _mm512_or_si512(d, s));
+
+  SYSGO_AVX512_TARGET static void merge_both(std::uint64_t* a,
+                                             std::uint64_t* b,
+                                             std::size_t words, int& da,
+                                             int& db) {
+    __m512i acc_a = _mm512_setzero_si512();
+    __m512i acc_b = _mm512_setzero_si512();
+    std::size_t w = 0;
+    for (; w + 8 <= words; w += 8) {
+      const __m512i va = _mm512_loadu_si512(a + w);
+      const __m512i vb = _mm512_loadu_si512(b + w);
+      const __m512i u = _mm512_or_si512(va, vb);
+      acc_a = _mm512_add_epi64(
+          acc_a, _mm512_popcnt_epi64(_mm512_andnot_si512(va, vb)));
+      acc_b = _mm512_add_epi64(
+          acc_b, _mm512_popcnt_epi64(_mm512_andnot_si512(vb, va)));
+      _mm512_storeu_si512(a + w, u);
+      _mm512_storeu_si512(b + w, u);
+    }
+    if (w < words) {
+      const __mmask8 m = static_cast<__mmask8>((1u << (words - w)) - 1u);
+      const __m512i va = _mm512_maskz_loadu_epi64(m, a + w);
+      const __m512i vb = _mm512_maskz_loadu_epi64(m, b + w);
+      const __m512i u = _mm512_or_si512(va, vb);
+      acc_a = _mm512_add_epi64(
+          acc_a, _mm512_popcnt_epi64(_mm512_andnot_si512(va, vb)));
+      acc_b = _mm512_add_epi64(
+          acc_b, _mm512_popcnt_epi64(_mm512_andnot_si512(vb, va)));
+      _mm512_mask_storeu_epi64(a + w, m, u);
+      _mm512_mask_storeu_epi64(b + w, m, u);
+    }
+    da = static_cast<int>(_mm512_reduce_add_epi64(acc_a));
+    db = static_cast<int>(_mm512_reduce_add_epi64(acc_b));
   }
-  return static_cast<int>(_mm512_reduce_add_epi64(acc));
+};
+
+SYSGO_AVX512_TARGET std::int64_t merge_arcs_avx512(
+    const RowBlock& m, std::span<const graph::Arc> arcs) {
+  return merge_arcs_with<Avx512Rows>(m, arcs);
 }
 
-__attribute__((target(SYSGO_AVX512_TARGET))) void merge_both_delta_avx512(
-    std::uint64_t* a, std::uint64_t* b, std::size_t words, int deltas[2]) {
-  __m512i acc_a = _mm512_setzero_si512();
-  __m512i acc_b = _mm512_setzero_si512();
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i va = _mm512_loadu_si512(a + w);
-    const __m512i vb = _mm512_loadu_si512(b + w);
-    const __m512i u = _mm512_or_si512(va, vb);
-    acc_a = _mm512_add_epi64(
-        acc_a, _mm512_popcnt_epi64(_mm512_andnot_si512(va, vb)));
-    acc_b = _mm512_add_epi64(
-        acc_b, _mm512_popcnt_epi64(_mm512_andnot_si512(vb, va)));
-    _mm512_storeu_si512(a + w, u);
-    _mm512_storeu_si512(b + w, u);
-  }
-  if (w < words) {
-    const __mmask8 m =
-        static_cast<__mmask8>((1u << (words - w)) - 1u);
-    const __m512i va = _mm512_maskz_loadu_epi64(m, a + w);
-    const __m512i vb = _mm512_maskz_loadu_epi64(m, b + w);
-    const __m512i u = _mm512_or_si512(va, vb);
-    acc_a = _mm512_add_epi64(
-        acc_a, _mm512_popcnt_epi64(_mm512_andnot_si512(va, vb)));
-    acc_b = _mm512_add_epi64(
-        acc_b, _mm512_popcnt_epi64(_mm512_andnot_si512(vb, va)));
-    _mm512_mask_storeu_epi64(a + w, m, u);
-    _mm512_mask_storeu_epi64(b + w, m, u);
-  }
-  deltas[0] = static_cast<int>(_mm512_reduce_add_epi64(acc_a));
-  deltas[1] = static_cast<int>(_mm512_reduce_add_epi64(acc_b));
+SYSGO_AVX512_TARGET std::int64_t merge_pairs_avx512(
+    const RowBlock& m, std::span<const graph::Arc> pairs) {
+  return merge_pairs_with<Avx512Rows>(m, pairs);
 }
 
-constexpr RowKernels kAvx512Kernels{KernelKind::kAvx512, merge_delta_avx512,
-                                    merge_both_delta_avx512};
+constexpr RowKernels kAvx512Kernels{KernelKind::kAvx512, merge_arcs_avx512,
+                                    merge_pairs_avx512};
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop

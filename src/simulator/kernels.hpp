@@ -3,12 +3,26 @@
 // Every gossip run — `sysgo simulate`, the sweep engine's simulate jobs,
 // synthesis objectives — bottoms out in the same inner loop over
 // KnowledgeMatrix rows: OR two 64-bit word arrays and count the bits the
-// destination gained.  This layer holds that loop, as two operations
-// (merge_delta, merge_both_delta), in three interchangeable implementations:
+// destination gained.  This layer holds that loop as two round operations
+// — merge_arcs over a half-duplex round's arcs, merge_pairs over a
+// full-duplex round's pairs — so a round costs one indirect call, not one
+// per link.  Each op skips a link whose destination row is full or whose
+// source row is empty, keeps the per-row counts and returns the bits
+// gained, and adds the rows it filled to the full-row tally once per call.
+// It comes in three interchangeable implementations:
 //
 //   scalar   portable uint64_t loop + std::popcount (always compiled)
 //   avx2     256-bit OR, popcount via the vpshufb nibble-LUT + vpsadbw
 //   avx512   512-bit OR, popcount via vpopcntq, masked tail loads
+//
+// Rows of one logical word (item windows of at most 64 items) take a plain
+// uint64_t OR + std::popcount branch in every kernel instead of a vector
+// pass over the padded stride.  The round loop is one inline template in
+// kernels.cpp, instantiated inside each ISA's target-attributed function,
+// so in the AVX2 and AVX-512 kernels that popcount is the native popcntq
+// (their target ISAs include POPCNT); the library is built with no -m
+// flag, and the scalar kernel keeps the portable libgcc call.  CI checks
+// the disassembly for it.
 //
 // Selection happens exactly once, at first use: the env override
 // SYSGO_FORCE_KERNEL=scalar|avx2|avx512 wins if set (unsupported forces
@@ -18,31 +32,48 @@
 // byte-identical across kernels; tests/simulator/test_kernels.cpp holds the
 // differential suite.
 //
-// The kernels take arbitrary word counts and unaligned pointers (tail words
-// are masked / peeled); alignment and padding are the *caller's* perf
-// lever — KnowledgeMatrix pads rows to 64-byte multiples on 64-byte
-// boundaries so the hot path never splits a cache line and never takes the
-// tail path.
+// The kernels take any stride and unaligned rows (tail words are masked /
+// peeled); alignment and padding are the *caller's* perf lever —
+// KnowledgeMatrix pads rows to 64-byte multiples on 64-byte boundaries so
+// the hot path never splits a cache line and never takes the tail path.
 #pragma once
 
-#include <cstdint>
 #include <cstddef>
+#include <cstdint>
+#include <span>
+
+#include "graph/digraph.hpp"
 
 namespace sysgo::simulator {
 
 enum class KernelKind : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kKernelKindCount = 3;
 
-/// The row-union operation set.  All counts are exact bit deltas.
+/// The rows a round op merges: a KnowledgeMatrix's storage and counts.
+/// Bits outside a row's items are zero, and counts[v] is row v's popcount.
+struct RowBlock {
+  std::uint64_t* bits = nullptr;  // row v: stride words from bits + v*stride
+  std::size_t stride = 0;         // words merged per row (padding included)
+  std::size_t words = 0;          // logical words per row; 1: one-word path
+  int* counts = nullptr;          // items known per row
+  int items = 0;                  // a row with this many items is full
+  int* full_rows = nullptr;       // rows at `items`; one atomic add per call
+};
+
+/// The round-merge operation set.  All counts are exact bit deltas.  Within
+/// a round the links form a matching, so calls on disjoint sub-spans of one
+/// round may run concurrently: each writes only its own links' rows and
+/// counts, and adds to *full_rows atomically.
 struct RowKernels {
   KernelKind kind = KernelKind::kScalar;
-  /// dst |= src over `words`; returns popcount(src & ~dst_old) — the number
-  /// of bits dst gained.
-  int (*merge_delta)(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t words);
-  /// a and b both become a | b; deltas[0]/deltas[1] = bits a/b gained.
-  void (*merge_both_delta)(std::uint64_t* a, std::uint64_t* b,
-                           std::size_t words, int deltas[2]);
+  /// Half-duplex round: head row |= tail row for every arc.  Returns the
+  /// bits the rows gained.
+  std::int64_t (*merge_arcs)(const RowBlock& rows,
+                             std::span<const graph::Arc> arcs);
+  /// Full-duplex round: both rows of every tail < head pair become their
+  /// union.  Returns the bits the rows gained.
+  std::int64_t (*merge_pairs)(const RowBlock& rows,
+                              std::span<const graph::Arc> pairs);
 };
 
 /// Kernel `k` was compiled into this binary (x86 builds compile all three;

@@ -1,7 +1,6 @@
 #include "simulator/knowledge.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -60,14 +59,6 @@ void KnowledgeMatrix::reset() noexcept {
   for (int v = first_; v < first_ + items_; ++v) learn(v, v);
 }
 
-void KnowledgeMatrix::bump(int v, int added) noexcept {
-  if (added == 0) return;
-  int& c = counts_[static_cast<std::size_t>(v)];
-  c += added;
-  if (c == items_)
-    std::atomic_ref<int>(full_rows_).fetch_add(1, std::memory_order_relaxed);
-}
-
 bool KnowledgeMatrix::knows(int v, int i) const noexcept {
   const auto bit = static_cast<std::size_t>(i - first_);
   return (row_ptr(v)[bit / 64] >> (bit % 64)) & 1u;
@@ -79,72 +70,22 @@ void KnowledgeMatrix::learn(int v, int i) noexcept {
   const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
   if ((word & mask) == 0) {
     word |= mask;
-    bump(v, 1);
+    if (++counts_[static_cast<std::size_t>(v)] == items_) ++full_rows_;
   }
 }
 
-void KnowledgeMatrix::merge_into(int dst, int src) noexcept {
-  bump(dst, kernels().merge_delta(row_ptr(dst), row_ptr(src), stride_));
-}
-
-void KnowledgeMatrix::merge_both(int a, int b) noexcept {
-  int deltas[2];
-  kernels().merge_both_delta(row_ptr(a), row_ptr(b), stride_, deltas);
-  bump(a, deltas[0]);
-  bump(b, deltas[1]);
+RowBlock KnowledgeMatrix::block() noexcept {
+  return {bits_.data(), stride_, words_, counts_.data(), items_, &full_rows_};
 }
 
 std::int64_t KnowledgeMatrix::merge_arcs(
     std::span<const graph::Arc> arcs) noexcept {
-  // One kernel fetch and one base/stride resolution for the whole span —
-  // the per-arc work is two pointer adds and the kernel call.
-  const RowKernels& k = kernels();
-  std::uint64_t* const base = bits_.data();
-  const std::size_t stride = stride_;
-  std::int64_t gained = 0;
-  for (const graph::Arc& a : arcs) {
-    // A full head row can gain nothing, nor can any row from an empty
-    // tail; the tail row is never written within a matching round, so both
-    // count reads are stable.
-    if (counts_[static_cast<std::size_t>(a.head)] == items_ ||
-        counts_[static_cast<std::size_t>(a.tail)] == 0)
-      continue;
-    const int added =
-        k.merge_delta(base + static_cast<std::size_t>(a.head) * stride,
-                      base + static_cast<std::size_t>(a.tail) * stride, stride);
-    bump(a.head, added);
-    gained += added;
-  }
-  return gained;
+  return kernels().merge_arcs(block(), arcs);
 }
 
 std::int64_t KnowledgeMatrix::merge_pairs(
     std::span<const graph::Arc> pairs) noexcept {
-  const RowKernels& k = kernels();
-  std::uint64_t* const base = bits_.data();
-  const std::size_t stride = stride_;
-  std::int64_t gained = 0;
-  for (const graph::Arc& p : pairs) {
-    // A row gains nothing when it is full or its partner is empty.
-    const int ca = counts_[static_cast<std::size_t>(p.tail)];
-    const int cb = counts_[static_cast<std::size_t>(p.head)];
-    const bool a_gains = ca != items_ && cb != 0;
-    const bool b_gains = cb != items_ && ca != 0;
-    if (!a_gains && !b_gains) continue;
-    std::uint64_t* const ra = base + static_cast<std::size_t>(p.tail) * stride;
-    std::uint64_t* const rb = base + static_cast<std::size_t>(p.head) * stride;
-    int deltas[2] = {0, 0};
-    if (!a_gains)
-      deltas[1] = k.merge_delta(rb, ra, stride);
-    else if (!b_gains)
-      deltas[0] = k.merge_delta(ra, rb, stride);
-    else
-      k.merge_both_delta(ra, rb, stride, deltas);
-    bump(p.tail, deltas[0]);
-    bump(p.head, deltas[1]);
-    gained += deltas[0] + deltas[1];
-  }
-  return gained;
+  return kernels().merge_pairs(block(), pairs);
 }
 
 }  // namespace sysgo::simulator

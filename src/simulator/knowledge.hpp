@@ -2,7 +2,8 @@
 // which items it currently holds.  Rows are 64-bit word packed and stored
 // at a 64-byte-aligned stride (words rounded up to a cache line; padding
 // words are always zero), so a round's merges are single kernel calls —
-// simulator/kernels dispatches them to the widest SIMD ISA the host
+// merge_arcs and merge_pairs each hand the whole round to one
+// simulator/kernels op, dispatched to the widest SIMD ISA the host
 // supports, and vector loads never split a cache line.
 //
 // The columns are an item window: all n rows, but only items
@@ -15,9 +16,9 @@
 // incrementally by every mutation, so count / row_full / all_full are O(1)
 // — the simulator's per-round completion check no longer rescans the
 // matrix.  Rows are only ever mutated by one thread per round (matchings
-// touch distinct heads; full-duplex pairs are disjoint), and the shared
-// full-row counter is updated with atomic increments, so parallel merges
-// stay race free.
+// touch distinct heads; full-duplex pairs are disjoint), and each merge
+// call adds the rows it filled to the shared full-row counter with one
+// atomic add, so parallel merges over disjoint sub-spans stay race free.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +30,8 @@
 #include "util/aligned.hpp"
 
 namespace sysgo::simulator {
+
+struct RowBlock;  // simulator/kernels.hpp
 
 /// Scratch budget of one item window: gossip_time splits the items into
 /// windows whose n rows fit in this many bytes, so a round's merges stay
@@ -77,22 +80,18 @@ class KnowledgeMatrix {
   /// Grant item i (inside the window) to vertex v.
   void learn(int v, int i) noexcept;
 
-  /// dst's row |= src's row.
-  void merge_into(int dst, int src) noexcept;
-
-  /// Symmetric merge: both rows become their union (full-duplex exchange).
-  void merge_both(int a, int b) noexcept;
-
-  /// Batch form of merge_into over a compiled round's flat arc span
-  /// (tail -> head per arc): one call per round; a merge into a full row or
-  /// from an empty one is skipped without touching its words.  Within one
-  /// matching the merges are independent, so disjoint sub-spans may run
-  /// concurrently.  Returns the bits the rows gained (0: nothing changed).
+  /// Half-duplex round over a compiled round's flat arc span (tail -> head
+  /// per arc): head's row |= tail's row, as one kernel call; a merge into a
+  /// full row or from an empty one is skipped without touching its words.
+  /// Within one matching the merges are independent, so disjoint sub-spans
+  /// may run concurrently.  Returns the bits the rows gained (0: nothing
+  /// changed).
   std::int64_t merge_arcs(std::span<const graph::Arc> arcs) noexcept;
 
-  /// Batch form of merge_both over a round's tail < head pair list; each
-  /// direction is skipped when its destination is full or its source empty.
-  /// Returns the bits the rows gained.
+  /// Full-duplex round over a tail < head pair list: both rows of each pair
+  /// become their union, as one kernel call; each direction is skipped when
+  /// its destination is full or its source empty.  Returns the bits the
+  /// rows gained.
   std::int64_t merge_pairs(std::span<const graph::Arc> pairs) noexcept;
 
   /// Number of window items vertex v knows.  O(1).
@@ -116,15 +115,15 @@ class KnowledgeMatrix {
   }
 
  private:
+  /// The storage and counts as the kernels' round ops see them.
+  [[nodiscard]] RowBlock block() noexcept;
+
   [[nodiscard]] std::uint64_t* row_ptr(int v) noexcept {
     return bits_.data() + static_cast<std::size_t>(v) * stride_;
   }
   [[nodiscard]] const std::uint64_t* row_ptr(int v) const noexcept {
     return bits_.data() + static_cast<std::size_t>(v) * stride_;
   }
-
-  /// Record `added` new items on row v (atomic full-row bookkeeping).
-  void bump(int v, int added) noexcept;
 
   int n_ = 0;
   int first_ = 0;           // first item of the window

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "graph/digraph.hpp"
 #include "search/state.hpp"
 #include "topology/classic.hpp"
 #include "topology/kautz.hpp"
@@ -143,6 +144,12 @@ TEST(Canonicalizer, MatchesBruteForceOrbitMinimum) {
   };
   const auto kautz_group = automorphisms(topology::kautz(2, 3));
   AutomorphismGroup identity_only = automorphisms(topology::complete(6), 100);
+  // Four disjoint directed triangles: each rotates (3^4) and the triangles
+  // permute (4!), so 1,944 elements in runs of 162 per source of row 0.
+  graph::Digraph triangles(12);
+  for (int c = 0; c < 4; ++c)
+    for (int i = 0; i < 3; ++i) triangles.add_arc(3 * c + i, 3 * c + (i + 1) % 3);
+  triangles.finalize();
   std::vector<Case> cases;
   cases.push_back({"K6", 6, automorphisms(topology::complete(6)), 720});
   cases.push_back({"C7", 7, automorphisms(topology::cycle(7)), 14});
@@ -152,6 +159,7 @@ TEST(Canonicalizer, MatchesBruteForceOrbitMinimum) {
   cases.push_back({"Kautz(2,3)", 12, kautz_group, 12});
   cases.push_back({"Kautz(2,3) stab 0", 12, vertex_stabilizer(kautz_group, 0), 2});
   cases.push_back({"identity only", 6, identity_only, 1});
+  cases.push_back({"4 x C3 directed", 12, automorphisms(triangles), 1944});
   util::Rng rng(20260);
   for (const auto& c : cases) {
     ASSERT_EQ(c.group.order(), c.order) << c.name;
@@ -175,9 +183,16 @@ TEST(Canonicalizer, MatchesBruteForceOrbitMinimum) {
           want_index = i;
         }
       }
+      // The ties reported are the elements whose row 0 is the minimum's.
+      std::uint64_t want_ties = 0;
+      for (const Perm& p : c.group.perms)
+        want_ties += permute_state(s, p, c.n).rows[0] == want.rows[0];
       std::size_t index = c.group.order();
-      EXPECT_EQ(canon.canonical(s, &index), want) << c.name << " trial " << trial;
+      std::uint64_t ties = 0;
+      EXPECT_EQ(canon.canonical(s, &index, &ties), want)
+          << c.name << " trial " << trial;
       EXPECT_EQ(index, want_index) << c.name << " trial " << trial;
+      EXPECT_EQ(ties, want_ties) << c.name << " trial " << trial;
 
       const auto mask = static_cast<std::uint16_t>(rng.engine()() & full);
       std::uint16_t want_mask = mask;

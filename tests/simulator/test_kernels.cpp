@@ -1,7 +1,11 @@
 // Differential suite for the SIMD row kernels and everything built on them:
 //
-//   * raw kernels vs an independent scalar reference at row widths 1..512
-//     bits (every tail-word shape), random densities, all supported ISAs;
+//   * both round ops on raw rows vs an independent scalar reference at row
+//     widths 1..512 bits (every tail-word shape, the one-word path below
+//     65), random densities, all supported ISAs;
+//   * the round ops through KnowledgeMatrix item windows vs a per-link
+//     reference over random matchings with full and empty rows, and the
+//     parallel apply_round vs the serial one;
 //   * the 64-byte row-alignment guarantee of KnowledgeMatrix and its item
 //     windows, n = 1..200;
 //   * the reusable gossip arena vs per-call gossip_time over the
@@ -14,9 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "protocol/builders.hpp"
@@ -90,13 +96,50 @@ TEST(Kernels, UnsupportedKernelTableThrows) {
   }
 }
 
+/// Two raw rows as a round op sees them: unpadded (stride = words), so
+/// the vector kernels take their tail paths, and counts from popcounts.
+struct TwoRows {
+  std::vector<std::uint64_t> bits;
+  int counts[2] = {0, 0};
+  int full_rows = 0;
+
+  TwoRows(const std::vector<std::uint64_t>& r0,
+          const std::vector<std::uint64_t>& r1, int items) {
+    bits = r0;
+    bits.insert(bits.end(), r1.begin(), r1.end());
+    for (int v = 0; v < 2; ++v) {
+      counts[v] = 0;
+      for (std::size_t w = 0; w < r0.size(); ++w)
+        counts[v] += std::popcount(bits[v * r0.size() + w]);
+      full_rows += counts[v] == items;
+    }
+  }
+  RowBlock block(std::size_t words, int items) {
+    return {bits.data(), words, words, counts, items, &full_rows};
+  }
+  std::vector<std::uint64_t> row(int v, std::size_t words) const {
+    const auto begin = bits.begin() + static_cast<std::ptrdiff_t>(v * words);
+    return {begin, begin + static_cast<std::ptrdiff_t>(words)};
+  }
+};
+
+int popcount_row(const std::vector<std::uint64_t>& row) {
+  int c = 0;
+  for (const std::uint64_t w : row) c += std::popcount(w);
+  return c;
+}
+
 // The heart of the suite: every width 1..512 bits x three densities, each
-// supported kernel against the reference, both operations.
+// supported kernel against the reference, both round ops on a one-link
+// round (row 1 into row 0, then the exchange of rows 0 and 1).
 TEST(Kernels, DifferentialAllWidthsAllKernels) {
   const auto kernels_to_test = supported_kernels();
   ASSERT_FALSE(kernels_to_test.empty());
   util::Rng rng(0x5eedULL ^ 0x9e3779b97f4a7c15ULL);
+  const graph::Arc arc{1, 0};
+  const graph::Arc pair{0, 1};
   for (int bits = 1; bits <= 512; ++bits) {
+    const std::size_t words = (static_cast<std::size_t>(bits) + 63) / 64;
     const int density = bits % 3;
     const auto dst0 = random_row(bits, density, rng);
     const auto src = random_row(bits, 2 - density, rng);
@@ -108,35 +151,170 @@ TEST(Kernels, DifferentialAllWidthsAllKernels) {
     const auto a0 = ref_a;
     const int ref_da = ref_merge(ref_a, ref_b);
     const int ref_db = ref_merge(ref_b, a0);
+    const auto full_count = [&](const std::vector<std::uint64_t>& r0,
+                                const std::vector<std::uint64_t>& r1) {
+      return (popcount_row(r0) == bits) + (popcount_row(r1) == bits);
+    };
 
     for (const KernelKind kind : kernels_to_test) {
       const RowKernels& k = kernel_table(kind);
-      auto dst = dst0;
-      EXPECT_EQ(k.merge_delta(dst.data(), src.data(), dst.size()), ref_added)
-          << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(dst, ref_dst) << kernel_name(kind) << " bits=" << bits;
+      const std::string what =
+          std::string(kernel_name(kind)) + " bits=" + std::to_string(bits);
+      TwoRows one(dst0, src, bits);
+      EXPECT_EQ(k.merge_arcs(one.block(words, bits), {&arc, 1}), ref_added)
+          << what;
+      EXPECT_EQ(one.row(0, words), ref_dst) << what;
+      EXPECT_EQ(one.row(1, words), src) << what;
+      EXPECT_EQ(one.counts[0], popcount_row(ref_dst)) << what;
+      EXPECT_EQ(one.full_rows, full_count(ref_dst, src)) << what;
 
-      auto a = dst0;
-      auto b = src;
-      int deltas[2] = {-1, -1};
-      k.merge_both_delta(a.data(), b.data(), a.size(), deltas);
-      EXPECT_EQ(deltas[0], ref_da) << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(deltas[1], ref_db) << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(a, ref_a) << kernel_name(kind) << " bits=" << bits;
-      EXPECT_EQ(b, ref_b) << kernel_name(kind) << " bits=" << bits;
+      TwoRows both(dst0, src, bits);
+      EXPECT_EQ(k.merge_pairs(both.block(words, bits), {&pair, 1}),
+                ref_da + ref_db)
+          << what;
+      EXPECT_EQ(both.row(0, words), ref_a) << what;
+      EXPECT_EQ(both.row(1, words), ref_b) << what;
+      EXPECT_EQ(both.counts[0], popcount_row(ref_a)) << what;
+      EXPECT_EQ(both.counts[1], popcount_row(ref_b)) << what;
+      EXPECT_EQ(both.full_rows, full_count(ref_a, ref_b)) << what;
     }
   }
 }
 
-// Self-merge must be a no-op with delta 0 (merge_into(v, v) semantics).
+// Merging a row into itself is a no-op with gain 0, in both round ops and
+// on both the one-word and the vector paths.
 TEST(Kernels, SelfMergeGainsNothing) {
   util::Rng rng(42);
+  const graph::Arc self{0, 0};
   for (const KernelKind kind : supported_kernels()) {
     const RowKernels& k = kernel_table(kind);
-    auto row = random_row(300, 1, rng);
-    const auto before = row;
-    EXPECT_EQ(k.merge_delta(row.data(), row.data(), row.size()), 0);
-    EXPECT_EQ(row, before);
+    for (const int bits : {40, 300}) {
+      const std::size_t words = (static_cast<std::size_t>(bits) + 63) / 64;
+      const auto before = random_row(bits, 1, rng);
+      TwoRows rows(before, before, bits);
+      EXPECT_EQ(k.merge_arcs(rows.block(words, bits), {&self, 1}), 0)
+          << kernel_name(kind) << " bits=" << bits;
+      EXPECT_EQ(k.merge_pairs(rows.block(words, bits), {&self, 1}), 0)
+          << kernel_name(kind) << " bits=" << bits;
+      EXPECT_EQ(rows.row(0, words), before);
+      EXPECT_EQ(rows.counts[0], popcount_row(before));
+    }
+  }
+}
+
+/// A random matching on n vertices with about half of them matched: arcs
+/// in random directions, or tail < head pairs for full-duplex rounds.
+std::vector<graph::Arc> random_links(int n, bool full, util::Rng& rng) {
+  std::vector<int> order(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+  std::shuffle(order.begin(), order.end(), rng.engine());
+  std::vector<graph::Arc> links;
+  for (std::size_t i = 0; i + 1 < order.size(); i += 2) {
+    if (rng.engine()() % 4 == 0) continue;  // leave this pair idle
+    int a = order[i];
+    int b = order[i + 1];
+    if (full ? a > b : rng.engine()() % 2 == 0) std::swap(a, b);
+    links.push_back({a, b});
+  }
+  return links;
+}
+
+// The round ops through KnowledgeMatrix item windows against a per-link
+// reference over plain word vectors: windows of 1 to 513 items (one word,
+// word boundaries, one and two cache lines, a tail word past them), both
+// modes, rows seeded full, empty or random, random matchings until every
+// row is full.  Rows, counts, all_full() and the returned gain must agree
+// after every round.
+TEST(Kernels, RoundOpsMatchAPerLinkReference) {
+  util::Rng rng(0x40d5ULL);
+  for (const KernelKind kind : supported_kernels()) {
+    const ScopedKernel scoped(kind);
+    for (const int width : {1, 2, 63, 64, 65, 128, 511, 512, 513}) {
+      for (const bool full : {false, true}) {
+        const std::string what = std::string(kernel_name(kind)) +
+                                  " width=" + std::to_string(width) +
+                                  (full ? " full" : " half");
+        // Rows 0..19 and the last 20 start empty: their items lie outside
+        // the window.
+        const int n = width + 40;
+        const int first = 20;
+        KnowledgeMatrix k(n, first, width);
+        for (int v = 0; v < n; ++v) {
+          const auto seed = rng.engine()() % 4;
+          for (int i = 0; i < width && seed < 2; ++i)
+            if (seed == 0 || rng.engine()() % 8 == 0) k.learn(v, first + i);
+        }
+        std::vector<std::vector<std::uint64_t>> ref;
+        for (int v = 0; v < n; ++v)
+          ref.emplace_back(k.row(v).begin(), k.row(v).end());
+        for (int round = 0; round < 60 && !k.all_full(); ++round) {
+          const auto links = random_links(n, full, rng);
+          std::int64_t want = 0;
+          for (const graph::Arc& l : links) {
+            auto& a = ref[static_cast<std::size_t>(l.tail)];
+            auto& b = ref[static_cast<std::size_t>(l.head)];
+            if (full) {
+              const auto a0 = a;
+              want += ref_merge(a, b);
+              want += ref_merge(b, a0);
+            } else {
+              want += ref_merge(b, a);
+            }
+          }
+          ASSERT_EQ(full ? k.merge_pairs(links) : k.merge_arcs(links), want)
+              << what << " round " << round;
+          bool all_full = true;
+          for (int v = 0; v < n; ++v) {
+            const auto& r = ref[static_cast<std::size_t>(v)];
+            ASSERT_EQ(std::vector<std::uint64_t>(k.row(v).begin(),
+                                                 k.row(v).end()),
+                      r)
+                << what << " round " << round << " v=" << v;
+            ASSERT_EQ(k.count(v), popcount_row(r)) << what << " v=" << v;
+            all_full = all_full && popcount_row(r) == width;
+          }
+          ASSERT_EQ(k.all_full(), all_full) << what << " round " << round;
+        }
+        EXPECT_TRUE(k.all_full()) << what;
+      }
+    }
+  }
+}
+
+// apply_round splits a round of more than 512 links into blocks that merge
+// concurrently, each adding its filled rows to the shared tally once: the
+// parallel run must match the serial one round for round (n = 2,048, a
+// 64-item window, so the one-word path).
+TEST(Kernels, ParallelRoundMatchesSerial) {
+  constexpr int kN = 2048;
+  util::Rng rng(0x2048ULL);
+  for (const auto mode : {protocol::Mode::kHalfDuplex,
+                          protocol::Mode::kFullDuplex}) {
+    const bool full = mode == protocol::Mode::kFullDuplex;
+    protocol::Protocol p{kN, mode, {}};
+    for (int r = 0; r < 80; ++r) {
+      protocol::Round round;
+      for (const graph::Arc& l : random_links(kN, full, rng)) {
+        round.arcs.push_back(l);
+        if (full) round.arcs.push_back({l.head, l.tail});
+      }
+      p.rounds.push_back(std::move(round));
+    }
+    const auto cs = protocol::CompiledSchedule::compile(p);
+    KnowledgeMatrix serial(kN, 1000, 64);
+    KnowledgeMatrix parallel(kN, 1000, 64);
+    for (int r = 0; r < cs.round_count(); ++r) {
+      ASSERT_GT(cs.round_pairs(r).size(), 512u);
+      ASSERT_EQ(apply_round(parallel, cs, r, /*parallel=*/true),
+                apply_round(serial, cs, r))
+          << "round " << r;
+      for (int v = 0; v < kN; ++v)
+        ASSERT_EQ(parallel.row(v)[0], serial.row(v)[0]) << "v=" << v;
+      for (int v = 0; v < kN; ++v)
+        ASSERT_EQ(parallel.count(v), serial.count(v)) << "v=" << v;
+      ASSERT_EQ(parallel.all_full(), serial.all_full()) << "round " << r;
+    }
+    EXPECT_TRUE(serial.all_full()) << (full ? "full" : "half");
   }
 }
 
@@ -156,7 +334,8 @@ TEST(Knowledge, RowsAre64ByteAlignedForAllSmallN) {
 
 TEST(Knowledge, ResetRestoresIdentityState) {
   KnowledgeMatrix k(70);
-  k.merge_both(0, 69);
+  const graph::Arc pair{0, 69};
+  k.merge_pairs({&pair, 1});
   k.learn(3, 50);
   k.reset();
   EXPECT_FALSE(k.all_full());
