@@ -128,7 +128,6 @@ std::shared_ptr<const ScenarioArtifacts> SweepRunner::artifacts(
         art->schedule, check_membership ? &art->graph : nullptr);
     return std::shared_ptr<const ScenarioArtifacts>(std::move(art));
   };
-  if (!opts_.use_cache) return build();
   return cache_.get_or_build(key, seed, build);
 }
 

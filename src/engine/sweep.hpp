@@ -86,7 +86,6 @@ struct SweepOptions {
   /// calling thread (1: the job loop runs on the caller; individual jobs
   /// may still use the process-wide pool internally, e.g. diameter BFS).
   unsigned threads = 0;
-  bool use_cache = true;
   /// Persistent result store (not owned; must outlive the runner).  When
   /// set, every finished record is written back under its store key; with
   /// `resume` also set, the store is consulted BEFORE dispatch and hits

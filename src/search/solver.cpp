@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "graph/search.hpp"
@@ -101,181 +99,42 @@ std::vector<Round> rebuild_witness(
   return witness;
 }
 
-// -------------------------------------------------------------- heuristic
-
-/// Per-instance admissible lower bounds on the remaining rounds, combining
-/// the distance deficit (v still misses some item, which must travel from
-/// one of its CURRENT holders w, taking at least dist(w, v) rounds — the
-/// concrete form of the diameter bound) with the information-doubling
-/// deficit (the maximum row at most doubles per round in either duplex
-/// mode — the broadcasting growth bound).
-struct Heuristic {
-  int n = 0;
-  std::uint16_t full = 0;
-  /// dist_to[v][u] = dist(u -> v): rounds for an item at u to reach v.
-  std::vector<std::array<int, kMaxVertices>> dist_to;
-  /// by_dist[v]: all vertices w with their dist(w -> v), ascending by
-  /// distance (w = v first) — the union walk of gossip_h.
-  std::vector<std::vector<std::pair<int, int>>> by_dist;
-  std::array<int, kMaxVertices + 1> doubling{};
-
-  explicit Heuristic(const graph::Digraph& g)
-      : n(g.vertex_count()),
-        full(static_cast<std::uint16_t>((1u << g.vertex_count()) - 1u)),
-        dist_to(static_cast<std::size_t>(g.vertex_count())),
-        by_dist(static_cast<std::size_t>(g.vertex_count())) {
-    for (int u = 0; u < n; ++u) {
-      const auto d = graph::bfs_distances(g, u);
-      for (int v = 0; v < n; ++v)
-        dist_to[static_cast<std::size_t>(v)][static_cast<std::size_t>(u)] =
-            d[static_cast<std::size_t>(v)];
-    }
-    for (int v = 0; v < n; ++v) {
-      auto& order = by_dist[static_cast<std::size_t>(v)];
-      for (int w = 0; w < n; ++w)
-        order.emplace_back(w,
-                           dist_to[static_cast<std::size_t>(v)][static_cast<std::size_t>(w)]);
-      std::sort(order.begin(), order.end(),
-                [](const auto& a, const auto& b) { return a.second < b.second; });
-    }
-    for (int p = 1; p <= n; ++p) {
-      int t = 0;
-      for (int c = p; c < n; c <<= 1) ++t;
-      doubling[static_cast<std::size_t>(p)] = t;
-    }
-  }
-
-  [[nodiscard]] bool gossip_feasible() const {
-    for (int v = 0; v < n; ++v)
-      for (int u = 0; u < n; ++u)
-        if (dist_to[static_cast<std::size_t>(v)][static_cast<std::size_t>(u)] ==
-            graph::kUnreachable)
-          return false;
-    return true;
-  }
-
-  [[nodiscard]] bool broadcast_feasible(int source) const {
-    for (int v = 0; v < n; ++v)
-      if (dist_to[static_cast<std::size_t>(v)][static_cast<std::size_t>(source)] ==
-          graph::kUnreachable)
-        return false;
-    return true;
-  }
-
-  [[nodiscard]] int gossip_h(const State& s) const {
-    // Information-doubling deficit of the LARGEST row: one round unions a
-    // row with at most one other row, both bounded by the current maximum,
-    // so max_v |row_v| at most doubles per round.  (A per-vertex doubling
-    // term would be inadmissible — a small row can more than double by
-    // merging with a better-informed neighbor.)
-    int max_count = 0;
-    for (int v = 0; v < n; ++v)
-      max_count = std::max(
-          max_count, std::popcount(s.rows[static_cast<std::size_t>(v)]));
-    int h = doubling[static_cast<std::size_t>(max_count)];
-    for (int v = 0; v < n; ++v) {
-      const auto sv = static_cast<std::size_t>(v);
-      const std::uint16_t row = s.rows[sv];
-      int hv = 0;
-      if (row != full) {
-        // Distance deficit: the minimal k such that every item is already
-        // held by some vertex within distance k of v.  Walk vertices in
-        // ascending dist(w -> v), unioning their rows; the distance of the
-        // last vertex needed is the deficit.
-        std::uint16_t acc = row;
-        for (const auto& [w, dw] : by_dist[sv]) {
-          acc = static_cast<std::uint16_t>(acc | s.rows[static_cast<std::size_t>(w)]);
-          if (acc == full) {
-            hv = std::max(hv, dw);
-            break;
-          }
-        }
-      }
-      h = std::max(h, hv);
-    }
-    return h;
-  }
-
-  [[nodiscard]] int broadcast_h(std::uint16_t informed) const {
-    int h = doubling[static_cast<std::size_t>(std::popcount(informed))];
-    unsigned missing = static_cast<unsigned>(full & ~informed);
-    while (missing != 0) {
-      const int v = std::countr_zero(missing);
-      missing &= missing - 1;
-      int nearest = graph::kUnreachable;
-      unsigned have = informed;
-      while (have != 0) {
-        const int u = std::countr_zero(have);
-        have &= have - 1;
-        nearest = std::min(
-            nearest,
-            dist_to[static_cast<std::size_t>(v)][static_cast<std::size_t>(u)]);
-      }
-      h = std::max(h, nearest);
-    }
-    return h;
-  }
-};
-
 // ------------------------------------------------------------- BFS: gossip
 
-/// Serial BFS with parent tracking, used when a witness is requested.
-void gossip_bfs_witness(const std::vector<Round>& moves, Mode mode,
-                        const Canonicalizer& canon, int n,
-                        const SolveOptions& opts, SolveResult& res) {
-  const State root = initial_gossip_state(n);
-  const State goal = gossip_goal_state(n);
-  struct ParentInfo {
-    State parent;
-    int move = -1;
-    std::size_t perm = 0;
-  };
-  std::unordered_map<State, ParentInfo, StateHash> parents;
-  parents.emplace(root, ParentInfo{root, -1, 0});
-  std::vector<State> frontier{root};
-  for (int depth = 1; depth <= opts.max_rounds && !frontier.empty(); ++depth) {
-    std::vector<State> next;
-    for (const State& s : frontier) {
+/// One optimal protocol from the kept layers of a gossip BFS that reached
+/// the goal (layers[k]: the sorted states at depth k, the last one the
+/// layer whose expansion found the goal).  Walking back from the goal, the
+/// first state of layer k, and its first move, whose canonical successor is
+/// the current state make one step: every state at depth k + 1 has a
+/// predecessor at depth k.  Only sorted layers are read, so the witness is
+/// the same for every thread count.
+std::vector<Round> gossip_witness(const std::vector<std::vector<State>>& layers,
+                                  const std::vector<Round>& moves, Mode mode,
+                                  const Canonicalizer& canon, int n) {
+  State cur = gossip_goal_state(n);
+  const auto step_back = [&](const std::vector<State>& layer,
+                             std::pair<int, std::size_t>& step) {
+    for (const State& s : layer)
       for (std::size_t m = 0; m < moves.size(); ++m) {
-        State t = apply_round(s, moves[m], mode);
-        if (t == s) continue;
-        std::size_t perm_index;
-        t = canon.canonical(t, &perm_index);
-        if (!parents.emplace(t, ParentInfo{s, static_cast<int>(m), perm_index})
-                 .second)
-          continue;
-        if (t == goal) {
-          res.rounds = depth;
-          res.states_explored = parents.size();
-          // Walk goal -> root, then rebuild forward.
-          std::vector<std::pair<int, std::size_t>> steps;
-          State cur = t;
-          while (cur != root) {
-            const auto& info = parents.at(cur);
-            steps.emplace_back(info.move, info.perm);
-            cur = info.parent;
-          }
-          std::reverse(steps.begin(), steps.end());
-          res.witness = rebuild_witness(steps, moves, canon, n);
-          return;
-        }
-        if (parents.size() >= opts.max_states) {
-          res.budget_exhausted = true;
-          res.states_explored = parents.size();
-          return;
-        }
-        next.push_back(t);
+        const State t = apply_round(s, moves[m], mode);
+        std::size_t perm_index = 0;
+        if (t == s || canon.canonical(t, &perm_index) != cur) continue;
+        step = {static_cast<int>(m), perm_index};
+        cur = s;
+        return;
       }
-    }
-    frontier = std::move(next);
-  }
-  res.states_explored = parents.size();
+  };
+  std::vector<std::pair<int, std::size_t>> steps(layers.size());
+  for (std::size_t k = layers.size(); k-- > 0;) step_back(layers[k], steps[k]);
+  return rebuild_witness(steps, moves, canon, n);
 }
 
 /// Frontier-parallel BFS.  Rounds and states_explored are independent of
 /// the thread count: the frontier is sorted between layers, expansion runs
 /// in fixed-size batches, and goal/budget checks happen only at batch
-/// barriers (set membership does not depend on insertion order).
+/// barriers (set membership does not depend on insertion order).  With
+/// want_witness set it also keeps every sorted layer for gossip_witness,
+/// so a witness run counts exactly what a plain run counts.
 void gossip_bfs(const std::vector<Round>& moves, Mode mode,
                 const Canonicalizer& canon, int n, const SolveOptions& opts,
                 SolveResult& res) {
@@ -288,6 +147,7 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
   ShardedStateSet visited;
   visited.insert(root);
   std::vector<State> frontier{root};
+  std::vector<std::vector<State>> layers;  // sorted frontiers, for a witness
   constexpr std::size_t kBatch = 2048;
   constexpr std::size_t kChunk = 64;  // states per task: one lock per chunk
 
@@ -367,16 +227,23 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
     // Sorting makes the next layer's batch boundaries (and therefore any
     // mid-layer stop) identical for every thread count.
     std::sort(next.begin(), next.end());
+    if (opts.want_witness) layers.push_back(std::move(frontier));
     frontier = std::move(next);
   }
   res.states_explored = visited.size();
+  if (opts.want_witness && res.rounds > 0) {
+    layers.push_back(std::move(frontier));
+    res.witness = gossip_witness(layers, moves, mode, canon, n);
+  }
 }
 
 // ------------------------------------------------------------- broadcast
 
 /// Broadcast states are informed-vertex masks (2^n of them), canonicalized
 /// under the stabilizer of the source; the search is serial — the space is
-/// tiny — and trivially thread-count independent.
+/// tiny — and trivially thread-count independent.  It stops at the goal,
+/// mid-layer, so states_explored counts the states stored up to it, and a
+/// witness comes from a parent table over the 2^n masks.
 void broadcast_bfs(const std::vector<Round>& moves, const Canonicalizer& canon,
                    int n, const SolveOptions& opts, SolveResult& res) {
   const auto root = static_cast<std::uint16_t>(1u << opts.source);
@@ -462,10 +329,12 @@ SolveResult solve(const graph::Digraph& g, const SolveOptions& opts) {
     return res;
   }
 
-  const Heuristic heur(g);
-  const bool feasible = opts.problem == Problem::kGossip
-                            ? heur.gossip_feasible()
-                            : heur.broadcast_feasible(opts.source);
+  // Gossip needs every item to reach every vertex, broadcast the source's.
+  const bool feasible =
+      opts.problem == Problem::kGossip
+          ? graph::is_strongly_connected(g)
+          : std::ranges::none_of(graph::bfs_distances(g, opts.source),
+                                 [](int d) { return d == graph::kUnreachable; });
   if (!feasible) return res;  // rounds = -1: goal unreachable at any depth
 
   const auto moves = maximal_matchings(g, opts.mode);
@@ -476,23 +345,11 @@ SolveResult solve(const graph::Digraph& g, const SolveOptions& opts) {
     group = vertex_stabilizer(group, opts.source);
   const Canonicalizer canon(n, std::move(group));
   res.group_order = canon.group_order();
-  res.group_complete = canon.group().complete;
 
-  if (opts.problem == Problem::kBroadcast) {
-    res.root_lower_bound =
-        heur.broadcast_h(static_cast<std::uint16_t>(1u << opts.source));
+  if (opts.problem == Problem::kBroadcast)
     broadcast_bfs(moves, canon, n, opts, res);
-    return res;
-  }
-
-  res.root_lower_bound = heur.gossip_h(initial_gossip_state(n));
-  if (opts.want_witness) {
-    gossip_bfs_witness(moves, opts.mode, canon, n, opts, res);
-  } else {
-    // threads == 1 runs the same batched loop serially, so counts and
-    // stopping points match the threaded runs exactly.
+  else
     gossip_bfs(moves, opts.mode, canon, n, opts, res);
-  }
   return res;
 }
 

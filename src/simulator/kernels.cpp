@@ -72,7 +72,7 @@ template <class Rows>
     int& head = counts[a.head];
     if (head == m.items || counts[a.tail] == 0) continue;
     const int added = Rows::merge(row_of(m, a.head), row_of(m, a.tail),
-                                  m.stride);
+                                  m.words);
     head += added;
     filled += head == m.items;
     gained += added;
@@ -99,11 +99,11 @@ template <class Rows>
     int da = 0;
     int db = 0;
     if (!a_gains)
-      db = Rows::merge(rb, ra, m.stride);
+      db = Rows::merge(rb, ra, m.words);
     else if (!b_gains)
-      da = Rows::merge(ra, rb, m.stride);
+      da = Rows::merge(ra, rb, m.words);
     else
-      Rows::merge_both(ra, rb, m.stride, da, db);
+      Rows::merge_both(ra, rb, m.words, da, db);
     ca += da;
     cb += db;
     filled += (da != 0 && ca == m.items) + (db != 0 && cb == m.items);

@@ -17,9 +17,9 @@
 //
 // Rows of one logical word (item windows of at most 64 items) take a plain
 // uint64_t OR + std::popcount branch in every kernel instead of a vector
-// pass over the padded stride.  The round loop is one inline template in
-// kernels.cpp, instantiated inside each ISA's target-attributed function,
-// so in the AVX2 and AVX-512 kernels that popcount is the native popcntq
+// pass.  The round loop is one inline template in kernels.cpp,
+// instantiated inside each ISA's target-attributed function, so in the
+// AVX2 and AVX-512 kernels that popcount is the native popcntq
 // (their target ISAs include POPCNT); the library is built with no -m
 // flag, and the scalar kernel keeps the portable libgcc call.  CI checks
 // the disassembly for it.
@@ -32,10 +32,11 @@
 // byte-identical across kernels; tests/simulator/test_kernels.cpp holds the
 // differential suite.
 //
-// The kernels take any stride and unaligned rows (tail words are masked /
-// peeled); alignment and padding are the *caller's* perf lever —
-// KnowledgeMatrix pads rows to 64-byte multiples on 64-byte boundaries so
-// the hot path never splits a cache line and never takes the tail path.
+// The kernels merge each row's logical words only, never the padding up to
+// the stride, and take any stride and unaligned rows (tail words are
+// masked / peeled); alignment is the *caller's* perf lever —
+// KnowledgeMatrix starts every row on a 64-byte boundary so vector loads
+// never split a cache line.
 #pragma once
 
 #include <cstddef>
@@ -50,11 +51,13 @@ enum class KernelKind : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kKernelKindCount = 3;
 
 /// The rows a round op merges: a KnowledgeMatrix's storage and counts.
-/// Bits outside a row's items are zero, and counts[v] is row v's popcount.
+/// Bits of a row's words past its items are zero, and counts[v] is row v's
+/// popcount.  Words past `words` in a row's stride are neither read nor
+/// written.
 struct RowBlock {
-  std::uint64_t* bits = nullptr;  // row v: stride words from bits + v*stride
-  std::size_t stride = 0;         // words merged per row (padding included)
-  std::size_t words = 0;          // logical words per row; 1: one-word path
+  std::uint64_t* bits = nullptr;  // row v starts at bits + v*stride
+  std::size_t stride = 0;         // words from one row start to the next
+  std::size_t words = 0;          // words merged per row; 1: one-word path
   int* counts = nullptr;          // items known per row
   int items = 0;                  // a row with this many items is full
   int* full_rows = nullptr;       // rows at `items`; one atomic add per call

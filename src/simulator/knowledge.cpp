@@ -11,9 +11,11 @@ namespace sysgo::simulator {
 namespace {
 
 /// Words per row rounded up to a whole cache line (8 x 64-bit words), so
-/// row starts stay 64-byte aligned and the kernels never take a tail path
-/// on this storage.  Padding words hold zeros forever: learn() only sets
-/// bits inside the window, and OR-merges of zeros are zeros.
+/// row starts stay 64-byte aligned.  Nothing reads the padding words: the
+/// kernels merge only a row's logical words.  reset() still zeroes them in
+/// its one pass over the buffer: they lie in their row's last cache line,
+/// so skipping them writes no fewer lines, and a fill per row (one memset
+/// call each) made reset slower.
 constexpr std::size_t aligned_stride(std::size_t words) {
   return (words + 7) / 8 * 8;
 }

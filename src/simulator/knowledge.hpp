@@ -1,8 +1,8 @@
 // Knowledge state of a gossip run: one bitset row per processor recording
 // which items it currently holds.  Rows are 64-bit word packed and stored
-// at a 64-byte-aligned stride (words rounded up to a cache line; padding
-// words are always zero), so a round's merges are single kernel calls —
-// merge_arcs and merge_pairs each hand the whole round to one
+// at a 64-byte-aligned stride (words rounded up to a cache line; the
+// padding words are never read), so a round's merges are single kernel
+// calls — merge_arcs and merge_pairs each hand the whole round to one
 // simulator/kernels op, dispatched to the widest SIMD ISA the host
 // supports, and vector loads never split a cache line.
 //

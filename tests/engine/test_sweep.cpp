@@ -114,20 +114,6 @@ TEST(Sweep, CacheHitsOnRepeatedScenarioKeys) {
   EXPECT_EQ(stats.hits, 4u);
 }
 
-TEST(Sweep, CacheDisabledStillProducesSameRecords) {
-  SweepRunner cached{SweepOptions{}};
-  SweepOptions no_cache;
-  no_cache.use_cache = false;
-  SweepRunner uncached{no_cache};
-  const auto a = cached.run(small_grid());
-  const auto b = uncached.run(small_grid());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_TRUE(same_result(a[i], b[i])) << "record " << i;
-  EXPECT_EQ(uncached.cache_stats().misses, 0u);
-  EXPECT_EQ(uncached.cache_stats().hits, 0u);
-}
-
 // Acceptance sweep: all seven registry families at d=2, D <= 9 — a threaded
 // run must produce records identical to a single-threaded run.
 TEST(Sweep, ThreadedMatchesSerialAcrossAllFamilies) {

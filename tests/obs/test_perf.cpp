@@ -145,9 +145,7 @@ TEST(PerfSweep, ProfiledRunChargesTaskRollups) {
   const std::uint64_t before = clock.value();
   ScenarioSpec spec = small_spec();
   spec.tasks = {Task::kSimulate};
-  SweepOptions opts;
-  opts.use_cache = false;  // every job builds its own artifacts
-  (void)SweepRunner(opts).run(spec);
+  (void)SweepRunner(SweepOptions{}).run(spec);
   obs::perf::set_enabled(false);
   if (avail.software) {
     EXPECT_GT(clock.value(), before);

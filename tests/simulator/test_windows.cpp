@@ -9,7 +9,8 @@
 //     lines built directly;
 //   * gossip_time at real multi-window sizes == a one-window reference,
 //     under every supported kernel, parallel merges on and off;
-//   * one arena reused across members of different n == fresh arenas.
+//   * one arena reused across members of different n == fresh arenas,
+//     including a padded member right after a wider one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -264,10 +265,15 @@ TEST(ItemWindows, GossipTimeMatchesOneWindowAtMultiWindowSizes) {
 TEST(ItemWindows, ArenaReusedAcrossSizesMatchesFreshArenas) {
   constexpr int kCap = 4096;
   // Sizes alternate between one window and several, so the shared arena
-  // grows, shrinks and re-shapes between members.
+  // grows, shrinks and re-shapes between members.  bf(2,8)'s rows are
+  // padded (36 words in a 40-word stride) and follow bf(2,10)'s 176-word
+  // rows, whose diagonal bits fall in about 50 of bf(2,8)'s padding words:
+  // a reset that left the padding stale and a merge that read it would
+  // count bits no row gained.
   const std::vector<Member> members = {
       {Family::kDeBruijn, 2, 4, 0},            // n = 16
       {Family::kButterfly, 2, 10, 0},          // n = 11,264, 5 windows
+      {Family::kButterfly, 2, 8, 0},           // n = 2,304, 36 of 40 words
       {Family::kKautz, 2, 5, 0},               // n = 48
       {Family::kWrappedButterfly, 2, 10, 0},   // n = 10,240, 4 windows
       {Family::kRandomRegular, 3, 24, 0xfeedULL},

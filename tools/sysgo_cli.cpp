@@ -85,7 +85,7 @@ int usage() {
                "              [--periods 3:8,inf] [--threads N] "
                "[--round-threads N]\n"
                "              [--format csv|json] [--max-rounds M] "
-               "[--seed S] [--no-cache]\n"
+               "[--seed S]\n"
                "              [--store PATH] [--resume] [--shard i/m]\n"
                "              [--metrics PATH] [--progress] [--trace PATH] "
                "[--perf]\n"
@@ -122,7 +122,7 @@ int usage() {
                "              [--problems gossip,broadcast] [--threads N] "
                "[--solver-threads N]\n"
                "              [--max-rounds M] [--max-states S] [--format "
-               "csv|json] [--no-cache]\n"
+               "csv|json]\n"
                "              [--store PATH] [--resume] [--shard i/m] "
                "[--metrics PATH] [--progress]\n"
                "              [--trace PATH] [--perf]\n"
@@ -134,7 +134,7 @@ int usage() {
                "[--time-budget MS]\n"
                "              [--synth-threads N] [--threads N] [--seed S] "
                "[--max-rounds M]\n"
-               "              [--format csv|json] [--no-cache]\n"
+               "              [--format csv|json]\n"
                "              [--store PATH] [--resume] [--shard i/m] "
                "[--metrics PATH] [--progress]\n"
                "              [--trace PATH] [--perf]\n"
@@ -533,8 +533,6 @@ bool parse_grid_flags(int argc, char** argv, const GridCommand& cmd,
           throw std::invalid_argument("unknown format: " + fmt);
       } else if (flag == "--seed") {
         spec.limits.seed = sysgo::util::parse_u64(value(), flag);
-      } else if (flag == "--no-cache") {
-        opts.use_cache = false;
       } else if (flag == "--store") {
         cfg.store_path = value();
       } else if (flag == "--resume") {
