@@ -44,13 +44,14 @@ void print_ablation() {
   sysgo::util::Table table({"schedule", "s", "audit e", "general e(s)",
                             "max exact ||Mx||@l*", "max analytic@l*"});
   for (auto& c : cases) {
-    const auto audit = sysgo::core::audit_schedule(c.sched);
+    const auto cs = sysgo::protocol::CompiledSchedule::compile(c.sched);
+    const auto audit = sysgo::core::audit_schedule(cs);
     const int s = c.sched.period_length();
     const auto duplex = c.sched.mode == Mode::kFullDuplex
                             ? sysgo::core::Duplex::kFull
                             : sysgo::core::Duplex::kHalf;
     const double gen = s >= 3 ? sysgo::core::e_general(s, duplex) : 0.0;
-    const auto gaps = sysgo::analysis::audit_gap_report(c.sched, audit.lambda_star);
+    const auto gaps = sysgo::analysis::audit_gap_report(cs, audit.lambda_star);
     double max_exact = 0.0, max_analytic = 0.0;
     for (const auto& row : gaps) {
       max_exact = std::max(max_exact, row.exact_norm);
@@ -68,11 +69,12 @@ void print_ablation() {
 }
 
 void BM_GapReport(benchmark::State& state) {
-  const auto sched = sysgo::protocol::edge_coloring_schedule(
-      sysgo::topology::de_bruijn(2, static_cast<int>(state.range(0))),
-      Mode::kHalfDuplex);
+  const auto cs = sysgo::protocol::CompiledSchedule::compile(
+      sysgo::protocol::edge_coloring_schedule(
+          sysgo::topology::de_bruijn(2, static_cast<int>(state.range(0))),
+          Mode::kHalfDuplex));
   for (auto _ : state) {
-    auto rows = sysgo::analysis::audit_gap_report(sched, 0.5);
+    auto rows = sysgo::analysis::audit_gap_report(cs, 0.5);
     benchmark::DoNotOptimize(rows);
   }
 }

@@ -85,17 +85,9 @@ void BM_Compile(benchmark::State& state, const Member& m) {
   }
 }
 
-// The audit is the other sweep task on the compiled path.  The schedule
-// entry point compiles on every call (what a consumer without a cached
-// CompiledSchedule pays); the compiled entry point is the engine's path —
-// activities derived once, reused across the whole λ bisection.
-void BM_AuditPerCallCompile(benchmark::State& state, const Member& m) {
-  for (auto _ : state) {
-    const auto res = sysgo::core::audit_schedule(m.schedule);
-    benchmark::DoNotOptimize(res.round_lower_bound);
-  }
-}
-
+// The audit is the other sweep task on the compiled path: activities
+// derived once, reused across the whole λ bisection.  A consumer without a
+// cached CompiledSchedule adds one compile/ arm per call.
 void BM_AuditCompiled(benchmark::State& state, const Member& m) {
   const auto cs = CompiledSchedule::compile(m.schedule);
   for (auto _ : state) {
@@ -144,9 +136,6 @@ const bool kRegistered = [] {
                                  BM_SimulateCompiled, m)
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("compile/" + m.name).c_str(), BM_Compile, m)
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(("audit/recompile-per-call/" + m.name).c_str(),
-                                 BM_AuditPerCallCompile, m)
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(("audit/compiled/" + m.name).c_str(),
                                  BM_AuditCompiled, m)

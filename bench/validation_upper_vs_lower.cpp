@@ -88,23 +88,25 @@ void print_validation() {
 }
 
 void BM_AuditSchedule(benchmark::State& state) {
-  const auto sched = sysgo::protocol::edge_coloring_schedule(
-      sysgo::topology::de_bruijn(2, static_cast<int>(state.range(0))),
-      Mode::kHalfDuplex);
+  const auto cs = sysgo::protocol::CompiledSchedule::compile(
+      sysgo::protocol::edge_coloring_schedule(
+          sysgo::topology::de_bruijn(2, static_cast<int>(state.range(0))),
+          Mode::kHalfDuplex));
   for (auto _ : state) {
-    auto res = sysgo::core::audit_schedule(sched);
+    auto res = sysgo::core::audit_schedule(cs);
     benchmark::DoNotOptimize(res);
   }
 }
 BENCHMARK(BM_AuditSchedule)->Name("validation/audit_debruijn")->DenseRange(4, 8);
 
 void BM_MeasureGossip(benchmark::State& state) {
-  const auto sched = sysgo::protocol::edge_coloring_schedule(
-      sysgo::topology::de_bruijn(2, static_cast<int>(state.range(0))),
-      Mode::kHalfDuplex);
+  const auto cs = sysgo::protocol::CompiledSchedule::compile(
+      sysgo::protocol::edge_coloring_schedule(
+          sysgo::topology::de_bruijn(2, static_cast<int>(state.range(0))),
+          Mode::kHalfDuplex));
   int t = 0;
   for (auto _ : state) {
-    t = sysgo::simulator::gossip_time(sched, 100000);
+    t = sysgo::simulator::gossip_time(cs, 100000);
     benchmark::DoNotOptimize(t);
   }
   state.counters["rounds"] = t;

@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
 
   // Operational side: a concrete periodic protocol on this very network.
   const auto sched = protocol::edge_coloring_schedule(g, protocol::Mode::kHalfDuplex);
-  const int measured = simulator::gossip_time(sched, 1 << 18);
-  const auto audit = core::audit_schedule(sched);
+  const auto cs = protocol::CompiledSchedule::compile(sched);
+  const int measured = simulator::gossip_time(cs, 1 << 18);
+  const auto audit = core::audit_schedule(cs);
   std::printf("edge-coloring schedule: period s = %d\n", sched.period_length());
   std::printf("measured gossip time:   %d rounds (%.2f x log2(n))\n", measured,
               measured / logn);

@@ -4,6 +4,7 @@
 //
 //   $ ./quickstart
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/audit.hpp"
 #include "core/bounds.hpp"
@@ -25,18 +26,27 @@ int main() {
   std::printf("network: DB(2,6), n = %d, %zu arcs\n", g.vertex_count(),
               g.arc_count());
 
-  // 3. Derive a periodic ("traffic-light") protocol from an edge coloring.
+  // 3. Derive a periodic ("traffic-light") protocol from an edge coloring,
+  //    and compile it against the network once: the one structural
+  //    validation (every round a matching, every arc in g).  The steps
+  //    below execute the compiled form.
   const auto sched = protocol::edge_coloring_schedule(g, protocol::Mode::kHalfDuplex);
   std::printf("edge-coloring schedule: period s = %d\n", sched.period_length());
-  const auto valid = protocol::validate_structure(sched, &g);
-  std::printf("structural validation: %s\n", valid.ok ? "ok" : valid.message.c_str());
+  protocol::CompiledSchedule cs;
+  try {
+    cs = protocol::CompiledSchedule::compile(sched, &g);
+  } catch (const std::invalid_argument& e) {
+    std::printf("structural validation: %s\n", e.what());
+    return 1;
+  }
+  std::printf("structural validation: ok\n");
 
   // 4. Simulate gossip to completion.
-  const int measured = simulator::gossip_time(sched, 100000);
+  const int measured = simulator::gossip_time(cs, 100000);
   std::printf("measured gossip time: %d rounds\n", measured);
 
   // 5. Certify a lower bound for this specific schedule (Theorem 4.1).
-  const auto audit = core::audit_schedule(sched);
+  const auto audit = core::audit_schedule(cs);
   std::printf("audit: lambda* = %.6f, e = %.4f, certified lower bound = %d rounds\n",
               audit.lambda_star, audit.e_coeff, audit.round_lower_bound);
   std::printf("certificate %s measured time (%d <= %d)\n",

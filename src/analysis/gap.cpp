@@ -74,12 +74,6 @@ double exact_local_norm(const protocol::CompiledSchedule& cs, int vertex,
                     lambda);
 }
 
-double exact_local_norm(const protocol::SystolicSchedule& sched, int vertex,
-                        double lambda, int periods) {
-  return exact_local_norm(protocol::CompiledSchedule::compile(sched), vertex,
-                          lambda, periods);
-}
-
 std::vector<VertexGapRow> audit_gap_report(const protocol::CompiledSchedule& cs,
                                            double lambda, int periods) {
   check_args(cs, lambda, "audit_gap_report");
@@ -103,12 +97,6 @@ std::vector<VertexGapRow> audit_gap_report(const protocol::CompiledSchedule& cs,
     return a.analytic_bound > b.analytic_bound;
   });
   return rows;
-}
-
-std::vector<VertexGapRow> audit_gap_report(const protocol::SystolicSchedule& sched,
-                                           double lambda, int periods) {
-  return audit_gap_report(protocol::CompiledSchedule::compile(sched), lambda,
-                          periods);
 }
 
 }  // namespace sysgo::analysis

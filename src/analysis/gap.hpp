@@ -3,12 +3,13 @@
 // the delay digraph (a window of w periods), compute its norm by power
 // iteration, and compare with the per-vertex analytic bound the auditor
 // certifies.  The DESIGN.md ablation "exact local norm vs Lemma 4.3".
+// Both entries take a periodic CompiledSchedule (the window spans whole
+// periods), compiled once by the caller.
 #pragma once
 
 #include <vector>
 
 #include "protocol/compiled.hpp"
-#include "protocol/systolic.hpp"
 
 namespace sysgo::analysis {
 
@@ -24,21 +25,14 @@ struct VertexGapRow {
 
 /// Per-vertex exact-vs-analytic local norms at the given λ, over a window
 /// of `periods` schedule periods.  Rows are sorted by descending analytic
-/// bound (the certificate's binding vertices first).  The compiled overload
-/// derives every vertex's in/out activation rounds in one pass over the
-/// window's arcs and requires a periodic schedule (the window spans
-/// `periods` repetitions); the schedule overload compiles once and
-/// delegates.
+/// bound (the certificate's binding vertices first).  Every vertex's in/out
+/// activation rounds come from one pass over the window's arcs.
 [[nodiscard]] std::vector<VertexGapRow> audit_gap_report(
     const protocol::CompiledSchedule& cs, double lambda, int periods = 4);
-[[nodiscard]] std::vector<VertexGapRow> audit_gap_report(
-    const protocol::SystolicSchedule& sched, double lambda, int periods = 4);
 
 /// The exact local norm of one vertex over the window (0 when the vertex
 /// never relays, or lies outside [0, n)).
 [[nodiscard]] double exact_local_norm(const protocol::CompiledSchedule& cs,
-                                      int vertex, double lambda, int periods = 4);
-[[nodiscard]] double exact_local_norm(const protocol::SystolicSchedule& sched,
                                       int vertex, double lambda, int periods = 4);
 
 }  // namespace sysgo::analysis

@@ -36,11 +36,6 @@ std::vector<VertexActivity> vertex_activities(
   return acts;
 }
 
-std::vector<VertexActivity> vertex_activities(
-    const protocol::SystolicSchedule& sched) {
-  return vertex_activities(protocol::CompiledSchedule::compile(sched));
-}
-
 namespace {
 
 // Half-duplex per-vertex bound (Lemma 4.3 with per-period totals):
@@ -126,10 +121,6 @@ double audit_norm_bound(const protocol::CompiledSchedule& cs, double lambda) {
                                     cs.period_length(), lambda, cs.mode());
 }
 
-double audit_norm_bound(const protocol::SystolicSchedule& sched, double lambda) {
-  return audit_norm_bound(protocol::CompiledSchedule::compile(sched), lambda);
-}
-
 AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
   cs.require_periodic("audit_schedule");
   const int s = cs.period_length();
@@ -167,12 +158,6 @@ AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
     }
   }
   return res;
-}
-
-AuditResult audit_schedule(const protocol::SystolicSchedule& sched) {
-  if (sched.period.empty())
-    throw std::invalid_argument("audit_schedule: empty period");
-  return audit_schedule(protocol::CompiledSchedule::compile(sched));
 }
 
 SeparatorAuditResult audit_schedule_with_separator(
@@ -223,12 +208,6 @@ SeparatorAuditResult audit_schedule_with_separator(
     }
   }
   return best;
-}
-
-SeparatorAuditResult audit_schedule_with_separator(
-    const protocol::SystolicSchedule& sched, int distance, std::size_t min_size) {
-  return audit_schedule_with_separator(protocol::CompiledSchedule::compile(sched),
-                                       distance, min_size);
 }
 
 }  // namespace sysgo::core

@@ -1,5 +1,6 @@
 // Protocol auditor: a certified lower bound for a *concrete* systolic
-// schedule via Theorem 4.1.
+// schedule via Theorem 4.1.  Every entry takes a periodic CompiledSchedule,
+// the one validated form (the caller compiles once).
 //
 // For each vertex x the schedule fixes the per-period activation pattern;
 // Lemma 4.2/4.3 bound the local norm from the per-period left/right
@@ -34,7 +35,6 @@
 
 #include "core/bounds.hpp"
 #include "protocol/compiled.hpp"
-#include "protocol/systolic.hpp"
 
 namespace sysgo::core {
 
@@ -54,11 +54,6 @@ struct VertexActivity {
 [[nodiscard]] std::vector<VertexActivity> vertex_activities(
     const protocol::CompiledSchedule& cs);
 
-/// Summaries for every vertex of a schedule's period (compiles once, which
-/// validates the schedule, then walks the rounds).
-[[nodiscard]] std::vector<VertexActivity> vertex_activities(
-    const protocol::SystolicSchedule& sched);
-
 /// The certified per-vertex local-norm bound at λ: half-duplex uses
 /// Lemma 4.3 with the vertex's (L, R) totals; full-duplex uses cyclic gap
 /// sums with ‖A‖₂ <= √(‖A‖₁·‖A‖∞).  s is the schedule period.
@@ -66,11 +61,8 @@ struct VertexActivity {
                                        double lambda, protocol::Mode mode);
 
 /// Certified upper bound on ‖M(λ)‖ for this schedule (max over vertices of
-/// the per-vertex local-norm bound, evaluated per activity class).  Increasing in λ.  The schedule
-/// overload compiles per call — in a λ loop, compile once and use the
-/// compiled overload.
-[[nodiscard]] double audit_norm_bound(const protocol::SystolicSchedule& sched,
-                                      double lambda);
+/// the per-vertex local-norm bound, evaluated per activity class).
+/// Increasing in λ.
 [[nodiscard]] double audit_norm_bound(const protocol::CompiledSchedule& cs,
                                       double lambda);
 
@@ -93,12 +85,10 @@ struct AuditResult {
 /// s < 3: there the norm bound stays below 1 for every λ < 1, so λ* would
 /// sit at the bisection's upper end and the round count built from it is
 /// not a lower bound (C6 full duplex at period 2 gossips in 3 rounds; it
-/// would "certify" 4).  The compiled overload derives the activity classes
-/// once and reuses them across the whole λ bisection, and requires a
-/// periodic compiled schedule (as do the other compiled audit entry
-/// points); the schedule overload compiles first.
+/// would "certify" 4).  The activity classes are derived once and reused
+/// across the whole λ bisection.  Like every audit entry point, it throws
+/// std::invalid_argument for a finite (non-periodic) compiled schedule.
 [[nodiscard]] AuditResult audit_schedule(const protocol::CompiledSchedule& cs);
-[[nodiscard]] AuditResult audit_schedule(const protocol::SystolicSchedule& sched);
 
 /// Theorem 5.1 applied to a concrete schedule and a concrete separator:
 /// given BFS-verified vertex sets V1, V2 at distance >= `distance` with
@@ -116,7 +106,5 @@ struct SeparatorAuditResult {
 };
 [[nodiscard]] SeparatorAuditResult audit_schedule_with_separator(
     const protocol::CompiledSchedule& cs, int distance, std::size_t min_size);
-[[nodiscard]] SeparatorAuditResult audit_schedule_with_separator(
-    const protocol::SystolicSchedule& sched, int distance, std::size_t min_size);
 
 }  // namespace sysgo::core

@@ -1,19 +1,10 @@
 #include "core/delay_digraph.hpp"
 
 #include <algorithm>
-#include <map>
 #include <queue>
 #include <stdexcept>
 
 namespace sysgo::core {
-
-DelayDigraph::DelayDigraph(const protocol::Protocol& p, int s) : s_(s) {
-  if (s < 2) throw std::invalid_argument("DelayDigraph: period must be >= 2");
-  build(p);
-}
-
-DelayDigraph::DelayDigraph(const protocol::SystolicSchedule& sched, int t)
-    : DelayDigraph(sched.expand(t), sched.period_length()) {}
 
 DelayDigraph::DelayDigraph(const protocol::CompiledSchedule& cs, int t)
     : s_(cs.period_length()) {
@@ -22,23 +13,11 @@ DelayDigraph::DelayDigraph(const protocol::CompiledSchedule& cs, int t)
   for (int i = 1; i <= t; ++i)
     for (const auto& a : cs.round_arcs(cs.round_index(i)))
       nodes_.push_back({a.tail, a.head, i});
-  link(cs.n());
-}
 
-void DelayDigraph::build(const protocol::Protocol& p) {
-  // Collect activations round by round.
-  for (int i = 1; i <= p.length(); ++i)
-    for (const auto& a : p.rounds[static_cast<std::size_t>(i - 1)].arcs)
-      nodes_.push_back({a.tail, a.head, i});
-  link(p.n);
-}
-
-void DelayDigraph::link(int n) {
   // Per middle-vertex y: activations entering y and leaving y, by round.
   // in_at[y] = (round, node), out_at[y] = (round, node).
-  std::vector<std::vector<std::pair<int, int>>> in_at(
-      static_cast<std::size_t>(n)),
-      out_at(static_cast<std::size_t>(n));
+  const auto n = static_cast<std::size_t>(cs.n());
+  std::vector<std::vector<std::pair<int, int>>> in_at(n), out_at(n);
   for (std::size_t idx = 0; idx < nodes_.size(); ++idx) {
     const auto& act = nodes_[idx];
     in_at[static_cast<std::size_t>(act.head)].emplace_back(act.round,
@@ -48,9 +27,9 @@ void DelayDigraph::link(int n) {
   }
 
   out_.assign(nodes_.size(), {});
-  for (int y = 0; y < n; ++y) {
-    auto& ins = in_at[static_cast<std::size_t>(y)];
-    auto& outs = out_at[static_cast<std::size_t>(y)];
+  for (std::size_t y = 0; y < n; ++y) {
+    auto& ins = in_at[y];
+    auto& outs = out_at[y];
     if (ins.empty() || outs.empty()) continue;
     std::sort(ins.begin(), ins.end());
     std::sort(outs.begin(), outs.end());

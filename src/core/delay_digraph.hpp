@@ -5,13 +5,16 @@
 // weight j − i — the delay an item incurs crossing (x, y) at round i and
 // then (y, z) at round j.  Delays of s or more repeat an already-represented
 // activation, hence the window.
+//
+// The one build path reads the flat arc spans of a periodic
+// CompiledSchedule, so every activation it links has endpoints that
+// compile checked against [0, n).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "protocol/compiled.hpp"
-#include "protocol/protocol.hpp"
-#include "protocol/systolic.hpp"
 
 namespace sysgo::core {
 
@@ -33,18 +36,10 @@ struct DelayArc {
 
 class DelayDigraph {
  public:
-  /// Build from a finite protocol with systolic period s (s > 1).
-  /// The protocol need not be exactly s-systolic; the window rule of
-  /// Definition 3.3 is applied as given.
-  DelayDigraph(const protocol::Protocol& p, int s);
-
-  /// Convenience: expand a schedule to t rounds and build with
-  /// s = period length.
-  DelayDigraph(const protocol::SystolicSchedule& sched, int t);
-
-  /// Build the first t rounds of a compiled periodic schedule directly from
-  /// its flat arc spans — no intermediate Protocol is materialized.
-  /// Activations appear in canonical (per-round sorted) arc order.
+  /// Build the first t rounds of a compiled periodic schedule with
+  /// s = period length (s >= 2; std::invalid_argument otherwise, or for a
+  /// finite compiled protocol).  Activations appear round by round in
+  /// canonical (per-round sorted) arc order.
   DelayDigraph(const protocol::CompiledSchedule& cs, int t);
 
   [[nodiscard]] int period() const noexcept { return s_; }
@@ -65,10 +60,6 @@ class DelayDigraph {
   [[nodiscard]] int weighted_distance(int from, int to) const;
 
  private:
-  void build(const protocol::Protocol& p);
-  /// Wire the delay arcs between the already-collected activation nodes.
-  void link(int n);
-
   int s_ = 0;
   std::vector<Activation> nodes_;
   std::vector<DelayArc> arcs_;

@@ -19,11 +19,8 @@ linalg::SparseMatrix delay_matrix(const DelayDigraph& dg, double lambda) {
   return linalg::SparseMatrix(dg.node_count(), dg.node_count(), std::move(entries));
 }
 
-double delay_matrix_norm(const DelayDigraph& dg, double lambda, bool parallel) {
-  const auto m = delay_matrix(dg, lambda);
-  linalg::PowerIterationOptions opts;
-  opts.parallel = parallel;
-  return linalg::operator_norm(m, opts).value;
+double delay_matrix_norm(const DelayDigraph& dg, double lambda) {
+  return linalg::operator_norm(delay_matrix(dg, lambda)).value;
 }
 
 }  // namespace sysgo::core

@@ -16,7 +16,6 @@ namespace sysgo::core {
 
 /// ‖M(λ)‖₂ by power iteration (exact up to tolerance).  This is the
 /// "measured" counterpart of the analytic Lemma 4.3 bound.
-[[nodiscard]] double delay_matrix_norm(const DelayDigraph& dg, double lambda,
-                                       bool parallel = false);
+[[nodiscard]] double delay_matrix_norm(const DelayDigraph& dg, double lambda);
 
 }  // namespace sysgo::core

@@ -140,7 +140,8 @@ struct SweepRecord {
   Task task{};
   int s = 0;       // period (kUnboundedPeriod = ∞); schedule period for
                    // simulate/audit; 0 when not applicable
-  int n = 0;       // vertex count (0 for asymptotic tasks)
+  int n = 0;       // vertex count (0 for asymptotic tasks and for members
+                   // that cannot be built)
   double alpha = 0.0;   // Lemma 3.1 separator parameters (bound/separator)
   double ell = 0.0;
   double e = 0.0;       // bound coefficient of log2(n) (bound/diameter/audit)
@@ -148,8 +149,8 @@ struct SweepRecord {
   int rounds = -1;      // simulate: measured gossip time; audit: certified
                         // round lower bound; solve-*: exact optimum, or -1
                         // (see budget; states/group are also -1 when the
-                        // member was oversized (n > 12) or unbuildable
-                        // (n = 0))
+                        // member was oversized (n > 12)); -1 for every
+                        // task on an unbuildable member (n = 0)
   int diameter = -1;          // separator task
   int sep_distance = -1;      // separator task: BFS-verified distance
   std::int64_t sep_min_size = -1;  // separator task: min(|V1|, |V2|)

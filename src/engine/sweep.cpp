@@ -166,6 +166,18 @@ SweepRecord SweepRunner::run_job_impl(const SweepJob& job,
     r.alpha = r.ell = r.e = r.lambda = -1.0;
     return r;
   }
+  // Every task but the asymptotic bound and diameter ones builds the
+  // member.  An unbuildable member (odd Knödel n, CCC with D < 3, odd
+  // random-regular n*d, ...) yields a sentinel record with n = 0 instead
+  // of aborting the sweep; the closed-form order check builds nothing.
+  std::int64_t order = 0;
+  if (job.task != Task::kBound && job.task != Task::kDiameterBound) {
+    try {
+      order = topology::family_order(job.key.family, job.key.d, job.key.D);
+    } catch (const std::invalid_argument&) {
+      return r;
+    }
+  }
   switch (job.task) {
     case Task::kBound: {
       const auto params = separator::lemma31_params(job.key.family, job.key.d);
@@ -221,17 +233,9 @@ SweepRecord SweepRunner::run_job_impl(const SweepJob& job,
     }
     case Task::kSolveGossip:
     case Task::kSolveBroadcast: {
-      // Oversized or invalid grid members (n > 12, odd Knödel n, CCC with
-      // D < 3, ...) yield a sentinel record (rounds/states/group all -1)
-      // instead of killing the whole sweep.  The closed-form order check
-      // keeps sentinels O(1) — no graph or schedule is ever built for
-      // members the solver cannot take.
-      std::int64_t order;
-      try {
-        order = topology::family_order(job.key.family, job.key.d, job.key.D);
-      } catch (const std::invalid_argument&) {
-        break;  // unbuildable member: sentinel with n = 0
-      }
+      // Oversized members (n > 12) yield a sentinel record (rounds/states/
+      // group all -1) instead of killing the whole sweep, with no graph or
+      // schedule built.
       if (order > search::kMaxVertices) {
         r.n = static_cast<int>(
             std::min<std::int64_t>(order, std::numeric_limits<int>::max()));
@@ -258,14 +262,6 @@ SweepRecord SweepRunner::run_job_impl(const SweepJob& job,
       break;
     }
     case Task::kSynthesize: {
-      // Unbuildable members (odd random-regular n*d, out-of-cap D, ...)
-      // yield a sentinel record (n = 0, rounds = -1) like the solve tasks
-      // instead of aborting the sweep.
-      try {
-        (void)topology::family_order(job.key.family, job.key.d, job.key.D);
-      } catch (const std::invalid_argument&) {
-        break;
-      }
       // Build just the graph: the artifact bundle's edge-coloring schedule
       // would go unused (the synthesizer derives its own warm starts).
       const auto g = topology::make_family(job.key.family, job.key.d,

@@ -1,12 +1,10 @@
 #include "io/sweep_io.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 #include "io/csv.hpp"
+#include "obs/json.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
 
@@ -170,73 +168,33 @@ std::string sweep_json(const std::vector<engine::SweepRecord>& records) {
   return out.str();
 }
 
-namespace {
-
-/// Minimal parser for the flat JSON this module emits: an array of objects
-/// whose values are strings or numbers.
-struct JsonScanner {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos])))
-      ++pos;
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos >= text.size()) throw std::invalid_argument("truncated sweep JSON");
-    return text[pos];
-  }
-  void expect(char c) {
-    if (peek() != c)
-      throw std::invalid_argument(std::string("sweep JSON: expected '") + c +
-                                  "' at offset " + std::to_string(pos));
-    ++pos;
-  }
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') out.push_back(text[pos++]);
-    expect('"');
-    return out;
-  }
-  [[nodiscard]] std::string parse_scalar() {
-    if (peek() == '"') return parse_string();
-    std::string out;
-    while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
-           text[pos] != ']' &&
-           !std::isspace(static_cast<unsigned char>(text[pos])))
-      out.push_back(text[pos++]);
-    if (out.empty()) throw std::invalid_argument("sweep JSON: empty value");
-    return out;
-  }
-};
-
-}  // namespace
-
 std::vector<engine::SweepRecord> parse_sweep_json(const std::string& text) {
-  JsonScanner scan{text};
-  std::vector<engine::SweepRecord> records;
-  scan.expect('[');
-  if (scan.peek() == ']') return records;
-  for (;;) {
-    scan.expect('{');
-    std::vector<std::pair<std::string, std::string>> fields;
-    if (scan.peek() != '}') {
-      for (;;) {
-        std::string key = scan.parse_string();
-        scan.expect(':');
-        fields.emplace_back(std::move(key), scan.parse_scalar());
-        if (scan.peek() != ',') break;
-        scan.expect(',');
-      }
-    }
-    scan.expect('}');
-    records.push_back(record_from_fields(fields));
-    if (scan.peek() != ',') break;
-    scan.expect(',');
+  using Kind = obs::json::Value::Kind;
+  obs::json::Value doc;
+  try {
+    doc = obs::json::parse(text);
+  } catch (const std::runtime_error& e) {
+    throw std::invalid_argument(std::string("sweep JSON: ") + e.what());
   }
-  scan.expect(']');
+  if (doc.kind != Kind::kArray)
+    throw std::invalid_argument("sweep JSON: expected an array of records");
+  std::vector<engine::SweepRecord> records;
+  records.reserve(doc.items.size());
+  for (const obs::json::Value& item : doc.items) {
+    if (item.kind != Kind::kObject)
+      throw std::invalid_argument("sweep JSON: expected a record object");
+    // A number's token as written, so the strict field parsers see exactly
+    // what the writer printed.
+    std::vector<std::pair<std::string, std::string>> fields;
+    fields.reserve(item.members.size());
+    for (const auto& [key, value] : item.members) {
+      if (value.kind != Kind::kString && value.kind != Kind::kNumber)
+        throw std::invalid_argument("sweep JSON: field '" + key +
+                                    "' is not a string or number");
+      fields.emplace_back(key, value.str);
+    }
+    records.push_back(record_from_fields(fields));
+  }
   return records;
 }
 

@@ -7,6 +7,9 @@
 namespace sysgo::linalg {
 namespace {
 
+constexpr int kMaxSweeps = 64;
+constexpr double kTolerance = 1e-13;  // off-diagonal Frobenius threshold
+
 // Sum of squares of strictly-off-diagonal entries.
 double off_diagonal_norm2(const Matrix& a) {
   double s = 0.0;
@@ -42,7 +45,7 @@ void rotate(Matrix& a, std::size_t p, std::size_t q) {
 
 }  // namespace
 
-JacobiResult jacobi_eigenvalues(const Matrix& m, const JacobiOptions& opts) {
+JacobiResult jacobi_eigenvalues(const Matrix& m) {
   if (m.rows() != m.cols())
     throw std::invalid_argument("jacobi_eigenvalues: matrix must be square");
   if (!m.is_symmetric(1e-9))
@@ -55,11 +58,11 @@ JacobiResult jacobi_eigenvalues(const Matrix& m, const JacobiOptions& opts) {
     return res;
   }
   const double scale = std::max(1.0, a.frobenius_norm());
-  for (int sweep = 1; sweep <= opts.max_sweeps; ++sweep) {
+  for (int sweep = 1; sweep <= kMaxSweeps; ++sweep) {
     res.sweeps = sweep;
     for (std::size_t p = 0; p < n; ++p)
       for (std::size_t q = p + 1; q < n; ++q) rotate(a, p, q);
-    if (std::sqrt(off_diagonal_norm2(a)) <= opts.tolerance * scale) {
+    if (std::sqrt(off_diagonal_norm2(a)) <= kTolerance * scale) {
       res.converged = true;
       break;
     }

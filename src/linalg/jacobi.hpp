@@ -12,11 +12,6 @@
 
 namespace sysgo::linalg {
 
-struct JacobiOptions {
-  int max_sweeps = 64;
-  double tolerance = 1e-13;  // off-diagonal Frobenius threshold
-};
-
 struct JacobiResult {
   std::vector<double> eigenvalues;  // descending order
   int sweeps = 0;
@@ -24,8 +19,7 @@ struct JacobiResult {
 };
 
 /// Eigenvalues of a symmetric matrix.  Throws if m is not square/symmetric.
-[[nodiscard]] JacobiResult jacobi_eigenvalues(const Matrix& m,
-                                              const JacobiOptions& opts = {});
+[[nodiscard]] JacobiResult jacobi_eigenvalues(const Matrix& m);
 
 /// ‖M‖₂ via Jacobi on MᵀM — the slow, certain reference implementation.
 [[nodiscard]] double operator_norm_exact(const Matrix& m);

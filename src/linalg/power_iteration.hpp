@@ -12,12 +12,6 @@
 
 namespace sysgo::linalg {
 
-struct PowerIterationOptions {
-  std::size_t max_iterations = 20'000;
-  double tolerance = 1e-12;  // relative change of the Rayleigh estimate
-  bool parallel = false;     // multithread sparse mat-vec products
-};
-
 struct PowerIterationResult {
   double value = 0.0;        // converged estimate
   std::size_t iterations = 0;
@@ -26,16 +20,13 @@ struct PowerIterationResult {
 
 /// ‖M‖₂ of a dense matrix (any sign pattern is accepted; convergence is
 /// guaranteed for non-negative matrices, which is all this library uses).
-[[nodiscard]] PowerIterationResult operator_norm(
-    const Matrix& m, const PowerIterationOptions& opts = {});
+[[nodiscard]] PowerIterationResult operator_norm(const Matrix& m);
 
 /// ‖M‖₂ of a sparse matrix.
-[[nodiscard]] PowerIterationResult operator_norm(
-    const SparseMatrix& m, const PowerIterationOptions& opts = {});
+[[nodiscard]] PowerIterationResult operator_norm(const SparseMatrix& m);
 
 /// Spectral radius ρ(M) of a non-negative square dense matrix
 /// (power iteration from the all-ones vector; Perron–Frobenius).
-[[nodiscard]] PowerIterationResult spectral_radius_nonnegative(
-    const Matrix& m, const PowerIterationOptions& opts = {});
+[[nodiscard]] PowerIterationResult spectral_radius_nonnegative(const Matrix& m);
 
 }  // namespace sysgo::linalg

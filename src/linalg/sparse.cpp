@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace sysgo::linalg {
 
 SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
@@ -41,22 +39,15 @@ SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows_; ++r) row_offsets_[r + 1] += row_offsets_[r];
 }
 
-std::vector<double> SparseMatrix::mul(std::span<const double> x,
-                                      bool parallel) const {
+std::vector<double> SparseMatrix::mul(std::span<const double> x) const {
   assert(x.size() == cols_);
   std::vector<double> y(rows_, 0.0);
-  auto kernel = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      double s = 0.0;
-      for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
-        s += values_[k] * x[col_indices_[k]];
-      y[r] = s;
-    }
-  };
-  if (parallel)
-    util::ThreadPool::instance().run_blocks(rows_, kernel, 4096);
-  else
-    kernel(0, rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    double s = 0.0;
+    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
+      s += values_[k] * x[col_indices_[k]];
+    y[r] = s;
+  }
   return y;
 }
 

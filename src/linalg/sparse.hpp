@@ -31,9 +31,8 @@ class SparseMatrix {
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return values_.size(); }
 
-  /// y = A x (optionally multithreaded over rows).
-  [[nodiscard]] std::vector<double> mul(std::span<const double> x,
-                                        bool parallel = false) const;
+  /// y = A x.
+  [[nodiscard]] std::vector<double> mul(std::span<const double> x) const;
   /// y = A^T x.
   [[nodiscard]] std::vector<double> mul_transpose(std::span<const double> x) const;
 

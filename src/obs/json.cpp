@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -62,7 +63,10 @@ class Parser {
       }
       case 't': literal("true"); return make_bool(true);
       case 'f': literal("false"); return make_bool(false);
-      case 'n': literal("null"); return Value{};
+      case 'n':
+        if (text_.compare(pos_, 3, "nan") == 0) return number();
+        literal("null");
+        return Value{};
       default: return number();
     }
   }
@@ -134,22 +138,23 @@ class Parser {
     }
   }
 
+  // A number token runs over the JSON number characters and letters, so
+  // the `inf` and `nan` spellings that sysgo's %g writers give non-finite
+  // doubles read back too.  The whole token must parse (std::from_chars,
+  // which also takes subnormals), and it is kept in `str`.
   Value number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+           (std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0 ||
+            text_[pos_] == '.' || text_[pos_] == '+' || text_[pos_] == '-'))
       ++pos_;
     if (pos_ == start) fail("expected a value");
     Value v;
     v.kind = Value::Kind::kNumber;
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
+    v.str = text_.substr(start, pos_ - start);
+    const char* const end = v.str.data() + v.str.size();
+    const auto [ptr, ec] = std::from_chars(v.str.data(), end, v.number);
+    if (ec != std::errc{} || ptr != end) fail("bad number");
     return v;
   }
 

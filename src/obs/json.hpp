@@ -1,11 +1,12 @@
-// Minimal JSON reader shared by the obs consumers that parse their own
-// documents back (trace reports, bench snapshots): objects, arrays,
-// strings with the standard escapes, numbers, bools, null.  Object keys
-// keep document order — the writers emit deterministic layouts and the
-// readers preserve them.  Parse errors throw std::runtime_error with the
-// byte offset, and so does nesting deeper than kMaxDepth (the reader
-// recurses once per level).  This is a reader for sysgo's own output
-// files, not a general-purpose JSON library.
+// Minimal JSON reader shared by the consumers that parse sysgo's own
+// documents back (trace reports, bench snapshots, sweep records): objects,
+// arrays, strings with the standard escapes, numbers (also `inf` and
+// `nan`, which the %g writers print for non-finite doubles), bools, null.
+// Object keys keep document order — the writers emit deterministic layouts
+// and the readers preserve them.  Parse errors throw std::runtime_error
+// with the byte offset, and so does nesting deeper than kMaxDepth (the
+// reader recurses once per level).  This is a reader for sysgo's own
+// output files, not a general-purpose JSON library.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,8 @@ struct Value {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// A string's contents, or a number's token as written (so a reader can
+  /// parse a 64-bit integer field exactly).
   std::string str;
   std::vector<Value> items;
   std::vector<std::pair<std::string, Value>> members;

@@ -19,8 +19,8 @@ namespace sysgo::protocol {
 ///
 /// Because the coloring runs on the undirected support, schedules for
 /// non-symmetric digraphs activate reversed arcs that g itself lacks (the
-/// backward rounds / the opposite full-duplex directions); validate or
-/// compile such schedules without a graph, or against the support.
+/// backward rounds / the opposite full-duplex directions); compile such
+/// schedules without a graph, or against the support.
 [[nodiscard]] SystolicSchedule edge_coloring_schedule(const graph::Digraph& g,
                                                       Mode mode);
 

@@ -35,8 +35,8 @@ CompiledSchedule CompiledSchedule::build(int n, Mode mode, bool periodic,
   for (std::size_t r = 0; r < nr; ++r) {
     const int round_no = static_cast<int>(r) + 1;
     // Validate the round AS AUTHORED — canonicalize() dedups, and a
-    // duplicated arc must fail the matching check exactly as it does in
-    // validate_structure, not be silently repaired.
+    // duplicated arc must fail the matching check, not be silently
+    // repaired.
     for (const graph::Arc& a : rounds[r].arcs) {
       if (a.tail < 0 || a.tail >= n || a.head < 0 || a.head >= n)
         fail(round_no, "activates an endpoint outside [0, n)");
@@ -85,30 +85,6 @@ CompiledSchedule CompiledSchedule::compile(const SystolicSchedule& s,
 CompiledSchedule CompiledSchedule::compile(const Protocol& p,
                                            const graph::Digraph* g) {
   return build(p.n, p.mode, /*periodic=*/false, p.rounds, g);
-}
-
-namespace {
-
-template <typename Authored>
-ValidationResult compile_verdict(const Authored& a, const graph::Digraph* g) {
-  try {
-    (void)CompiledSchedule::compile(a, g);
-  } catch (const std::invalid_argument& e) {
-    return {false, e.what()};
-  }
-  return {};
-}
-
-}  // namespace
-
-ValidationResult validate_structure(const Protocol& p,
-                                    const graph::Digraph* g) {
-  return compile_verdict(p, g);
-}
-
-ValidationResult validate_structure(const SystolicSchedule& s,
-                                    const graph::Digraph* g) {
-  return compile_verdict(s, g);
 }
 
 }  // namespace sysgo::protocol

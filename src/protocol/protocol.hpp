@@ -1,12 +1,12 @@
-// Gossip protocol representation (Definition 3.1) and validity checks.
+// Gossip protocol representation (Definition 3.1).
 //
 // A protocol of length t on a digraph G is a sequence ⟨A_1 … A_t⟩ of arc
 // subsets; each round must be a matching.  Half-duplex and directed
 // protocols share matching semantics; full-duplex rounds activate opposite
-// arc pairs.
+// arc pairs.  Validity is checked in one place, CompiledSchedule::compile
+// (compiled.hpp), which every executor's input goes through.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -38,19 +38,6 @@ struct Protocol {
 
   [[nodiscard]] int length() const noexcept { return static_cast<int>(rounds.size()); }
 };
-
-/// Outcome of structural validation (matching + arcs present in G).
-struct ValidationResult {
-  bool ok = true;
-  std::string message;  // empty when ok
-};
-
-/// Checks every round is a matching in the protocol's mode and (when g is
-/// non-null) that every activated arc exists in *g: the verdict of
-/// CompiledSchedule::compile (defined in compiled.cpp), whose exception
-/// message becomes `message`.
-[[nodiscard]] ValidationResult validate_structure(const Protocol& p,
-                                                  const graph::Digraph* g = nullptr);
 
 /// Definition 3.2: A_i = A_{i+s} for all applicable i.
 [[nodiscard]] bool is_systolic(const Protocol& p, int s);

@@ -30,10 +30,4 @@ struct SystolicSchedule {
   [[nodiscard]] Protocol expand(int t) const;
 };
 
-/// Structural validation of every round in the period (and membership in g
-/// when provided); an empty period fails.  Like the Protocol overload, this
-/// is CompiledSchedule::compile's verdict.
-[[nodiscard]] ValidationResult validate_structure(const SystolicSchedule& s,
-                                                  const graph::Digraph* g = nullptr);
-
 }  // namespace sysgo::protocol

@@ -99,26 +99,27 @@ std::vector<Round> rebuild_witness(
   return witness;
 }
 
-// ------------------------------------------------------------- BFS: gossip
-
-/// One optimal protocol from the kept layers of a gossip BFS that reached
-/// the goal (layers[k]: the sorted states at depth k, the last one the
-/// layer whose expansion found the goal).  Walking back from the goal, the
-/// first state of layer k, and its first move, whose canonical successor is
-/// the current state make one step: every state at depth k + 1 has a
-/// predecessor at depth k.  Only sorted layers are read, so the witness is
-/// the same for every thread count.
-std::vector<Round> gossip_witness(const std::vector<std::vector<State>>& layers,
-                                  const std::vector<Round>& moves, Mode mode,
-                                  const Canonicalizer& canon, int n) {
-  State cur = gossip_goal_state(n);
-  const auto step_back = [&](const std::vector<State>& layer,
+/// One optimal protocol from the kept layers of a BFS that reached `goal`
+/// (layers[k]: the states stored at depth k, the last one the layer whose
+/// expansion found the goal).  successor(s, move, &perm_index) is the
+/// canonical successor of s, or s itself when the move changes nothing.
+/// Walking back from the goal, the first state of layer k, and its first
+/// move, whose canonical successor is the current state make one step:
+/// every state at depth k + 1 was discovered from one at depth k, and the
+/// layers are disjoint.  Gossip and broadcast share this walk; the gossip
+/// layers are sorted, so its witness is the same for every thread count.
+template <typename S, typename Successor>
+std::vector<Round> walk_back(const std::vector<std::vector<S>>& layers, S goal,
+                             const std::vector<Round>& moves,
+                             const Successor& successor,
+                             const Canonicalizer& canon, int n) {
+  S cur = goal;
+  const auto step_back = [&](const std::vector<S>& layer,
                              std::pair<int, std::size_t>& step) {
-    for (const State& s : layer)
+    for (const S& s : layer)
       for (std::size_t m = 0; m < moves.size(); ++m) {
-        const State t = apply_round(s, moves[m], mode);
         std::size_t perm_index = 0;
-        if (t == s || canon.canonical(t, &perm_index) != cur) continue;
+        if (successor(s, moves[m], &perm_index) != cur) continue;
         step = {static_cast<int>(m), perm_index};
         cur = s;
         return;
@@ -129,12 +130,14 @@ std::vector<Round> gossip_witness(const std::vector<std::vector<State>>& layers,
   return rebuild_witness(steps, moves, canon, n);
 }
 
+// ------------------------------------------------------------- BFS: gossip
+
 /// Frontier-parallel BFS.  Rounds and states_explored are independent of
 /// the thread count: the frontier is sorted between layers, expansion runs
 /// in fixed-size batches, and goal/budget checks happen only at batch
 /// barriers (set membership does not depend on insertion order).  With
-/// want_witness set it also keeps every sorted layer for gossip_witness,
-/// so a witness run counts exactly what a plain run counts.
+/// want_witness set it also keeps every sorted layer for walk_back, so a
+/// witness run counts exactly what a plain run counts.
 void gossip_bfs(const std::vector<Round>& moves, Mode mode,
                 const Canonicalizer& canon, int n, const SolveOptions& opts,
                 SolveResult& res) {
@@ -233,7 +236,13 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
   res.states_explored = visited.size();
   if (opts.want_witness && res.rounds > 0) {
     layers.push_back(std::move(frontier));
-    res.witness = gossip_witness(layers, moves, mode, canon, n);
+    res.witness = walk_back(
+        layers, goal, moves,
+        [&](const State& s, const Round& m, std::size_t* perm_index) {
+          const State t = apply_round(s, m, mode);
+          return t == s ? s : canon.canonical(t, perm_index);
+        },
+        canon, n);
   }
 }
 
@@ -242,70 +251,44 @@ void gossip_bfs(const std::vector<Round>& moves, Mode mode,
 /// Broadcast states are informed-vertex masks (2^n of them), canonicalized
 /// under the stabilizer of the source; the search is serial — the space is
 /// tiny — and trivially thread-count independent.  It stops at the goal,
-/// mid-layer, so states_explored counts the states stored up to it, and a
-/// witness comes from a parent table over the 2^n masks.
+/// mid-layer, so states_explored counts the states stored up to it.  With
+/// want_witness set it keeps every frontier for walk_back, like the gossip
+/// BFS, so a witness run counts exactly what a plain run counts.
 void broadcast_bfs(const std::vector<Round>& moves, const Canonicalizer& canon,
                    int n, const SolveOptions& opts, SolveResult& res) {
   const auto root = static_cast<std::uint16_t>(1u << opts.source);
   const auto goal = static_cast<std::uint16_t>((1u << n) - 1u);
-  const std::size_t space = std::size_t{1} << n;
-  std::vector<std::uint8_t> seen(space, 0);
-  struct ParentInfo {
-    std::uint16_t parent = 0;
-    int move = -1;
-    std::size_t perm = 0;
-  };
-  std::vector<ParentInfo> parents(opts.want_witness ? space : 0);
+  std::vector<std::uint8_t> seen(std::size_t{1} << n, 0);
   seen[root] = 1;
   std::size_t stored = 1;
   std::vector<std::uint16_t> frontier{root};
+  std::vector<std::vector<std::uint16_t>> layers;  // frontiers, for a witness
+  const auto successor = [&](std::uint16_t s, const Round& m,
+                             std::size_t* perm_index) {
+    const std::uint16_t t = apply_round_mask(s, m);
+    return t == s ? s : canon.canonical_mask(t, perm_index);
+  };
   for (int depth = 1; depth <= opts.max_rounds && !frontier.empty(); ++depth) {
     std::vector<std::uint16_t> next;
     for (const std::uint16_t s : frontier) {
-      for (std::size_t m = 0; m < moves.size(); ++m) {
-        std::uint16_t t = apply_round_mask(s, moves[m]);
-        if (t == s) continue;
-        t = canon.canonical_mask(t);
-        if (seen[t]) continue;
+      for (const Round& m : moves) {
+        const std::uint16_t t = successor(s, m, nullptr);
+        if (t == s || seen[t]) continue;
         seen[t] = 1;
         ++stored;
-        if (opts.want_witness) {
-          // canonical_mask does not report its permutation; recover one
-          // lazily only when a witness is requested (n is tiny here).
-          std::size_t perm_index = 0;
-          const std::uint16_t raw = apply_round_mask(s, moves[m]);
-          for (std::size_t p = 0; p < canon.group_order(); ++p) {
-            std::uint16_t image = 0;
-            for (int v = 0; v < n; ++v)
-              if ((raw >> v) & 1u)
-                image = static_cast<std::uint16_t>(
-                    image | (1u << canon.perm(p)[static_cast<std::size_t>(v)]));
-            if (image == t) {
-              perm_index = p;
-              break;
-            }
-          }
-          parents[t] = {s, static_cast<int>(m), perm_index};
-        }
         if (t == goal) {
           res.rounds = depth;
           res.states_explored = stored;
           if (opts.want_witness) {
-            std::vector<std::pair<int, std::size_t>> steps;
-            std::uint16_t cur = t;
-            while (cur != root) {
-              const auto& info = parents[cur];
-              steps.emplace_back(info.move, info.perm);
-              cur = info.parent;
-            }
-            std::reverse(steps.begin(), steps.end());
-            res.witness = rebuild_witness(steps, moves, canon, n);
+            layers.push_back(frontier);
+            res.witness = walk_back(layers, goal, moves, successor, canon, n);
           }
           return;
         }
         next.push_back(t);
       }
     }
+    if (opts.want_witness) layers.push_back(std::move(frontier));
     frontier = std::move(next);
   }
   res.states_explored = stored;

@@ -279,10 +279,19 @@ State Canonicalizer::canonical(const State& s, std::size_t* perm_index,
   return best;
 }
 
-std::uint16_t Canonicalizer::canonical_mask(std::uint16_t mask) const {
+std::uint16_t Canonicalizer::canonical_mask(std::uint16_t mask,
+                                            std::size_t* perm_index) const {
+  // The identity (index 0) maps mask to itself.
   std::uint16_t best = mask;
-  for (std::size_t j = 0; j < order_.size(); ++j)
-    best = std::min(best, col_permute(j, mask));
+  std::uint32_t index = 0;
+  for (std::size_t j = 0; j < order_.size(); ++j) {
+    const std::uint16_t image = col_permute(j, mask);
+    if (image < best || (image == best && order_[j] < index)) {
+      best = image;
+      index = order_[j];
+    }
+  }
+  if (perm_index != nullptr) *perm_index = index;
   return best;
 }
 

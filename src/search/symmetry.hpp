@@ -96,8 +96,11 @@ class Canonicalizer {
                                 std::size_t* perm_index = nullptr,
                                 std::uint64_t* ties = nullptr) const;
 
-  /// Orbit minimum of an n-bit vertex set (broadcast informed sets).
-  [[nodiscard]] std::uint16_t canonical_mask(std::uint16_t mask) const;
+  /// Orbit minimum of an n-bit vertex set (broadcast informed sets).  When
+  /// perm_index is non-null it receives the lowest index i with perm(i)
+  /// applied to mask equal to the result, as in canonical().
+  [[nodiscard]] std::uint16_t canonical_mask(
+      std::uint16_t mask, std::size_t* perm_index = nullptr) const;
 
  private:
   /// Column permutation of the element at run position j applied to mask.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "simulator/gossip_sim.hpp"
 #include "simulator/periodic.hpp"
 
 namespace sysgo::simulator {
@@ -41,10 +40,6 @@ int run_reach(const protocol::CompiledSchedule& cs, int src, int max_rounds,
 
 }  // namespace
 
-std::vector<int> broadcast_reach(const protocol::Protocol& p, int src) {
-  return broadcast_reach(protocol::CompiledSchedule::compile(p), src);
-}
-
 std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs, int src) {
   cs.require_finite("broadcast_reach");  // periodic goes through broadcast_time
   std::vector<int> reach;
@@ -52,25 +47,15 @@ std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs, int src) 
   return reach;
 }
 
-int broadcast_time(const protocol::SystolicSchedule& sched, int src, int max_rounds) {
-  return broadcast_time(protocol::CompiledSchedule::compile(sched), src,
-                        max_rounds);
-}
-
 int broadcast_time(const protocol::CompiledSchedule& cs, int src, int max_rounds) {
   std::vector<int> reach;
   return run_reach(cs, src, max_rounds, reach);
 }
 
-bool achieves_gossip(const protocol::Protocol& p) {
-  return run_gossip(p).complete;
-}
-
-std::vector<std::vector<int>> arrival_times(const protocol::Protocol& p) {
-  const auto cs = protocol::CompiledSchedule::compile(p);
+std::vector<std::vector<int>> arrival_times(const protocol::CompiledSchedule& cs) {
   std::vector<std::vector<int>> out;
-  out.reserve(static_cast<std::size_t>(p.n));
-  for (int src = 0; src < p.n; ++src) out.push_back(broadcast_reach(cs, src));
+  out.reserve(static_cast<std::size_t>(cs.n()));
+  for (int src = 0; src < cs.n(); ++src) out.push_back(broadcast_reach(cs, src));
   return out;
 }
 

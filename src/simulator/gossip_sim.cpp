@@ -31,10 +31,6 @@ std::int64_t apply_round(KnowledgeMatrix& know,
   return gained.load(std::memory_order_relaxed);
 }
 
-GossipResult run_gossip(const protocol::Protocol& p, const GossipOptions& opts) {
-  return run_gossip(protocol::CompiledSchedule::compile(p), opts);
-}
-
 GossipResult run_gossip(const protocol::CompiledSchedule& cs,
                         const GossipOptions& opts) {
   cs.require_finite("run_gossip");  // periodic schedules go through gossip_time
@@ -66,12 +62,6 @@ GossipResult run_gossip(const protocol::CompiledSchedule& cs,
   res.final_counts.reserve(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) res.final_counts.push_back(know.count(v));
   return res;
-}
-
-int gossip_time(const protocol::SystolicSchedule& sched, int max_rounds,
-                const GossipOptions& opts) {
-  return gossip_time(protocol::CompiledSchedule::compile(sched), max_rounds,
-                     opts);
 }
 
 int gossip_time(const protocol::CompiledSchedule& cs, int max_rounds,

@@ -19,6 +19,7 @@
 namespace sysgo::core {
 namespace {
 
+using protocol::CompiledSchedule;
 using protocol::Mode;
 
 // ------------------------------------------------- per-vertex reference
@@ -36,7 +37,7 @@ double reference_norm(const std::vector<VertexActivity>& acts, int s,
   return worst;
 }
 
-AuditResult reference_audit(const protocol::CompiledSchedule& cs) {
+AuditResult reference_audit(const CompiledSchedule& cs) {
   const auto acts = vertex_activities(cs);
   const int s = cs.period_length();
   const Mode mode = cs.mode();
@@ -63,7 +64,7 @@ AuditResult reference_audit(const protocol::CompiledSchedule& cs) {
 // The Theorem 5.1 grid scan of audit_schedule_with_separator over the
 // per-vertex norm.
 SeparatorAuditResult reference_separator_audit(
-    const protocol::CompiledSchedule& cs, int distance, std::size_t min_size) {
+    const CompiledSchedule& cs, int distance, std::size_t min_size) {
   const auto acts = vertex_activities(cs);
   const double log_c = std::log2(static_cast<double>(min_size));
   SeparatorAuditResult best;
@@ -87,7 +88,7 @@ SeparatorAuditResult reference_separator_audit(
   return best;
 }
 
-void expect_matches_reference(const protocol::CompiledSchedule& cs,
+void expect_matches_reference(const CompiledSchedule& cs,
                               const std::string& name) {
   const auto got = audit_schedule(cs);
   const auto want = reference_audit(cs);
@@ -109,7 +110,7 @@ TEST(Audit, ClassAuditMatchesPerVertexReferenceOnFamilies) {
     for (int D = 4; D <= 7; ++D)
       for (const Mode mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
         const auto g = topology::make_family(f, 2, D);
-        const auto cs = protocol::CompiledSchedule::compile(
+        const auto cs = CompiledSchedule::compile(
             protocol::edge_coloring_schedule(g, mode),
             g.is_symmetric() ? &g : nullptr);
         const std::string name = topology::family_name(f, 2) + " D=" +
@@ -147,7 +148,7 @@ TEST(Audit, WorstClassNeedNotContainVertexZero) {
                  {{{1, 2}, {2, 1}, {3, 4}, {4, 3}}},
                  {{{3, 4}, {4, 3}}}};
   for (const auto* sched : {&half, &full}) {
-    const auto cs = protocol::CompiledSchedule::compile(*sched);
+    const auto cs = CompiledSchedule::compile(*sched);
     const auto acts = vertex_activities(cs);
     EXPECT_EQ(acts[3], acts[4]);
     EXPECT_NE(acts[0], acts[3]);
@@ -162,8 +163,8 @@ TEST(Audit, WorstClassNeedNotContainVertexZero) {
 
 TEST(Audit, VertexActivitiesOnPathSchedule) {
   // P4 half-duplex, period 4: rounds {(0,1),(2,3)}, {(1,2)}, {(1,0),(3,2)}, {(2,1)}.
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  const auto acts = vertex_activities(sched);
+  const auto acts = vertex_activities(
+      CompiledSchedule::compile(protocol::path_schedule(4, Mode::kHalfDuplex)));
   ASSERT_EQ(acts.size(), 4u);
   // Endpoint 0: one in-round, one out-round per period.
   EXPECT_EQ(acts[0].left_rounds, 1);
@@ -174,8 +175,9 @@ TEST(Audit, VertexActivitiesOnPathSchedule) {
 }
 
 TEST(Audit, NormBoundIncreasingInLambda) {
-  const auto sched = protocol::cycle_schedule(8, Mode::kHalfDuplex);
-  EXPECT_LT(audit_norm_bound(sched, 0.3), audit_norm_bound(sched, 0.6));
+  const auto cs =
+      CompiledSchedule::compile(protocol::cycle_schedule(8, Mode::kHalfDuplex));
+  EXPECT_LT(audit_norm_bound(cs, 0.3), audit_norm_bound(cs, 0.6));
 }
 
 TEST(Audit, EvenCycleMatchesGeneralS4Bound) {
@@ -183,15 +185,15 @@ TEST(Audit, EvenCycleMatchesGeneralS4Bound) {
   // the audit certifies exactly the general e(4) = 1.8133.
   const auto sched = protocol::cycle_schedule(8, Mode::kHalfDuplex);
   ASSERT_EQ(sched.period_length(), 4);
-  const auto res = audit_schedule(sched);
+  const auto res = audit_schedule(CompiledSchedule::compile(sched));
   EXPECT_NEAR(res.e_coeff, e_general(4, Duplex::kHalf), 1e-6);
 }
 
 TEST(Audit, PathEndpointsDoNotWeakenBound) {
   // Path endpoints have L = R = 1 (weaker local norm); the max is still the
   // middle vertices' balanced pattern.
-  const auto sched = protocol::path_schedule(8, Mode::kHalfDuplex);
-  const auto res = audit_schedule(sched);
+  const auto res = audit_schedule(
+      CompiledSchedule::compile(protocol::path_schedule(8, Mode::kHalfDuplex)));
   EXPECT_NEAR(res.e_coeff, e_general(4, Duplex::kHalf), 1e-6);
 }
 
@@ -207,9 +209,10 @@ TEST(Audit, CertifiedBoundHoldsOnConcreteRuns) {
   cases.push_back({protocol::hypercube_schedule(4, Mode::kFullDuplex), 100});
   cases.push_back({protocol::grid_schedule(4, 4, Mode::kHalfDuplex), 600});
   for (auto& c : cases) {
-    const int measured = simulator::gossip_time(c.sched, c.max_rounds);
+    const auto cs = CompiledSchedule::compile(c.sched);
+    const int measured = simulator::gossip_time(cs, c.max_rounds);
     ASSERT_GT(measured, 0);
-    const auto res = audit_schedule(c.sched);
+    const auto res = audit_schedule(cs);
     EXPECT_LE(res.round_lower_bound, measured)
         << "n=" << c.sched.n << " s=" << c.sched.period_length();
   }
@@ -219,8 +222,8 @@ TEST(Audit, FullDuplexHypercubeMatchesGeometricBound) {
   // Every vertex is active every round: the per-vertex cyclic gap sums equal
   // λ + ... + λ^{s-1}, i.e. the audit reproduces the Section 6 general bound.
   const int D = 4;
-  const auto sched = protocol::hypercube_schedule(D, Mode::kFullDuplex);
-  const auto res = audit_schedule(sched);
+  const auto res = audit_schedule(
+      CompiledSchedule::compile(protocol::hypercube_schedule(D, Mode::kFullDuplex)));
   EXPECT_NEAR(res.e_coeff, e_general(D, Duplex::kFull), 1e-6);
 }
 
@@ -237,18 +240,19 @@ TEST(Audit, IdleRoundsDoNotWeakenTheCertificate) {
     sparse.period.push_back(r);
     sparse.period.push_back({});
   }
-  const auto res_dense = audit_schedule(dense);
-  const auto res_sparse = audit_schedule(sparse);
+  const auto res_dense = audit_schedule(CompiledSchedule::compile(dense));
+  const auto res_sparse = audit_schedule(CompiledSchedule::compile(sparse));
   EXPECT_NEAR(res_sparse.e_coeff, res_dense.e_coeff, 1e-9);
   EXPECT_GT(res_sparse.e_coeff,
             e_general(sparse.period_length(), Duplex::kHalf) + 1e-6);
 }
 
 TEST(Audit, WorstVertexIsARelay) {
-  const auto sched = protocol::path_schedule(8, Mode::kHalfDuplex);
-  const auto res = audit_schedule(sched);
+  const auto cs =
+      CompiledSchedule::compile(protocol::path_schedule(8, Mode::kHalfDuplex));
+  const auto res = audit_schedule(cs);
   ASSERT_GE(res.worst_vertex, 0);
-  const auto acts = vertex_activities(sched);
+  const auto acts = vertex_activities(cs);
   EXPECT_GT(acts[static_cast<std::size_t>(res.worst_vertex)].left_rounds, 0);
   EXPECT_GT(acts[static_cast<std::size_t>(res.worst_vertex)].right_rounds, 0);
 }
@@ -258,11 +262,11 @@ TEST(Audit, RandomSchedulesNeverBeatTheirAudit) {
   const auto g = topology::de_bruijn(2, 4);
   for (int trial = 0; trial < 5; ++trial) {
     const int s = 3 + trial;
-    const auto sched =
-        protocol::random_systolic_schedule(g, s, Mode::kHalfDuplex, rng);
-    const int measured = simulator::gossip_time(sched, 4000);
+    const auto cs = CompiledSchedule::compile(
+        protocol::random_systolic_schedule(g, s, Mode::kHalfDuplex, rng));
+    const int measured = simulator::gossip_time(cs, 4000);
     if (measured < 0) continue;  // random schedule may not gossip; skip
-    const auto res = audit_schedule(sched);
+    const auto res = audit_schedule(cs);
     EXPECT_LE(res.round_lower_bound, measured) << "s=" << s;
   }
 }
@@ -276,8 +280,8 @@ TEST(Audit, PeriodBelowThreeGetsNoCertificate) {
   c6.mode = Mode::kFullDuplex;
   c6.period = {{{{0, 1}, {1, 0}, {2, 3}, {3, 2}, {4, 5}, {5, 4}}},
                {{{1, 2}, {2, 1}, {3, 4}, {4, 3}, {5, 0}, {0, 5}}}};
-  ASSERT_EQ(simulator::gossip_time(c6, 100), 3);
-  const auto res = audit_schedule(c6);
+  ASSERT_EQ(simulator::gossip_time(CompiledSchedule::compile(c6), 100), 3);
+  const auto res = audit_schedule(CompiledSchedule::compile(c6));
   EXPECT_FALSE(res.certified());
   EXPECT_EQ(res.lambda_star, -1.0);
   EXPECT_EQ(res.e_coeff, -1.0);
@@ -286,16 +290,17 @@ TEST(Audit, PeriodBelowThreeGetsNoCertificate) {
   // Period 1 is degenerate too; period 3 is certified.
   protocol::SystolicSchedule one = c6;
   one.period.resize(1);
-  EXPECT_FALSE(audit_schedule(one).certified());
+  EXPECT_FALSE(audit_schedule(CompiledSchedule::compile(one)).certified());
   protocol::SystolicSchedule three = c6;
   three.period.push_back({});
-  EXPECT_TRUE(audit_schedule(three).certified());
+  EXPECT_TRUE(audit_schedule(CompiledSchedule::compile(three)).certified());
 }
 
 TEST(Audit, EmptyPeriodRejected) {
+  // An empty period never reaches the audit: compiling it fails.
   protocol::SystolicSchedule sched;
   sched.n = 4;
-  EXPECT_THROW((void)audit_schedule(sched), std::invalid_argument);
+  EXPECT_THROW((void)CompiledSchedule::compile(sched), std::invalid_argument);
 }
 
 TEST(Audit, CompiledEntryPointsRejectFiniteProtocols) {
@@ -303,10 +308,10 @@ TEST(Audit, CompiledEntryPointsRejectFiniteProtocols) {
   // zero-round protocol, which would certify nonsense) must fail loudly.
   protocol::Protocol p;
   p.n = 4;
-  const auto empty = protocol::CompiledSchedule::compile(p);
+  const auto empty = CompiledSchedule::compile(p);
   EXPECT_THROW((void)audit_schedule(empty), std::invalid_argument);
   p.rounds = {{{{0, 1}}}, {{{1, 2}}}};
-  const auto finite = protocol::CompiledSchedule::compile(p);
+  const auto finite = CompiledSchedule::compile(p);
   EXPECT_THROW((void)audit_schedule(finite), std::invalid_argument);
   EXPECT_THROW((void)audit_norm_bound(finite, 0.5), std::invalid_argument);
   EXPECT_THROW((void)audit_schedule_with_separator(finite, 2, 2),
@@ -322,7 +327,7 @@ TEST(Audit, NonRelayingScheduleDegenerates) {
   // Only inbound to 0; the idle third round keeps the period at 3, the
   // shortest one Theorem 4.1 certifies.
   sched.period = {{{{1, 0}}}, {{{2, 0}}}, {}};
-  const auto res = audit_schedule(sched);
+  const auto res = audit_schedule(CompiledSchedule::compile(sched));
   EXPECT_GT(res.lambda_star, 0.9);  // norm below 1 for all λ
 }
 
@@ -351,7 +356,7 @@ TEST(Audit, ActivitiesMatchAnAuthoredArcWalk) {
           if (in[v] != 0 || out[v] != 0) want[v].active_rounds.push_back(r);
         }
       }
-      const auto acts = vertex_activities(sched);
+      const auto acts = vertex_activities(CompiledSchedule::compile(sched));
       ASSERT_EQ(acts.size(), n);
       for (std::size_t v = 0; v < n; ++v) {
         EXPECT_EQ(acts[v].left_rounds, want[v].left_rounds) << v;
@@ -362,41 +367,11 @@ TEST(Audit, ActivitiesMatchAnAuthoredArcWalk) {
   }
 }
 
-// The audit must be a pure function of the compiled representation:
-// compiled and schedule entry points agree bit-for-bit.
-TEST(Audit, CompiledEntryPointsMatchScheduleEntryPoints) {
-  const std::vector<protocol::SystolicSchedule> corpus = {
-      protocol::path_schedule(6, Mode::kHalfDuplex),
-      protocol::edge_coloring_schedule(topology::de_bruijn(2, 4),
-                                       Mode::kHalfDuplex),
-      protocol::hypercube_schedule(4, Mode::kFullDuplex),
-  };
-  for (const auto& sched : corpus) {
-    const auto cs = protocol::CompiledSchedule::compile(sched);
-    const auto acts = vertex_activities(cs);
-    const auto legacy_acts = vertex_activities(sched);
-    ASSERT_EQ(acts.size(), legacy_acts.size());
-    for (std::size_t v = 0; v < acts.size(); ++v) {
-      EXPECT_EQ(acts[v].left_rounds, legacy_acts[v].left_rounds);
-      EXPECT_EQ(acts[v].right_rounds, legacy_acts[v].right_rounds);
-      EXPECT_EQ(acts[v].active_rounds, legacy_acts[v].active_rounds);
-    }
-    for (double lambda : {0.3, 0.6, 0.9})
-      EXPECT_DOUBLE_EQ(audit_norm_bound(cs, lambda),
-                       audit_norm_bound(sched, lambda));
-    const auto a = audit_schedule(cs);
-    const auto b = audit_schedule(sched);
-    EXPECT_DOUBLE_EQ(a.lambda_star, b.lambda_star);
-    EXPECT_DOUBLE_EQ(a.e_coeff, b.e_coeff);
-    EXPECT_EQ(a.round_lower_bound, b.round_lower_bound);
-    EXPECT_EQ(a.worst_vertex, b.worst_vertex);
-  }
-}
-
 TEST(Audit, AuditNormBoundRejectsBadLambda) {
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  EXPECT_THROW((void)audit_norm_bound(sched, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)audit_norm_bound(sched, 1.0), std::invalid_argument);
+  const auto cs =
+      CompiledSchedule::compile(protocol::path_schedule(4, Mode::kHalfDuplex));
+  EXPECT_THROW((void)audit_norm_bound(cs, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)audit_norm_bound(cs, 1.0), std::invalid_argument);
 }
 
 }  // namespace

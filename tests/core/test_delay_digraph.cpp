@@ -7,23 +7,20 @@
 namespace sysgo::core {
 namespace {
 
+using protocol::CompiledSchedule;
 using protocol::Mode;
-using protocol::Protocol;
 
 // P3 half-duplex, 4-systolic: (0,1), (1,2), (2,1), (1,0), repeated.
-Protocol p3_protocol(int t) {
-  Protocol p;
-  p.n = 3;
-  p.mode = Mode::kHalfDuplex;
-  const std::vector<protocol::Round> period = {
-      {{{0, 1}}}, {{{1, 2}}}, {{{2, 1}}}, {{{1, 0}}}};
-  for (int i = 0; i < t; ++i)
-    p.rounds.push_back(period[static_cast<std::size_t>(i % 4)]);
-  return p;
+CompiledSchedule p3_schedule() {
+  protocol::SystolicSchedule sched;
+  sched.n = 3;
+  sched.mode = Mode::kHalfDuplex;
+  sched.period = {{{{0, 1}}}, {{{1, 2}}}, {{{2, 1}}}, {{{1, 0}}}};
+  return CompiledSchedule::compile(sched);
 }
 
 TEST(DelayDigraph, NodesAreAllActivations) {
-  const auto dg = DelayDigraph(p3_protocol(8), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 8);
   EXPECT_EQ(dg.node_count(), 8u);  // one arc per round
   EXPECT_EQ(dg.period(), 4);
   // Activation (0,1) at round 1 exists; at round 2 does not.
@@ -33,7 +30,7 @@ TEST(DelayDigraph, NodesAreAllActivations) {
 }
 
 TEST(DelayDigraph, ArcsRespectWindowAndMiddleVertex) {
-  const auto dg = DelayDigraph(p3_protocol(8), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 8);
   for (const auto& arc : dg.arcs()) {
     const auto& from = dg.nodes()[static_cast<std::size_t>(arc.from)];
     const auto& to = dg.nodes()[static_cast<std::size_t>(arc.to)];
@@ -45,7 +42,7 @@ TEST(DelayDigraph, ArcsRespectWindowAndMiddleVertex) {
 }
 
 TEST(DelayDigraph, SpecificDelayEdges) {
-  const auto dg = DelayDigraph(p3_protocol(8), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 8);
   const int a01r1 = dg.find(0, 1, 1);
   const int a12r2 = dg.find(1, 2, 2);
   const int a10r4 = dg.find(1, 0, 4);
@@ -70,7 +67,7 @@ TEST(DelayDigraph, SpecificDelayEdges) {
 
 TEST(DelayDigraph, NoArcAtDelayS) {
   // (0,1,1) and (1,2,6): delay 5 > s-1 -> no arc.
-  const auto dg = DelayDigraph(p3_protocol(8), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 8);
   const int from = dg.find(0, 1, 1);
   const int to = dg.find(1, 2, 6);
   ASSERT_GE(from, 0);
@@ -79,7 +76,7 @@ TEST(DelayDigraph, NoArcAtDelayS) {
 }
 
 TEST(DelayDigraph, WeightedDistanceIsOverallDelay) {
-  const auto dg = DelayDigraph(p3_protocol(12), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 12);
   // Item of 0 crossing (0,1) at round 1, then (1,2) at round 2: delay 1.
   const int a = dg.find(0, 1, 1);
   const int b = dg.find(1, 2, 2);
@@ -96,7 +93,7 @@ TEST(DelayDigraph, WeightedDistanceIsOverallDelay) {
 }
 
 TEST(DelayDigraph, UnreachableDistanceIsMinusOne) {
-  const auto dg = DelayDigraph(p3_protocol(4), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 4);
   const int late = dg.find(1, 0, 4);
   const int early = dg.find(0, 1, 1);
   ASSERT_GE(late, 0);
@@ -104,39 +101,36 @@ TEST(DelayDigraph, UnreachableDistanceIsMinusOne) {
   EXPECT_EQ(dg.weighted_distance(late, early), -1);
 }
 
-TEST(DelayDigraph, ScheduleConstructorMatchesManual) {
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  const auto dg1 = DelayDigraph(sched, 12);
-  const auto dg2 = DelayDigraph(sched.expand(12), sched.period_length());
-  EXPECT_EQ(dg1.node_count(), dg2.node_count());
-  EXPECT_EQ(dg1.arc_count(), dg2.arc_count());
+TEST(DelayDigraph, NodesFollowTheCompiledRoundSpans) {
+  // Activations are the compiled rounds' canonical arc spans, round by round
+  // (wrapping the period), in order.
+  const auto cs =
+      CompiledSchedule::compile(protocol::path_schedule(5, Mode::kHalfDuplex));
+  const int t = 3 * cs.period_length();
+  const DelayDigraph dg(cs, t);
+  EXPECT_EQ(dg.period(), cs.period_length());
+  std::vector<Activation> want;
+  for (int i = 1; i <= t; ++i)
+    for (const auto& a : cs.round_arcs(cs.round_index(i)))
+      want.push_back({a.tail, a.head, i});
+  EXPECT_EQ(dg.nodes(), want);
 }
 
-TEST(DelayDigraph, CompiledConstructorMatchesExpandedProtocol) {
-  const auto sched = protocol::path_schedule(5, Mode::kHalfDuplex);
-  const auto cs = protocol::CompiledSchedule::compile(sched);
-  const int t = 3 * sched.period_length();
-  const DelayDigraph via_protocol(sched, t);
-  const DelayDigraph via_compiled(cs, t);
-  EXPECT_EQ(via_compiled.period(), via_protocol.period());
-  ASSERT_EQ(via_compiled.node_count(), via_protocol.node_count());
-  ASSERT_EQ(via_compiled.arc_count(), via_protocol.arc_count());
-  for (std::size_t i = 0; i < via_compiled.node_count(); ++i)
-    EXPECT_TRUE(via_compiled.nodes()[i] == via_protocol.nodes()[i]) << i;
-  for (std::size_t i = 0; i < via_compiled.arc_count(); ++i) {
-    EXPECT_EQ(via_compiled.arcs()[i].from, via_protocol.arcs()[i].from);
-    EXPECT_EQ(via_compiled.arcs()[i].to, via_protocol.arcs()[i].to);
-    EXPECT_EQ(via_compiled.arcs()[i].weight, via_protocol.arcs()[i].weight);
-  }
-}
-
-TEST(DelayDigraph, RejectsTinyPeriod) {
-  EXPECT_THROW(DelayDigraph(p3_protocol(4), 1), std::invalid_argument);
+TEST(DelayDigraph, RejectsTinyPeriodAndFiniteProtocols) {
+  protocol::SystolicSchedule one;
+  one.n = 3;
+  one.period = {{{{0, 1}}}};
+  EXPECT_THROW(DelayDigraph(CompiledSchedule::compile(one), 4),
+               std::invalid_argument);
+  const auto finite = CompiledSchedule::compile(
+      protocol::path_schedule(4, Mode::kHalfDuplex).expand(8));
+  EXPECT_THROW(DelayDigraph(finite, 8), std::invalid_argument);
 }
 
 TEST(DelayDigraph, NodeCountScalesWithRounds) {
-  const auto sched = protocol::hypercube_schedule(3, Mode::kFullDuplex);
-  const auto dg = DelayDigraph(sched, 6);
+  const auto dg = DelayDigraph(
+      CompiledSchedule::compile(protocol::hypercube_schedule(3, Mode::kFullDuplex)),
+      6);
   // Every round activates all 8 vertices in 4 pairs = 8 arcs; 6 rounds.
   EXPECT_EQ(dg.node_count(), 48u);
 }

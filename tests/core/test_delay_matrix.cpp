@@ -10,22 +10,21 @@
 namespace sysgo::core {
 namespace {
 
+using protocol::CompiledSchedule;
 using protocol::Mode;
 
-protocol::Protocol p3_protocol(int t) {
-  protocol::Protocol p;
-  p.n = 3;
-  p.mode = Mode::kHalfDuplex;
-  const std::vector<protocol::Round> period = {
-      {{{0, 1}}}, {{{1, 2}}}, {{{2, 1}}}, {{{1, 0}}}};
-  for (int i = 0; i < t; ++i)
-    p.rounds.push_back(period[static_cast<std::size_t>(i % 4)]);
-  return p;
+// P3 half-duplex, 4-systolic: (0,1), (1,2), (2,1), (1,0), repeated.
+CompiledSchedule p3_schedule() {
+  protocol::SystolicSchedule sched;
+  sched.n = 3;
+  sched.mode = Mode::kHalfDuplex;
+  sched.period = {{{{0, 1}}}, {{{1, 2}}}, {{{2, 1}}}, {{{1, 0}}}};
+  return CompiledSchedule::compile(sched);
 }
 
 TEST(DelayMatrix, EntriesAreLambdaToWeight) {
   const double lam = 0.5;
-  const auto dg = DelayDigraph(p3_protocol(8), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 8);
   const auto m = delay_matrix(dg, lam);
   EXPECT_EQ(m.rows(), dg.node_count());
   for (const auto& arc : dg.arcs())
@@ -39,7 +38,7 @@ TEST(DelayMatrix, EntriesAreLambdaToWeight) {
 // all t-arc dipaths, verified against explicit path enumeration.
 TEST(DelayMatrix, PowerCountsWeightedPaths) {
   const double lam = 0.5;
-  const auto dg = DelayDigraph(p3_protocol(10), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 10);
   const auto m = delay_matrix(dg, lam).to_dense();
 
   // Enumerate all dipaths with exactly 2 arcs via adjacency.
@@ -60,7 +59,7 @@ TEST(DelayMatrix, PowerCountsWeightedPaths) {
 TEST(DelayMatrix, GeometricSeriesDominatedByDistanceTerm) {
   // If dist(u, v) = l (<= t arcs), then Σ_i (M^i)_{uv} >= λ^l.
   const double lam = 0.5;
-  const auto dg = DelayDigraph(p3_protocol(12), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 12);
   const auto m = delay_matrix(dg, lam).to_dense();
   const int u = dg.find(0, 1, 1);
   const int v = dg.find(1, 2, 6);
@@ -80,8 +79,8 @@ TEST(DelayMatrix, GeometricSeriesDominatedByDistanceTerm) {
 
 TEST(DelayMatrix, NormBelowAuditBound) {
   // The exact delay-matrix norm is certified by the audit's analytic bound.
-  const auto sched = protocol::path_schedule(6, Mode::kHalfDuplex);
-  const auto compiled = protocol::CompiledSchedule::compile(sched);
+  const auto compiled =
+      CompiledSchedule::compile(protocol::path_schedule(6, Mode::kHalfDuplex));
   const auto dg = DelayDigraph(compiled, 4 * compiled.period_length());
   for (double lam : {0.4, 0.55, 0.7}) {
     const double exact = delay_matrix_norm(dg, lam);
@@ -91,25 +90,27 @@ TEST(DelayMatrix, NormBelowAuditBound) {
 }
 
 TEST(DelayMatrix, NormMonotoneInLambda) {
-  const auto sched = protocol::cycle_schedule(8, Mode::kHalfDuplex);
-  const auto dg = DelayDigraph(sched, 3 * sched.period_length());
+  const auto cs =
+      CompiledSchedule::compile(protocol::cycle_schedule(8, Mode::kHalfDuplex));
+  const auto dg = DelayDigraph(cs, 3 * cs.period_length());
   EXPECT_LT(delay_matrix_norm(dg, 0.3), delay_matrix_norm(dg, 0.6));
 }
 
 TEST(DelayMatrix, RejectsBadLambda) {
-  const auto dg = DelayDigraph(p3_protocol(4), 4);
+  const auto dg = DelayDigraph(p3_schedule(), 4);
   EXPECT_THROW((void)delay_matrix(dg, 0.0), std::invalid_argument);
   EXPECT_THROW((void)delay_matrix(dg, 1.0), std::invalid_argument);
   EXPECT_THROW((void)delay_matrix(dg, -0.5), std::invalid_argument);
 }
 
 TEST(DelayMatrix, FullDuplexProtocolNormBelowLemma61) {
-  const auto sched = protocol::hypercube_schedule(3, Mode::kFullDuplex);
-  const auto dg = DelayDigraph(sched, 3 * sched.period_length());
+  const auto cs =
+      CompiledSchedule::compile(protocol::hypercube_schedule(3, Mode::kFullDuplex));
+  const auto dg = DelayDigraph(cs, 3 * cs.period_length());
   const double lam = 0.5;
   const double exact = delay_matrix_norm(dg, lam);
   double lemma61 = 0.0;
-  for (int i = 1; i <= sched.period_length() - 1; ++i) lemma61 += std::pow(lam, i);
+  for (int i = 1; i <= cs.period_length() - 1; ++i) lemma61 += std::pow(lam, i);
   EXPECT_LE(exact, lemma61 + 1e-9);
 }
 

@@ -12,6 +12,7 @@
 namespace sysgo::core {
 namespace {
 
+using protocol::CompiledSchedule;
 using protocol::Mode;
 
 TEST(SeparatorAudit, StrongerThanPlainAuditOnPaths) {
@@ -19,7 +20,8 @@ TEST(SeparatorAudit, StrongerThanPlainAuditOnPaths) {
   // separator certificate captures the linear diameter term the plain
   // Theorem 4.1 audit cannot see.
   const int n = 32;
-  const auto sched = protocol::path_schedule(n, Mode::kHalfDuplex);
+  const auto sched =
+      CompiledSchedule::compile(protocol::path_schedule(n, Mode::kHalfDuplex));
   const auto plain = audit_schedule(sched);
   const auto refined = audit_schedule_with_separator(sched, n - 1, 1);
   EXPECT_GT(refined.round_lower_bound, plain.round_lower_bound);
@@ -37,7 +39,8 @@ TEST(SeparatorAudit, ButterflySeparatorCertificate) {
   const auto chk = separator::verify_separator(g, sep);
   ASSERT_EQ(chk.min_distance, 2 * D);
 
-  const auto sched = protocol::edge_coloring_schedule(g, Mode::kHalfDuplex);
+  const auto sched = CompiledSchedule::compile(
+      protocol::edge_coloring_schedule(g, Mode::kHalfDuplex));
   const auto refined = audit_schedule_with_separator(
       sched, chk.min_distance, std::min(chk.size1, chk.size2));
   const auto plain = audit_schedule(sched);
@@ -49,7 +52,8 @@ TEST(SeparatorAudit, ButterflySeparatorCertificate) {
 }
 
 TEST(SeparatorAudit, MonotoneInDistanceAndSize) {
-  const auto sched = protocol::cycle_schedule(16, Mode::kHalfDuplex);
+  const auto sched =
+      CompiledSchedule::compile(protocol::cycle_schedule(16, Mode::kHalfDuplex));
   const int base = audit_schedule_with_separator(sched, 4, 4).round_lower_bound;
   EXPECT_GE(audit_schedule_with_separator(sched, 8, 4).round_lower_bound, base);
   EXPECT_GE(audit_schedule_with_separator(sched, 4, 8).round_lower_bound, base);
@@ -57,7 +61,8 @@ TEST(SeparatorAudit, MonotoneInDistanceAndSize) {
 
 TEST(SeparatorAudit, DistanceOneReducesTowardPlainForm) {
   // distance = 1 removes the (d-1)·log(1/F) credit entirely.
-  const auto sched = protocol::cycle_schedule(8, Mode::kHalfDuplex);
+  const auto sched =
+      CompiledSchedule::compile(protocol::cycle_schedule(8, Mode::kHalfDuplex));
   const auto res = audit_schedule_with_separator(sched, 1, 4);
   EXPECT_GT(res.round_lower_bound, 0);
   const int measured = simulator::gossip_time(sched, 1000);
@@ -65,7 +70,8 @@ TEST(SeparatorAudit, DistanceOneReducesTowardPlainForm) {
 }
 
 TEST(SeparatorAudit, RejectsBadInputs) {
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
+  const auto sched =
+      CompiledSchedule::compile(protocol::path_schedule(4, Mode::kHalfDuplex));
   EXPECT_THROW((void)audit_schedule_with_separator(sched, 0, 4),
                std::invalid_argument);
   EXPECT_THROW((void)audit_schedule_with_separator(sched, 3, 0),
@@ -77,7 +83,8 @@ TEST(SeparatorAudit, NonRelayingScheduleYieldsNoCertificate) {
   sched.n = 4;
   sched.mode = Mode::kHalfDuplex;
   sched.period = {{{{1, 0}}}, {{{2, 3}}}};
-  const auto res = audit_schedule_with_separator(sched, 3, 2);
+  const auto res =
+      audit_schedule_with_separator(CompiledSchedule::compile(sched), 3, 2);
   EXPECT_EQ(res.round_lower_bound, 0);
 }
 

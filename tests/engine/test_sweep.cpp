@@ -61,10 +61,11 @@ TEST(Sweep, RecordsMatchDirectComputation) {
   ASSERT_EQ(simulate->task, Task::kSimulate);
   EXPECT_EQ(simulate->n, sched.n);
   EXPECT_EQ(simulate->s, sched.period_length());
-  EXPECT_EQ(simulate->rounds, simulator::gossip_time(sched, 1 << 20));
+  const auto cs = protocol::CompiledSchedule::compile(sched);
+  EXPECT_EQ(simulate->rounds, simulator::gossip_time(cs, 1 << 20));
 
   // The audit record reproduces audit_schedule, and every job was timed.
-  const auto audit = core::audit_schedule(sched);
+  const auto audit = core::audit_schedule(cs);
   EXPECT_EQ(records[2].task, Task::kAudit);
   EXPECT_DOUBLE_EQ(records[2].lambda, audit.lambda_star);
   EXPECT_EQ(records[2].rounds, audit.round_lower_bound);
@@ -309,9 +310,9 @@ TEST(Sweep, RunCasesMatchesDirectSimulationAndAudit) {
     EXPECT_EQ(r.name, cases[i].name);
     EXPECT_EQ(r.n, cases[i].schedule.n);
     EXPECT_EQ(r.s, cases[i].schedule.period_length());
-    EXPECT_EQ(r.measured,
-              simulator::gossip_time(cases[i].schedule, cases[i].max_rounds));
-    const auto audit = core::audit_schedule(cases[i].schedule);
+    const auto cs = protocol::CompiledSchedule::compile(cases[i].schedule);
+    EXPECT_EQ(r.measured, simulator::gossip_time(cs, cases[i].max_rounds));
+    const auto audit = core::audit_schedule(cs);
     EXPECT_EQ(r.audit.round_lower_bound, audit.round_lower_bound);
     EXPECT_DOUBLE_EQ(r.audit.lambda_star, audit.lambda_star);
     // Paper shape: the certified bound never exceeds the measured time.
@@ -404,6 +405,35 @@ TEST(Sweep, SynthesizeEmitsSentinelForUnbuildableMembers) {
   EXPECT_EQ(records[1].rounds, -1);
   EXPECT_EQ(records[1].restarts, -1);
   EXPECT_GT(records[2].rounds, 0);
+}
+
+TEST(Sweep, SimulateAndAuditEmitSentinelForUnbuildableMembers) {
+  // W(2,2) has delta > log2(n), W(2,3) an odd n, and CCC needs D >= 3:
+  // those members get a sentinel record (n = 0, rounds = -1) instead of
+  // aborting the sweep, and the buildable ones still run.
+  ScenarioSpec spec;
+  spec.families = {Family::kKnodel, Family::kCubeConnectedCycles};
+  spec.degrees = {2};
+  spec.dimensions = {2, 3, 4};
+  spec.tasks = {Task::kSimulate, Task::kAudit};
+  SweepRunner runner;
+  const auto records = runner.run(spec);
+  ASSERT_EQ(records.size(), 12u);
+  for (const auto& r : records) {
+    const std::string label = family_token(r.key.family) + " D=" +
+                              std::to_string(r.key.D) + " " + task_name(r.task);
+    const bool unbuildable = r.key.D == 2 || (r.key.family == Family::kKnodel &&
+                                              r.key.D == 3);
+    if (unbuildable) {
+      EXPECT_EQ(r.n, 0) << label;
+      EXPECT_EQ(r.rounds, -1) << label;
+    } else {
+      EXPECT_GT(r.n, 0) << label;
+      if (r.task == Task::kSimulate) {
+        EXPECT_GT(r.rounds, 0) << label;
+      }
+    }
+  }
 }
 
 TEST(Sweep, ArtifactCacheKeysOnSeed) {

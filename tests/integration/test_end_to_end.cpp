@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/audit.hpp"
 #include "core/delay_matrix.hpp"
@@ -17,32 +18,32 @@
 namespace sysgo {
 namespace {
 
+using protocol::CompiledSchedule;
 using protocol::Mode;
 
 TEST(EndToEnd, DeBruijnPipeline) {
   const auto g = topology::de_bruijn(2, 4);
   const auto sched = protocol::edge_coloring_schedule(g, Mode::kHalfDuplex);
 
-  // 1. Structural validity against the network.
-  ASSERT_TRUE(protocol::validate_structure(sched, &g).ok);
+  // 1. Structural validity against the network: every later stage runs
+  // this one compiled form.
+  const auto compiled = CompiledSchedule::compile(sched, &g);
 
   // 2. The schedule achieves gossip.
-  const int measured = simulator::gossip_time(sched, 3000);
+  const int measured = simulator::gossip_time(compiled, 3000);
   ASSERT_GT(measured, 0);
 
   // 3. The expanded protocol is systolic with the schedule's period.
   const auto p = sched.expand(measured);
   EXPECT_TRUE(protocol::is_systolic(p, sched.period_length()));
-  EXPECT_TRUE(simulator::achieves_gossip(p));
+  EXPECT_TRUE(simulator::run_gossip(CompiledSchedule::compile(p, &g)).complete);
 
   // 4. Audit certificate below the measured time.
-  const auto audit = core::audit_schedule(sched);
+  const auto audit = core::audit_schedule(compiled);
   EXPECT_GT(audit.round_lower_bound, 0);
   EXPECT_LE(audit.round_lower_bound, measured);
 
-  // 5. Norm chain at a few λ values over a 3-period window, off one
-  // compiled form.
-  const auto compiled = protocol::CompiledSchedule::compile(sched);
+  // 5. Norm chain at a few λ values over a 3-period window.
   const core::DelayDigraph dg(compiled, 3 * compiled.period_length());
   for (double lam : {0.35, 0.5}) {
     const double exact = core::delay_matrix_norm(dg, lam);
@@ -59,11 +60,11 @@ TEST(EndToEnd, TruncatedProtocolFailsGossipButKeepsStructure) {
   // completeness verdict, not the structural one.
   const auto g = topology::de_bruijn(2, 3);
   const auto sched = protocol::edge_coloring_schedule(g, Mode::kHalfDuplex);
-  const int full_time = simulator::gossip_time(sched, 2000);
+  const int full_time =
+      simulator::gossip_time(CompiledSchedule::compile(sched, &g), 2000);
   ASSERT_GT(full_time, 1);
-  const auto truncated = sched.expand(full_time - 1);
-  EXPECT_TRUE(protocol::validate_structure(truncated, &g).ok);
-  EXPECT_FALSE(simulator::achieves_gossip(truncated));
+  const auto truncated = CompiledSchedule::compile(sched.expand(full_time - 1), &g);
+  EXPECT_FALSE(simulator::run_gossip(truncated).complete);
 }
 
 TEST(EndToEnd, CorruptedRoundIsCaughtByValidation) {
@@ -75,17 +76,18 @@ TEST(EndToEnd, CorruptedRoundIsCaughtByValidation) {
   ASSERT_FALSE(round.arcs.empty());
   const auto a = round.arcs.front();
   round.arcs.push_back({a.head, (a.tail + 1) % sched.n});  // reuse endpoint
-  EXPECT_FALSE(protocol::validate_structure(sched, &g).ok);
+  EXPECT_THROW((void)CompiledSchedule::compile(sched, &g), std::invalid_argument);
 }
 
 TEST(EndToEnd, BroadcastTimesBoundGossipTime) {
   // max over sources of broadcast time <= gossip time.
   const auto g = topology::de_bruijn(2, 3);
   const auto sched = protocol::edge_coloring_schedule(g, Mode::kHalfDuplex);
-  const int gossip = simulator::gossip_time(sched, 2000);
+  const auto cs = CompiledSchedule::compile(sched, &g);
+  const int gossip = simulator::gossip_time(cs, 2000);
   ASSERT_GT(gossip, 0);
   for (int src = 0; src < g.vertex_count(); src += 3) {
-    const int b = simulator::broadcast_time(sched, src, 2000);
+    const int b = simulator::broadcast_time(cs, src, 2000);
     ASSERT_GT(b, 0);
     EXPECT_LE(b, gossip);
   }
@@ -94,12 +96,13 @@ TEST(EndToEnd, BroadcastTimesBoundGossipTime) {
 TEST(EndToEnd, AuditScalesToThousandsOfActivations) {
   // A larger instance exercising the sparse path: DB(2,6), 64 vertices.
   const auto g = topology::de_bruijn(2, 6);
-  const auto sched = protocol::edge_coloring_schedule(g, Mode::kHalfDuplex);
-  const auto audit = core::audit_schedule(sched);
+  const auto cs = CompiledSchedule::compile(
+      protocol::edge_coloring_schedule(g, Mode::kHalfDuplex), &g);
+  const auto audit = core::audit_schedule(cs);
   EXPECT_GT(audit.round_lower_bound, 0);
-  const core::DelayDigraph dg(sched, 2 * sched.period_length());
+  const core::DelayDigraph dg(cs, 2 * cs.period_length());
   EXPECT_GE(dg.node_count(), 500u);
-  const double exact = core::delay_matrix_norm(dg, audit.lambda_star, true);
+  const double exact = core::delay_matrix_norm(dg, audit.lambda_star);
   EXPECT_LE(exact, 1.0 + 1e-6);
 }
 

@@ -20,6 +20,7 @@ namespace sysgo {
 namespace {
 
 using core::audit_schedule;
+using protocol::CompiledSchedule;
 using protocol::Mode;
 
 struct NamedSchedule {
@@ -56,9 +57,10 @@ std::vector<NamedSchedule> test_corpus() {
 
 TEST(LowerVsUpper, CertificateNeverExceedsMeasuredTime) {
   for (const auto& c : test_corpus()) {
-    const int measured = simulator::gossip_time(c.sched, c.max_rounds);
+    const auto cs = CompiledSchedule::compile(c.sched);
+    const int measured = simulator::gossip_time(cs, c.max_rounds);
     ASSERT_GT(measured, 0) << c.name << " did not complete";
-    const auto audit = audit_schedule(c.sched);
+    const auto audit = audit_schedule(cs);
     EXPECT_LE(audit.round_lower_bound, measured) << c.name;
     // path16-fd repeats two rounds; Theorem 4.1 certifies periods >= 3.
     if (c.sched.period_length() < 3) {
@@ -73,8 +75,9 @@ TEST(LowerVsUpper, GeneralBoundHoldsAsymptoticallyOnHypercubes) {
   // Full-duplex dimension-order gossip takes exactly D = log2(n) rounds with
   // period D; the general full-duplex e(D) < 1.2 for D >= 4, consistent.
   for (int D : {4, 5, 6}) {
-    const auto sched = protocol::hypercube_schedule(D, Mode::kFullDuplex);
-    const int measured = simulator::gossip_time(sched, 4 * D);
+    const int measured = simulator::gossip_time(
+        CompiledSchedule::compile(protocol::hypercube_schedule(D, Mode::kFullDuplex)),
+        4 * D);
     EXPECT_EQ(measured, D);
     const double coeff = core::e_general(D, core::Duplex::kFull);
     // measured >= e(s)·log2(n) − O(log log n): with log2(n) = D the slack
@@ -86,10 +89,10 @@ TEST(LowerVsUpper, GeneralBoundHoldsAsymptoticallyOnHypercubes) {
 
 TEST(LowerVsUpper, HalfDuplexCostsMoreThanFullDuplex) {
   for (int n : {8, 16}) {
-    const int half =
-        simulator::gossip_time(protocol::path_schedule(n, Mode::kHalfDuplex), 500);
-    const int full =
-        simulator::gossip_time(protocol::path_schedule(n, Mode::kFullDuplex), 500);
+    const int half = simulator::gossip_time(
+        CompiledSchedule::compile(protocol::path_schedule(n, Mode::kHalfDuplex)), 500);
+    const int full = simulator::gossip_time(
+        CompiledSchedule::compile(protocol::path_schedule(n, Mode::kFullDuplex)), 500);
     ASSERT_GT(half, 0);
     ASSERT_GT(full, 0);
     EXPECT_GE(half, full);
@@ -100,8 +103,8 @@ TEST(LowerVsUpper, SystolicPathStrictlySlowerThanDiameter) {
   // [8]: half-duplex systolic gossip on paths is strictly slower than the
   // trivial n-1; our 4-periodic protocol shows the gap.
   const int n = 20;
-  const int t = simulator::gossip_time(protocol::path_schedule(n, Mode::kHalfDuplex),
-                                       1000);
+  const int t = simulator::gossip_time(
+      CompiledSchedule::compile(protocol::path_schedule(n, Mode::kHalfDuplex)), 1000);
   ASSERT_GT(t, 0);
   EXPECT_GT(t, n - 1);
 }
@@ -114,7 +117,7 @@ TEST(LowerVsUpper, AuditCoefficientNeverBelowGeneralCoefficient) {
     if (s < 3) continue;
     const auto duplex = c.sched.mode == Mode::kFullDuplex ? core::Duplex::kFull
                                                           : core::Duplex::kHalf;
-    const auto audit = audit_schedule(c.sched);
+    const auto audit = audit_schedule(CompiledSchedule::compile(c.sched));
     EXPECT_GE(audit.e_coeff + 1e-9, core::e_general(s, duplex)) << c.name;
   }
 }

@@ -24,6 +24,7 @@
 namespace sysgo {
 namespace {
 
+using protocol::CompiledSchedule;
 using protocol::Mode;
 
 TEST(Tightness, KnodelAchievesTheFullDuplexBoundExactly) {
@@ -33,8 +34,9 @@ TEST(Tightness, KnodelAchievesTheFullDuplexBoundExactly) {
               1e-9);
   for (int n : {16, 32, 64, 128}) {
     const int delta = topology::knodel_max_delta(n);
-    const auto sched = protocol::knodel_schedule(delta, n, Mode::kFullDuplex);
-    const int measured = simulator::gossip_time(sched, 4 * delta);
+    const auto cs = CompiledSchedule::compile(
+        protocol::knodel_schedule(delta, n, Mode::kFullDuplex));
+    const int measured = simulator::gossip_time(cs, 4 * delta);
     EXPECT_EQ(measured, static_cast<int>(std::log2(n))) << "n=" << n;
   }
 }
@@ -47,7 +49,8 @@ TEST(Tightness, KnodelScheduleIsPeriodLogNSystolic) {
   const int delta = topology::knodel_max_delta(n);
   const double coeff = core::e_general(delta, core::Duplex::kFull);
   const int measured = simulator::gossip_time(
-      protocol::knodel_schedule(delta, n, Mode::kFullDuplex), 4 * delta);
+      CompiledSchedule::compile(protocol::knodel_schedule(delta, n, Mode::kFullDuplex)),
+      4 * delta);
   EXPECT_LE(coeff * std::log2(n) - 2 * std::log2(std::log2(n)),
             static_cast<double>(measured));
 }
@@ -75,11 +78,11 @@ TEST_P(AuditSweep, CertificateHolds) {
   const int n = 8 + 2 * (GetParam() % 5);
   const auto g = topology::complete(n);
   const int s = 3 + GetParam() % 5;
-  const auto sched = protocol::random_systolic_schedule(g, s, mode, rng);
-  ASSERT_TRUE(protocol::validate_structure(sched, &g).ok);
-  const int measured = simulator::gossip_time(sched, 5000);
+  const auto cs = CompiledSchedule::compile(
+      protocol::random_systolic_schedule(g, s, mode, rng), &g);
+  const int measured = simulator::gossip_time(cs, 5000);
   if (measured < 0) GTEST_SKIP() << "random schedule does not gossip";
-  const auto audit = core::audit_schedule(sched);
+  const auto audit = core::audit_schedule(cs);
   EXPECT_LE(audit.round_lower_bound, measured);
   // Complete-graph random matchings keep most vertices busy, so the
   // certificate is within the general band.

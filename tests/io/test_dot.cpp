@@ -35,8 +35,10 @@ TEST(Dot, AllVerticesListed) {
 }
 
 TEST(Dot, DelayDigraphLabels) {
-  const auto sched = protocol::path_schedule(3, protocol::Mode::kHalfDuplex);
-  const core::DelayDigraph dg(sched, 8);
+  const core::DelayDigraph dg(
+      protocol::CompiledSchedule::compile(
+          protocol::path_schedule(3, protocol::Mode::kHalfDuplex)),
+      8);
   const auto dot = to_dot(dg);
   EXPECT_NE(dot.find("digraph DG"), std::string::npos);
   EXPECT_NE(dot.find("(0->1)@1"), std::string::npos);

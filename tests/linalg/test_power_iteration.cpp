@@ -79,15 +79,5 @@ TEST(PowerIteration, GeometricBoundsNormOfUpperShift) {
   EXPECT_NEAR(norm, lam, 1e-9);  // single diagonal: norm = λ
 }
 
-TEST(PowerIteration, ParallelSparseMatchesSerial) {
-  std::vector<Triplet> trips;
-  for (std::size_t i = 0; i < 5000; ++i)
-    trips.push_back({(i * 13) % 300, (i * 7) % 300, 0.01 + (i % 5) * 0.01});
-  SparseMatrix m(300, 300, std::move(trips));
-  PowerIterationOptions par;
-  par.parallel = true;
-  EXPECT_NEAR(operator_norm(m).value, operator_norm(m, par).value, 1e-8);
-}
-
 }  // namespace
 }  // namespace sysgo::linalg

@@ -40,20 +40,6 @@ TEST(Sparse, MatVecMatchesDense) {
   for (std::size_t i = 0; i < ys.size(); ++i) EXPECT_DOUBLE_EQ(ys[i], yd[i]);
 }
 
-TEST(Sparse, ParallelMatVecMatchesSerial) {
-  std::vector<Triplet> trips;
-  for (std::size_t i = 0; i < 10'000; ++i)
-    trips.push_back({i % 500, (i * 7) % 400, 1.0 + static_cast<double>(i % 3)});
-  SparseMatrix m(500, 400, std::move(trips));
-  std::vector<double> x(400);
-  for (std::size_t i = 0; i < 400; ++i) x[i] = static_cast<double>(i % 7) - 3.0;
-  const auto serial = m.mul(x, false);
-  const auto parallel = m.mul(x, true);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    EXPECT_DOUBLE_EQ(serial[i], parallel[i]);
-}
-
 TEST(Sparse, TransposeMatVecMatchesDenseTranspose) {
   SparseMatrix m(3, 2, {{0, 0, 1.0}, {1, 1, 2.0}, {2, 0, -1.0}});
   const std::vector<double> x{1.0, -1.0, 2.0};

@@ -15,14 +15,14 @@ namespace {
 TEST(Builders, EdgeColoringHalfDuplexValid) {
   const auto g = topology::cycle(8);
   const auto sched = edge_coloring_schedule(g, Mode::kHalfDuplex);
-  EXPECT_TRUE(validate_structure(sched, &g).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(sched, &g));
   EXPECT_EQ(sched.period_length() % 2, 0);  // two rounds per color
 }
 
 TEST(Builders, EdgeColoringFullDuplexValid) {
   const auto g = topology::grid(3, 3);
   const auto sched = edge_coloring_schedule(g, Mode::kFullDuplex);
-  EXPECT_TRUE(validate_structure(sched, &g).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(sched, &g));
 }
 
 TEST(Builders, EdgeColoringCoversEveryArcOverOnePeriod) {
@@ -38,7 +38,7 @@ TEST(Builders, EdgeColoringAchievesGossipOnSmallGraphs) {
   for (auto mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
     const auto g = topology::cycle(6);
     const auto sched = edge_coloring_schedule(g, mode);
-    const int t = simulator::gossip_time(sched, 200);
+    const int t = simulator::gossip_time(CompiledSchedule::compile(sched), 200);
     EXPECT_GT(t, 0) << "mode " << static_cast<int>(mode);
   }
 }
@@ -46,8 +46,7 @@ TEST(Builders, EdgeColoringAchievesGossipOnSmallGraphs) {
 TEST(Builders, EdgeColoringOnDeBruijn) {
   const auto g = topology::de_bruijn(2, 4);
   const auto sched = edge_coloring_schedule(g, Mode::kHalfDuplex);
-  EXPECT_TRUE(validate_structure(sched, &g).ok);
-  EXPECT_GT(simulator::gossip_time(sched, 500), 0);
+  EXPECT_GT(simulator::gossip_time(CompiledSchedule::compile(sched, &g), 500), 0);
 }
 
 TEST(Builders, RandomScheduleValidHalfDuplex) {
@@ -55,14 +54,14 @@ TEST(Builders, RandomScheduleValidHalfDuplex) {
   const auto g = topology::complete(9);
   const auto sched = random_systolic_schedule(g, 5, Mode::kHalfDuplex, rng);
   EXPECT_EQ(sched.period_length(), 5);
-  EXPECT_TRUE(validate_structure(sched, &g).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(sched, &g));
 }
 
 TEST(Builders, RandomScheduleValidFullDuplex) {
   util::Rng rng(13);
   const auto g = topology::complete(8);
   const auto sched = random_systolic_schedule(g, 4, Mode::kFullDuplex, rng);
-  EXPECT_TRUE(validate_structure(sched, &g).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(sched, &g));
   for (const auto& r : sched.period)
     EXPECT_TRUE(graph::is_full_duplex_matching(r.arcs, 8));
 }
@@ -72,7 +71,7 @@ TEST(Builders, RandomProtocolValid) {
   const auto g = topology::hypercube(3);
   const auto p = random_protocol(g, 12, Mode::kHalfDuplex, rng);
   EXPECT_EQ(p.length(), 12);
-  EXPECT_TRUE(validate_structure(p, &g).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(p, &g));
 }
 
 TEST(Builders, RandomProtocolDeterministicInSeed) {

@@ -12,8 +12,8 @@ TEST(ClassicProtocols, PathHalfDuplexCompletesWithinLinearRounds) {
   for (int n : {2, 3, 5, 8, 13}) {
     const auto sched = path_schedule(n, Mode::kHalfDuplex);
     const auto g = topology::path(n);
-    EXPECT_TRUE(validate_structure(sched, &g).ok);
-    const int t = simulator::gossip_time(sched, 8 * n + 16);
+    const int t =
+        simulator::gossip_time(CompiledSchedule::compile(sched, &g), 8 * n + 16);
     EXPECT_GT(t, 0) << "n=" << n;
     EXPECT_LE(t, 4 * n + 8) << "n=" << n;
   }
@@ -21,10 +21,10 @@ TEST(ClassicProtocols, PathHalfDuplexCompletesWithinLinearRounds) {
 
 TEST(ClassicProtocols, PathFullDuplexFasterThanHalf) {
   const int n = 12;
-  const int t_full =
-      simulator::gossip_time(path_schedule(n, Mode::kFullDuplex), 200);
-  const int t_half =
-      simulator::gossip_time(path_schedule(n, Mode::kHalfDuplex), 200);
+  const int t_full = simulator::gossip_time(
+      CompiledSchedule::compile(path_schedule(n, Mode::kFullDuplex)), 200);
+  const int t_half = simulator::gossip_time(
+      CompiledSchedule::compile(path_schedule(n, Mode::kHalfDuplex)), 200);
   ASSERT_GT(t_full, 0);
   ASSERT_GT(t_half, 0);
   EXPECT_LE(t_full, t_half);
@@ -33,7 +33,8 @@ TEST(ClassicProtocols, PathFullDuplexFasterThanHalf) {
 TEST(ClassicProtocols, PathGossipAtLeastNMinus1) {
   // Information must traverse the whole path: t >= n-1.
   const int n = 10;
-  const int t = simulator::gossip_time(path_schedule(n, Mode::kFullDuplex), 200);
+  const int t = simulator::gossip_time(
+      CompiledSchedule::compile(path_schedule(n, Mode::kFullDuplex)), 200);
   EXPECT_GE(t, n - 1);
 }
 
@@ -41,8 +42,7 @@ TEST(ClassicProtocols, CycleEvenAndOdd) {
   for (int n : {6, 7, 10, 11}) {
     const auto sched = cycle_schedule(n, Mode::kHalfDuplex);
     const auto g = topology::cycle(n);
-    EXPECT_TRUE(validate_structure(sched, &g).ok);
-    const int t = simulator::gossip_time(sched, 10 * n);
+    const int t = simulator::gossip_time(CompiledSchedule::compile(sched, &g), 10 * n);
     EXPECT_GT(t, 0) << "n=" << n;
   }
 }
@@ -50,7 +50,8 @@ TEST(ClassicProtocols, CycleEvenAndOdd) {
 TEST(ClassicProtocols, CycleFullDuplexNearOptimal) {
   // Full-duplex gossip on C_n takes at least n/2 rounds.
   const int n = 12;
-  const int t = simulator::gossip_time(cycle_schedule(n, Mode::kFullDuplex), 100);
+  const int t = simulator::gossip_time(
+      CompiledSchedule::compile(cycle_schedule(n, Mode::kFullDuplex)), 100);
   ASSERT_GT(t, 0);
   EXPECT_GE(t, n / 2);
   EXPECT_LE(t, 2 * n);
@@ -59,8 +60,7 @@ TEST(ClassicProtocols, CycleFullDuplexNearOptimal) {
 TEST(ClassicProtocols, GridCompletes) {
   const auto sched = grid_schedule(4, 5, Mode::kHalfDuplex);
   const auto g = topology::grid(4, 5);
-  EXPECT_TRUE(validate_structure(sched, &g).ok);
-  EXPECT_GT(simulator::gossip_time(sched, 500), 0);
+  EXPECT_GT(simulator::gossip_time(CompiledSchedule::compile(sched, &g), 500), 0);
 }
 
 TEST(ClassicProtocols, HypercubeFullDuplexOptimal) {
@@ -68,15 +68,15 @@ TEST(ClassicProtocols, HypercubeFullDuplexOptimal) {
   for (int D : {2, 3, 4, 5}) {
     const auto sched = hypercube_schedule(D, Mode::kFullDuplex);
     const auto g = topology::hypercube(D);
-    EXPECT_TRUE(validate_structure(sched, &g).ok);
-    EXPECT_EQ(simulator::gossip_time(sched, 4 * D), D) << "D=" << D;
+    EXPECT_EQ(simulator::gossip_time(CompiledSchedule::compile(sched, &g), 4 * D), D)
+        << "D=" << D;
   }
 }
 
 TEST(ClassicProtocols, HypercubeHalfDuplexCompletes) {
   const int D = 4;
   const auto sched = hypercube_schedule(D, Mode::kHalfDuplex);
-  const int t = simulator::gossip_time(sched, 16 * D);
+  const int t = simulator::gossip_time(CompiledSchedule::compile(sched), 16 * D);
   ASSERT_GT(t, 0);
   EXPECT_LE(t, 4 * D);  // one sweep of 2D rounds doubles twice... generous cap
   EXPECT_GE(t, D);      // cannot beat the full-duplex optimum
@@ -85,7 +85,7 @@ TEST(ClassicProtocols, HypercubeHalfDuplexCompletes) {
 TEST(ClassicProtocols, CompletePower2MatchesHypercube) {
   const auto sched = complete_power2_schedule(16, Mode::kFullDuplex);
   EXPECT_EQ(sched.n, 16);
-  EXPECT_EQ(simulator::gossip_time(sched, 64), 4);
+  EXPECT_EQ(simulator::gossip_time(CompiledSchedule::compile(sched), 64), 4);
 }
 
 TEST(ClassicProtocols, CompletePower2RejectsNonPowers) {

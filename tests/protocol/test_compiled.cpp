@@ -123,13 +123,12 @@ TEST(Compiled, FiniteProtocolAllowsEmptyRoundList) {
   EXPECT_NO_THROW((void)CompiledSchedule::compile(p));  // zero rounds
 }
 
-TEST(Compiled, RejectsDuplicateArcLikeValidateStructure) {
-  // A duplicated arc is not a matching; it must fail exactly as it does in
-  // validate_structure, not be canonicalized away.
+TEST(Compiled, RejectsDuplicateArc) {
+  // A duplicated arc is not a matching; it must fail, not be canonicalized
+  // away.
   Protocol p;
   p.n = 2;
   p.rounds = {{{{0, 1}, {0, 1}}}};
-  EXPECT_FALSE(validate_structure(p).ok);
   EXPECT_THROW((void)CompiledSchedule::compile(p), std::invalid_argument);
 }
 

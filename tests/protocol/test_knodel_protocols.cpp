@@ -16,7 +16,7 @@ TEST(KnodelProtocols, StructurallyValid) {
   const auto g = topology::knodel(delta, n);
   for (auto mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
     const auto sched = knodel_schedule(delta, n, mode);
-    EXPECT_TRUE(validate_structure(sched, &g).ok);
+    EXPECT_NO_THROW((void)CompiledSchedule::compile(sched, &g));
   }
 }
 
@@ -31,7 +31,8 @@ TEST(KnodelProtocols, OptimalGossipOnPowersOfTwo) {
   for (int n : {8, 16, 32, 64}) {
     const int delta = topology::knodel_max_delta(n);
     const auto sched = knodel_schedule(delta, n, Mode::kFullDuplex);
-    const int t = simulator::gossip_time(sched, 4 * delta);
+    const int t =
+        simulator::gossip_time(CompiledSchedule::compile(sched), 4 * delta);
     EXPECT_EQ(t, static_cast<int>(std::log2(n))) << "n=" << n;
   }
 }
@@ -40,7 +41,8 @@ TEST(KnodelProtocols, NearOptimalOnGeneralEvenN) {
   for (int n : {10, 20, 24}) {
     const int delta = topology::knodel_max_delta(n);
     const auto sched = knodel_schedule(delta, n, Mode::kFullDuplex);
-    const int t = simulator::gossip_time(sched, 8 * delta);
+    const int t =
+        simulator::gossip_time(CompiledSchedule::compile(sched), 8 * delta);
     ASSERT_GT(t, 0) << "n=" << n;
     EXPECT_LE(t, static_cast<int>(std::ceil(std::log2(n))) + delta) << "n=" << n;
     EXPECT_GE(t, static_cast<int>(std::ceil(std::log2(n)))) << "n=" << n;
@@ -51,7 +53,8 @@ TEST(KnodelProtocols, HalfDuplexCompletesWithinDoubledBudget) {
   const int n = 16;
   const int delta = topology::knodel_max_delta(n);
   const auto sched = knodel_schedule(delta, n, Mode::kHalfDuplex);
-  const int t = simulator::gossip_time(sched, 16 * delta);
+  const int t =
+      simulator::gossip_time(CompiledSchedule::compile(sched), 16 * delta);
   ASSERT_GT(t, 0);
   // Half-duplex >= the 1.4404·log2(n) bound of [4,17,15,26] (minus slack).
   EXPECT_GE(t, static_cast<int>(std::log2(n)));
@@ -61,8 +64,9 @@ TEST(KnodelProtocols, AuditCertificateHolds) {
   const int n = 32;
   const int delta = topology::knodel_max_delta(n);
   const auto sched = knodel_schedule(delta, n, Mode::kFullDuplex);
-  const auto audit = core::audit_schedule(sched);
-  const int measured = simulator::gossip_time(sched, 8 * delta);
+  const auto cs = CompiledSchedule::compile(sched);
+  const auto audit = core::audit_schedule(cs);
+  const int measured = simulator::gossip_time(cs, 8 * delta);
   ASSERT_GT(measured, 0);
   EXPECT_LE(audit.round_lower_bound, measured);
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "protocol/compiled.hpp"
 #include "topology/classic.hpp"
 
 namespace sysgo::protocol {
@@ -26,18 +30,21 @@ TEST(Protocol, RoundCanonicalizeSortsAndDeduplicates) {
 
 TEST(Protocol, ValidStructureAccepted) {
   const auto p = make_path_protocol();
-  EXPECT_TRUE(validate_structure(p).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(p));
   const auto g = topology::path(4);
-  EXPECT_TRUE(validate_structure(p, &g).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(p, &g));
 }
 
 TEST(Protocol, NonMatchingRoundRejected) {
   Protocol p;
   p.n = 3;
   p.rounds = {{{{0, 1}, {1, 2}}}};  // vertex 1 in two arcs
-  const auto res = validate_structure(p);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.message.find("round 1"), std::string::npos);
+  try {
+    (void)CompiledSchedule::compile(p);
+    ADD_FAILURE() << "a non-matching round compiled";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("round 1"), std::string::npos);
+  }
 }
 
 TEST(Protocol, ArcAbsentFromNetworkRejected) {
@@ -45,9 +52,12 @@ TEST(Protocol, ArcAbsentFromNetworkRejected) {
   p.n = 4;
   p.rounds = {{{{0, 3}}}};  // not a path edge
   const auto g = topology::path(4);
-  const auto res = validate_structure(p, &g);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.message.find("absent"), std::string::npos);
+  try {
+    (void)CompiledSchedule::compile(p, &g);
+    ADD_FAILURE() << "an arc absent from the network compiled";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("absent"), std::string::npos);
+  }
 }
 
 TEST(Protocol, FullDuplexValidation) {
@@ -55,9 +65,9 @@ TEST(Protocol, FullDuplexValidation) {
   p.n = 2;
   p.mode = Mode::kFullDuplex;
   p.rounds = {{{{0, 1}, {1, 0}}}};
-  EXPECT_TRUE(validate_structure(p).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(p));
   p.rounds = {{{{0, 1}}}};  // missing the opposite arc
-  EXPECT_FALSE(validate_structure(p).ok);
+  EXPECT_THROW((void)CompiledSchedule::compile(p), std::invalid_argument);
 }
 
 TEST(Protocol, SystolicDetection) {
@@ -98,7 +108,7 @@ TEST(Protocol, EmptyRoundsAreValid) {
   Protocol p;
   p.n = 3;
   p.rounds = {{}, {{{0, 1}}}};
-  EXPECT_TRUE(validate_structure(p).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(p));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "protocol/compiled.hpp"
 #include "topology/classic.hpp"
 
 namespace sysgo::protocol {
@@ -46,18 +50,21 @@ TEST(Systolic, EmptyPeriodFailsLoudly) {
   EXPECT_THROW((void)s.round_at(1), std::logic_error);
   EXPECT_THROW((void)s.expand(5), std::logic_error);
   EXPECT_EQ(s.expand(0).length(), 0);  // nothing to materialize: fine
-  const auto res = validate_structure(s);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.message.find("empty"), std::string::npos);
+  try {
+    (void)CompiledSchedule::compile(s);
+    ADD_FAILURE() << "an empty period compiled";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("empty"), std::string::npos);
+  }
 }
 
-TEST(Systolic, ValidationDelegates) {
+TEST(Systolic, CompileValidatesThePeriod) {
   auto s = two_round_schedule();
-  EXPECT_TRUE(validate_structure(s).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(s));
   const auto g = topology::path(4);
-  EXPECT_TRUE(validate_structure(s, &g).ok);
+  EXPECT_NO_THROW((void)CompiledSchedule::compile(s, &g));
   s.period.push_back({{{0, 1}, {1, 2}}});  // not a matching
-  EXPECT_FALSE(validate_structure(s).ok);
+  EXPECT_THROW((void)CompiledSchedule::compile(s), std::invalid_argument);
 }
 
 }  // namespace

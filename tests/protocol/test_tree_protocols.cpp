@@ -15,7 +15,7 @@ TEST(TreeProtocols, StructurallyValidAgainstTree) {
       for (auto mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
         const auto sched = tree_schedule(d, height, mode);
         EXPECT_EQ(sched.n, g.vertex_count());
-        EXPECT_TRUE(validate_structure(sched, &g).ok)
+        EXPECT_NO_THROW((void)CompiledSchedule::compile(sched, &g))
             << "d=" << d << " h=" << height;
       }
     }
@@ -42,7 +42,7 @@ TEST(TreeProtocols, EveryEdgeActivatedBothWays) {
 TEST(TreeProtocols, AchievesGossip) {
   for (auto mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
     const auto sched = tree_schedule(2, 3, mode);
-    const int t = simulator::gossip_time(sched, 2000);
+    const int t = simulator::gossip_time(CompiledSchedule::compile(sched), 2000);
     EXPECT_GT(t, 0) << static_cast<int>(mode);
     // Gossip must cross the tree twice: t >= 2*height (full duplex).
     EXPECT_GE(t, 2 * 3);
@@ -51,7 +51,7 @@ TEST(TreeProtocols, AchievesGossip) {
 
 TEST(TreeProtocols, TernaryTreeGossips) {
   const auto sched = tree_schedule(3, 2, Mode::kHalfDuplex);
-  EXPECT_GT(simulator::gossip_time(sched, 2000), 0);
+  EXPECT_GT(simulator::gossip_time(CompiledSchedule::compile(sched), 2000), 0);
 }
 
 TEST(TreeProtocols, RejectsBadParameters) {

@@ -17,7 +17,8 @@ TEST(WbfProtocols, DirectedScheduleValidAgainstNetwork) {
       const auto g = topology::wrapped_butterfly_directed(d, D);
       const auto sched = wbf_directed_schedule(d, D);
       EXPECT_EQ(sched.period_length(), d * D);
-      EXPECT_TRUE(validate_structure(sched, &g).ok) << "d=" << d << " D=" << D;
+      EXPECT_NO_THROW((void)CompiledSchedule::compile(sched, &g))
+          << "d=" << d << " D=" << D;
     }
 }
 
@@ -31,7 +32,8 @@ TEST(WbfProtocols, RoundsArePerfectMatchings) {
 TEST(WbfProtocols, DirectedScheduleAchievesGossip) {
   for (int D : {2, 3, 4}) {
     const auto sched = wbf_directed_schedule(2, D);
-    const int t = simulator::gossip_time(sched, 500 * D);
+    const int t =
+        simulator::gossip_time(CompiledSchedule::compile(sched), 500 * D);
     EXPECT_GT(t, 0) << "D=" << D;
     // Items must circle the wrap at least once per digit: t >= D.
     EXPECT_GE(t, D);
@@ -43,17 +45,17 @@ TEST(WbfProtocols, UndirectedSchedulesAchieveGossip) {
   const auto g = topology::wrapped_butterfly(d, D);
   for (auto mode : {Mode::kHalfDuplex, Mode::kFullDuplex}) {
     const auto sched = wbf_schedule(d, D, mode);
-    EXPECT_TRUE(validate_structure(sched, &g).ok);
-    EXPECT_GT(simulator::gossip_time(sched, 2000), 0)
+    EXPECT_GT(simulator::gossip_time(CompiledSchedule::compile(sched, &g), 2000), 0)
         << "mode " << static_cast<int>(mode);
   }
 }
 
 TEST(WbfProtocols, AuditCertificateHolds) {
   const auto sched = wbf_directed_schedule(2, 3);
-  const int measured = simulator::gossip_time(sched, 2000);
+  const auto cs = CompiledSchedule::compile(sched);
+  const int measured = simulator::gossip_time(cs, 2000);
   ASSERT_GT(measured, 0);
-  const auto audit = core::audit_schedule(sched);
+  const auto audit = core::audit_schedule(cs);
   EXPECT_LE(audit.round_lower_bound, measured);
   EXPECT_GT(audit.round_lower_bound, 0);
 }
@@ -63,7 +65,7 @@ TEST(WbfProtocols, MeasuredTimeWithinConstantFactorOfLowerBound) {
   // e(s)·log2(n) on WBF(2,4).
   const int d = 2, D = 4;
   const auto sched = wbf_directed_schedule(d, D);
-  const int t = simulator::gossip_time(sched, 5000);
+  const int t = simulator::gossip_time(CompiledSchedule::compile(sched), 5000);
   ASSERT_GT(t, 0);
   const double logn = std::log2(static_cast<double>(sched.n));
   EXPECT_LE(t, 6.0 * 2.5 * logn);

@@ -370,25 +370,40 @@ TEST(Solver, GossipWitnessIsValidAndOptimal) {
 }
 
 TEST(Solver, WitnessRunReportsThePlainRunsCounts) {
-  // A witness run is the plain gossip BFS plus its kept layers: the same
-  // rounds and states_explored, and the same witness, for every thread
-  // count.
+  // A witness run is the plain BFS plus its kept layers: the same rounds
+  // and states_explored, and the same witness, for every thread count.
+  // Broadcast keeps its stop-at-goal count and walks back the same way.
   struct Case {
-    int n;
+    std::string name;
+    graph::Digraph g;
+    Problem problem;
     Mode mode;
+    int source = 0;
   };
-  const Case cases[] = {{5, Mode::kFullDuplex}, {5, Mode::kHalfDuplex},
-                        {6, Mode::kFullDuplex}, {6, Mode::kHalfDuplex},
-                        {9, Mode::kFullDuplex}};
+  std::vector<Case> cases;
+  for (int n : {5, 6, 9})
+    for (Mode mode : {Mode::kFullDuplex, Mode::kHalfDuplex})
+      if (n != 9 || mode == Mode::kFullDuplex)
+        cases.push_back({"C" + std::to_string(n), topology::cycle(n),
+                         Problem::kGossip, mode});
+  for (Mode mode : {Mode::kFullDuplex, Mode::kHalfDuplex}) {
+    cases.push_back({"Kautz(2,3) broadcast", topology::kautz(2, 3),
+                     Problem::kBroadcast, mode});
+    cases.push_back({"C6 broadcast", topology::cycle(6), Problem::kBroadcast,
+                     mode});
+    cases.push_back({"C7 broadcast from 3", topology::cycle(7),
+                     Problem::kBroadcast, mode, 3});
+  }
   for (const auto& c : cases) {
-    const auto g = topology::cycle(c.n);
+    const auto& g = c.g;
     const std::string label =
-        "C" + std::to_string(c.n) +
-        (c.mode == Mode::kFullDuplex ? " full" : " half");
+        c.name + (c.mode == Mode::kFullDuplex ? " full" : " half");
     std::vector<protocol::Round> first_witness;
     for (unsigned threads : {1u, 4u}) {
       SolveOptions opts;
+      opts.problem = c.problem;
       opts.mode = c.mode;
+      opts.source = c.source;
       opts.threads = threads;
       const auto plain = solve(g, opts);
       opts.want_witness = true;

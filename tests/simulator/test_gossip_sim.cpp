@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "protocol/classic_protocols.hpp"
-#include "simulator/broadcast_sim.hpp"
 #include "topology/classic.hpp"
 
 namespace sysgo::simulator {
@@ -22,7 +21,7 @@ TEST(GossipSim, TwoVerticesHalfDuplexNeedsTwoRounds) {
   p.n = 2;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}, {{{1, 0}}}};
-  const auto res = run_gossip(p);
+  const auto res = run_gossip(CompiledSchedule::compile(p));
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.completion_round, 2);
 }
@@ -32,7 +31,7 @@ TEST(GossipSim, TwoVerticesFullDuplexNeedsOneRound) {
   p.n = 2;
   p.mode = Mode::kFullDuplex;
   p.rounds = {{{{0, 1}, {1, 0}}}};
-  const auto res = run_gossip(p);
+  const auto res = run_gossip(CompiledSchedule::compile(p));
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.completion_round, 1);
 }
@@ -42,7 +41,7 @@ TEST(GossipSim, IncompleteProtocolReported) {
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}};
-  const auto res = run_gossip(p);
+  const auto res = run_gossip(CompiledSchedule::compile(p));
   EXPECT_FALSE(res.complete);
   EXPECT_EQ(res.final_counts[1], 2);
   EXPECT_EQ(res.final_counts[2], 1);
@@ -54,7 +53,7 @@ TEST(GossipSim, HalfDuplexRoundSemantics) {
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}, {{{1, 2}}}};
-  const auto res = run_gossip(p);
+  const auto res = run_gossip(CompiledSchedule::compile(p));
   EXPECT_TRUE(res.final_counts[2] >= 2);  // knows items 1 and 2 at least
   const auto cs = CompiledSchedule::compile(p);
   KnowledgeMatrix k(3);
@@ -83,7 +82,7 @@ TEST(GossipSim, TrackCompletionRecordsRounds) {
   const auto p = sched.expand(60);
   GossipOptions opts;
   opts.track_completion = true;
-  const auto res = run_gossip(p, opts);
+  const auto res = run_gossip(CompiledSchedule::compile(p), opts);
   ASSERT_TRUE(res.complete);
   ASSERT_EQ(res.vertex_completion.size(), 5u);
   int max_completion = 0;
@@ -100,23 +99,24 @@ TEST(GossipSim, EarlyExitOnceComplete) {
   p.n = 2;
   p.mode = Mode::kFullDuplex;
   for (int i = 0; i < 50; ++i) p.rounds.push_back({{{0, 1}, {1, 0}}});
-  const auto res = run_gossip(p);
+  const auto res = run_gossip(CompiledSchedule::compile(p));
   EXPECT_TRUE(res.complete);
   EXPECT_EQ(res.rounds_executed, 1);
 }
 
 TEST(GossipSim, ParallelMatchesSerial) {
-  const auto sched = protocol::hypercube_schedule(6, Mode::kFullDuplex);
+  const auto cs =
+      CompiledSchedule::compile(protocol::hypercube_schedule(6, Mode::kFullDuplex));
   GossipOptions serial, parallel;
   parallel.parallel = true;
-  EXPECT_EQ(gossip_time(sched, 100, serial), gossip_time(sched, 100, parallel));
+  EXPECT_EQ(gossip_time(cs, 100, serial), gossip_time(cs, 100, parallel));
 }
 
 TEST(GossipSim, GossipTimeSingleVertexIsZero) {
   protocol::SystolicSchedule sched;
   sched.n = 1;
   sched.period = {{}};
-  EXPECT_EQ(gossip_time(sched, 10), 0);
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(sched), 10), 0);
 }
 
 TEST(GossipSim, GossipTimeReturnsMinusOneWhenStuck) {
@@ -124,8 +124,7 @@ TEST(GossipSim, GossipTimeReturnsMinusOneWhenStuck) {
   sched.n = 3;
   sched.mode = Mode::kHalfDuplex;
   sched.period = {{{{0, 1}}}};  // vertex 2 never participates
-  EXPECT_EQ(gossip_time(sched, 50), -1);
-  EXPECT_EQ(gossip_time(protocol::CompiledSchedule::compile(sched), 50), -1);
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(sched), 50), -1);
 }
 
 /// Reference semantics sharing no code with KnowledgeMatrix: one
@@ -181,14 +180,14 @@ TEST(GossipSim, CompiledMatchesNaiveSimulator) {
     ASSERT_GT(want.completion, 1);
     const auto cs = CompiledSchedule::compile(sched);
     EXPECT_EQ(gossip_time(cs, 1 << 12), want.completion);
-    EXPECT_EQ(gossip_time(sched, 1 << 12), want.completion);
     GossipOptions par;
     par.parallel = true;
     EXPECT_EQ(gossip_time(cs, 1 << 12, par), want.completion);
 
     GossipOptions track;
     track.track_completion = true;
-    const auto got = run_gossip(sched.expand(want.completion), track);
+    const auto got = run_gossip(
+        CompiledSchedule::compile(sched.expand(want.completion)), track);
     EXPECT_TRUE(got.complete);
     EXPECT_EQ(got.rounds_executed, want.completion);
     EXPECT_EQ(got.completion_round, want.completion);
@@ -196,16 +195,17 @@ TEST(GossipSim, CompiledMatchesNaiveSimulator) {
     EXPECT_EQ(got.final_counts, want.final_counts);
 
     const NaiveRun cut = naive_gossip(sched, want.completion - 1);
-    const auto partial = run_gossip(sched.expand(want.completion - 1));
+    const auto partial =
+        run_gossip(CompiledSchedule::compile(sched.expand(want.completion - 1)));
     EXPECT_FALSE(partial.complete);
     EXPECT_EQ(partial.rounds_executed, want.completion - 1);
     EXPECT_EQ(partial.final_counts, cut.final_counts);
   }
 }
 
-// Every authoring-form entry compiles before it simulates, so a round that
-// is not a matching in the schedule's mode is rejected, never run.
-TEST(GossipSim, AuthorFormsRejectNonMatchingRounds) {
+// The simulator runs only compiled rounds, and compiling rejects a round
+// that is not a matching in the schedule's mode, in either authoring form.
+TEST(GossipSim, CompileRejectsNonMatchingRounds) {
   // A directed triangle: vertex 1 receives from 0 and sends to 2 in the
   // same half-duplex round.
   protocol::SystolicSchedule triangle;
@@ -218,13 +218,9 @@ TEST(GossipSim, AuthorFormsRejectNonMatchingRounds) {
   one_way.mode = Mode::kFullDuplex;
   one_way.period = {{{{0, 1}, {2, 3}, {3, 2}}}};
   for (const auto& sched : {triangle, one_way}) {
-    const Protocol p = sched.expand(4);
-    EXPECT_THROW((void)gossip_time(sched, 16), std::invalid_argument);
-    EXPECT_THROW((void)broadcast_time(sched, 0, 16), std::invalid_argument);
-    EXPECT_THROW((void)run_gossip(p), std::invalid_argument);
-    EXPECT_THROW((void)broadcast_reach(p, 0), std::invalid_argument);
-    EXPECT_THROW((void)achieves_gossip(p), std::invalid_argument);
-    EXPECT_THROW((void)arrival_times(p), std::invalid_argument);
+    EXPECT_THROW((void)CompiledSchedule::compile(sched), std::invalid_argument);
+    EXPECT_THROW((void)CompiledSchedule::compile(sched.expand(4)),
+                 std::invalid_argument);
   }
 }
 
@@ -232,7 +228,7 @@ TEST(GossipSim, CompiledRunGossipRejectsPeriodicSchedules) {
   // One period is not a run: periodic compiled schedules go through
   // gossip_time, finite protocols through run_gossip.
   const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  EXPECT_THROW((void)run_gossip(protocol::CompiledSchedule::compile(sched)),
+  EXPECT_THROW((void)run_gossip(CompiledSchedule::compile(sched)),
                std::invalid_argument);
 }
 
@@ -240,7 +236,7 @@ TEST(GossipSim, CompiledFiniteProtocolStopsAtItsLength) {
   // A finite compiled protocol never executes past round_count(), even
   // when max_rounds asks for more.
   const auto p = protocol::path_schedule(5, Mode::kHalfDuplex).expand(3);
-  const auto cs = protocol::CompiledSchedule::compile(p);
+  const auto cs = CompiledSchedule::compile(p);
   EXPECT_EQ(gossip_time(cs, 1 << 12), -1);  // 3 rounds cannot finish P5
 }
 

@@ -92,8 +92,9 @@ TEST(StallExit, StallingScheduleAtTheLargestCapEndsAtOnce) {
   s.n = 4;
   s.mode = Mode::kHalfDuplex;
   s.period = {{{{0, 1}}}, {{{2, 3}}}};
-  EXPECT_EQ(gossip_time(s, kLargestCap), -1);
-  EXPECT_EQ(broadcast_time(s, 0, kLargestCap), -1);
+  const auto cs = CompiledSchedule::compile(s);
+  EXPECT_EQ(gossip_time(cs, kLargestCap), -1);
+  EXPECT_EQ(broadcast_time(cs, 0, kLargestCap), -1);
 }
 
 // ------------------------------------------- random schedules vs no exit

@@ -799,7 +799,8 @@ int cmd_simulate(int argc, char** argv) {
       argc >= 2
           ? sysgo::util::parse_int_in(argv[1], "max-rounds", {1, 1 << 30})
           : 1 << 20;
-  const int t = sysgo::simulator::gossip_time(sched, max_rounds);
+  const int t = sysgo::simulator::gossip_time(
+      sysgo::protocol::CompiledSchedule::compile(sched), max_rounds);
   if (t < 0) {
     std::printf("gossip incomplete after %d rounds\n", max_rounds);
     return 1;
