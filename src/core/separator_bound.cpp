@@ -29,24 +29,12 @@ SeparatorBoundResult separator_bound(topology::Family family, int d, int s,
 }
 
 double diameter_coefficient(topology::Family family, int d) {
-  const double logd = std::log2(static_cast<double>(d));
-  using topology::Family;
-  switch (family) {
-    case Family::kButterfly:
-    case Family::kWrappedButterflyDirected:
-      return 2.0 / logd;
-    case Family::kWrappedButterfly:
-      return 1.5 / logd;
-    case Family::kDeBruijnDirected:
-    case Family::kDeBruijn:
-    case Family::kKautzDirected:
-    case Family::kKautz:
-      return 1.0 / logd;
-    default:
-      break;  // classic testbed families: no asymptotic diameter coefficient
-  }
-  throw std::invalid_argument("diameter_coefficient: no analysis for " +
-                              topology::family_name(family, d));
+  // In each of the seven families Lemma 3.1's sets lie a diameter apart,
+  // so the diameter is l·log2(n)·(1 − o(1)).
+  if (!topology::family_has_separator_analysis(family))
+    throw std::invalid_argument("diameter_coefficient: no analysis for " +
+                                topology::family_name(family, d));
+  return separator::lemma31_params(family, d).ell;
 }
 
 }  // namespace sysgo::core

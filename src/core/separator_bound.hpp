@@ -30,8 +30,8 @@ struct SeparatorBoundResult {
 
 /// Diameter coefficient c such that diam = c·log2(n)·(1 − o(1)) for the
 /// family (the trivial lower bound the paper's Fig. 6 quotes as "diam."
-/// where it beats the matrix bound): BF/WBF→ 2/log d, WBF 1.5/log d,
-/// DB/K 1/log d.
+/// where it beats the matrix bound): the Lemma 3.1 l, i.e. BF/WBF→
+/// 2/log d, WBF 1.5/log d, DB/K 1/log d.
 [[nodiscard]] double diameter_coefficient(topology::Family family, int d);
 
 }  // namespace sysgo::core

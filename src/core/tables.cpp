@@ -23,10 +23,11 @@ std::vector<Fig4Row> fig4_rows_paper() {
 
 std::vector<std::pair<Family, int>> paper_family_list() {
   std::vector<std::pair<Family, int>> list;
-  for (Family f : {Family::kButterfly, Family::kWrappedButterflyDirected,
-                   Family::kWrappedButterfly, Family::kDeBruijnDirected,
-                   Family::kDeBruijn, Family::kKautzDirected, Family::kKautz})
-    for (int d : {2, 3}) list.emplace_back(f, d);
+  for (std::size_t i = 0; i < topology::kFamilyCount; ++i) {
+    const auto f = static_cast<Family>(i);
+    if (topology::family_has_separator_analysis(f))
+      for (int d : {2, 3}) list.emplace_back(f, d);
+  }
   return list;
 }
 

@@ -1,44 +1,44 @@
 #include "engine/scenario.hpp"
 
-#include <functional>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <tuple>
+
+#include "util/tokens.hpp"
 
 namespace sysgo::engine {
 
 using topology::Family;
 
-std::string task_name(Task t) {
-  switch (t) {
-    case Task::kBound: return "bound";
-    case Task::kDiameterBound: return "diameter";
-    case Task::kSimulate: return "simulate";
-    case Task::kAudit: return "audit";
-    case Task::kSeparatorCheck: return "separator";
-    case Task::kSolveGossip: return "solve-gossip";
-    case Task::kSolveBroadcast: return "solve-broadcast";
-    case Task::kSynthesize: return "synth";
-  }
-  return "?";
-}
+namespace {
 
-Task parse_task_name(const std::string& name) {
-  if (name == "bound") return Task::kBound;
-  if (name == "diameter") return Task::kDiameterBound;
-  if (name == "simulate") return Task::kSimulate;
-  if (name == "audit") return Task::kAudit;
-  if (name == "separator") return Task::kSeparatorCheck;
-  if (name == "solve-gossip") return Task::kSolveGossip;
-  if (name == "solve-broadcast") return Task::kSolveBroadcast;
-  if (name == "synth") return Task::kSynthesize;
-  throw std::invalid_argument("unknown task: " + name);
+struct TaskRow {
+  std::string_view token;
+  bool needs_dimension;  // see task_needs_dimension
+};
+
+// One row per Task enumerator, in enum order.
+constexpr TaskRow kTasks[] = {
+    {"bound", false},         {"diameter", false},
+    {"simulate", true},       {"audit", true},
+    {"separator", true},      {"solve-gossip", true},
+    {"solve-broadcast", true}, {"synth", true},
+};
+static_assert(std::size(kTasks) == kTaskCount,
+              "one row per Task enumerator");
+
+}  // namespace
+
+std::string task_name(Task t) { return std::string(util::token_of(kTasks, t)); }
+
+Task parse_task_name(std::string_view name) {
+  if (const auto t = util::enum_of<Task>(kTasks, name)) return *t;
+  throw std::invalid_argument("unknown task: " + std::string(name));
 }
 
 bool task_needs_dimension(Task t) noexcept {
-  return t == Task::kSimulate || t == Task::kAudit ||
-         t == Task::kSeparatorCheck || t == Task::kSolveGossip ||
-         t == Task::kSolveBroadcast || t == Task::kSynthesize;
+  return util::row_of(kTasks, t).needs_dimension;
 }
 
 std::size_t ScenarioKeyHash::operator()(const ScenarioKey& k) const noexcept {
@@ -64,18 +64,16 @@ std::vector<SweepJob> shard_jobs(const std::vector<SweepJob>& jobs,
 }
 
 std::vector<Family> all_families() {
-  return {Family::kButterfly,       Family::kWrappedButterflyDirected,
-          Family::kWrappedButterfly, Family::kDeBruijnDirected,
-          Family::kDeBruijn,         Family::kKautzDirected,
-          Family::kKautz};
+  std::vector<Family> fams;
+  for (Family f : registry_families())
+    if (topology::family_has_separator_analysis(f)) fams.push_back(f);
+  return fams;
 }
 
 std::vector<Family> registry_families() {
-  auto fams = all_families();
-  fams.insert(fams.end(),
-              {Family::kCycle, Family::kComplete, Family::kHypercube,
-               Family::kCubeConnectedCycles, Family::kShuffleExchange,
-               Family::kKnodel, Family::kRandomRegular, Family::kRandomGnp});
+  std::vector<Family> fams;
+  for (std::size_t i = 0; i < topology::kFamilyCount; ++i)
+    fams.push_back(static_cast<Family>(i));
   return fams;
 }
 
@@ -121,64 +119,22 @@ std::vector<SweepJob> ScenarioSpec::expand() const {
 }
 
 bool same_result(const SweepRecord& a, const SweepRecord& b) {
-  return a.key == b.key && a.task == b.task && a.s == b.s && a.n == b.n &&
-         a.alpha == b.alpha && a.ell == b.ell && a.e == b.e &&
-         a.lambda == b.lambda && a.rounds == b.rounds &&
-         a.diameter == b.diameter && a.sep_distance == b.sep_distance &&
-         a.sep_min_size == b.sep_min_size && a.states == b.states &&
-         a.group == b.group && a.budget == b.budget &&
-         a.objective == b.objective && a.restarts == b.restarts &&
-         a.accepted == b.accepted;
-}
-
-std::string family_token(Family f) {
-  switch (f) {
-    case Family::kButterfly: return "bf";
-    case Family::kWrappedButterflyDirected: return "wbf-dir";
-    case Family::kWrappedButterfly: return "wbf";
-    case Family::kDeBruijnDirected: return "db-dir";
-    case Family::kDeBruijn: return "db";
-    case Family::kKautzDirected: return "kautz-dir";
-    case Family::kKautz: return "kautz";
-    case Family::kCycle: return "cycle";
-    case Family::kComplete: return "complete";
-    case Family::kHypercube: return "hypercube";
-    case Family::kCubeConnectedCycles: return "ccc";
-    case Family::kShuffleExchange: return "se";
-    case Family::kKnodel: return "knodel";
-    case Family::kRandomRegular: return "rr";
-    case Family::kRandomGnp: return "gnp";
-  }
-  return "?";
-}
-
-Family parse_family_token(const std::string& token) {
-  if (token == "bf") return Family::kButterfly;
-  if (token == "wbf-dir") return Family::kWrappedButterflyDirected;
-  if (token == "wbf") return Family::kWrappedButterfly;
-  if (token == "db-dir") return Family::kDeBruijnDirected;
-  if (token == "db") return Family::kDeBruijn;
-  if (token == "kautz-dir") return Family::kKautzDirected;
-  if (token == "kautz") return Family::kKautz;
-  if (token == "cycle") return Family::kCycle;
-  if (token == "complete") return Family::kComplete;
-  if (token == "hypercube") return Family::kHypercube;
-  if (token == "ccc") return Family::kCubeConnectedCycles;
-  if (token == "se") return Family::kShuffleExchange;
-  if (token == "knodel") return Family::kKnodel;
-  if (token == "rr") return Family::kRandomRegular;
-  if (token == "gnp") return Family::kRandomGnp;
-  throw std::invalid_argument("unknown family: " + token);
+  bool same = true;
+  for_each_result_field(
+      [&same](std::string_view, const auto& x, const auto& y) {
+        same = same && x == y;
+      },
+      a, b);
+  return same;
 }
 
 std::string mode_name(protocol::Mode m) {
-  return m == protocol::Mode::kFullDuplex ? "full" : "half";
+  return std::string(protocol::mode_token(m));
 }
 
-protocol::Mode parse_mode_name(const std::string& name) {
-  if (name == "half") return protocol::Mode::kHalfDuplex;
-  if (name == "full") return protocol::Mode::kFullDuplex;
-  throw std::invalid_argument("unknown mode: " + name);
+protocol::Mode parse_mode_name(std::string_view name) {
+  if (const auto m = protocol::parse_mode_token(name)) return *m;
+  throw std::invalid_argument("unknown mode: " + std::string(name));
 }
 
 core::Duplex duplex_of(protocol::Mode m) noexcept {

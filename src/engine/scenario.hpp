@@ -7,8 +7,10 @@
 // spec instead.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/bounds.hpp"
@@ -32,11 +34,16 @@ enum class Task {
                     // annealing; see src/synth/)
 };
 
+/// Number of Task enumerators.
+inline constexpr std::size_t kTaskCount =
+    static_cast<std::size_t>(Task::kSynthesize) + 1;
+
 /// Stable token used in CSV/JSON output and CLI flags:
 /// "bound" | "diameter" | "simulate" | "audit" | "separator" |
 /// "solve-gossip" | "solve-broadcast" | "synth".
 [[nodiscard]] std::string task_name(Task t);
-[[nodiscard]] Task parse_task_name(const std::string& name);  // throws
+/// Throws std::invalid_argument("unknown task: <name>").
+[[nodiscard]] Task parse_task_name(std::string_view name);
 
 /// Asymptotic tasks hold for the whole family; they are emitted once per
 /// (family, d, mode) with D = 0 instead of once per dimension.
@@ -166,18 +173,52 @@ struct SweepRecord {
   double millis = 0.0;  // wall-clock job time
 };
 
+/// The one list of SweepRecord fields: calls fn(column, field...) for every
+/// field but `millis`, in CSV/JSON column order, on one record or on
+/// several side by side (fn(column, a.field, b.field) for two).  The sweep
+/// header, cells, JSON types, parsers and same_result all read it.
+template <class Fn, class... Records>
+void for_each_result_field(Fn&& fn, Records&... r) {
+  fn("family", r.key.family...);
+  fn("d", r.key.d...);
+  fn("D", r.key.D...);
+  fn("mode", r.key.mode...);
+  fn("task", r.task...);
+  fn("s", r.s...);
+  fn("n", r.n...);
+  fn("alpha", r.alpha...);
+  fn("ell", r.ell...);
+  fn("e", r.e...);
+  fn("lambda", r.lambda...);
+  fn("rounds", r.rounds...);
+  fn("diameter", r.diameter...);
+  fn("sep_distance", r.sep_distance...);
+  fn("sep_min_size", r.sep_min_size...);
+  fn("states", r.states...);
+  fn("group", r.group...);
+  fn("budget", r.budget...);
+  fn("objective", r.objective...);
+  fn("restarts", r.restarts...);
+  fn("accepted", r.accepted...);
+}
+
+/// for_each_result_field, then the wall-clock `millis` column last.
+template <class Fn, class... Records>
+void for_each_field(Fn&& fn, Records&... r) {
+  for_each_result_field(fn, r...);
+  fn("millis", r.millis...);
+}
+
 /// Equality of everything except wall-clock timing.
 [[nodiscard]] bool same_result(const SweepRecord& a, const SweepRecord& b);
 
-/// Stable family token for CSV/JSON output and CLI flags: "bf" | "wbf-dir" |
-/// "wbf" | "db-dir" | "db" | "kautz-dir" | "kautz" | "cycle" | "complete" |
-/// "hypercube" | "ccc" | "se" | "knodel" | "rr" | "gnp".
-[[nodiscard]] std::string family_token(topology::Family f);
-[[nodiscard]] topology::Family parse_family_token(const std::string& token);  // throws
+using topology::family_token;
+using topology::parse_family_token;
 
-/// "half" | "full".
+/// "half" | "full" (protocol::mode_token).
 [[nodiscard]] std::string mode_name(protocol::Mode m);
-[[nodiscard]] protocol::Mode parse_mode_name(const std::string& name);  // throws
+/// Throws std::invalid_argument("unknown mode: <name>").
+[[nodiscard]] protocol::Mode parse_mode_name(std::string_view name);
 
 /// The core-layer duplex discipline matching a protocol mode.
 [[nodiscard]] core::Duplex duplex_of(protocol::Mode m) noexcept;

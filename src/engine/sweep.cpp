@@ -35,7 +35,7 @@ struct EngineMetrics {
   std::vector<obs::ScopeSite> task_sites;
 
   EngineMetrics() {
-    for (int t = 0; t <= static_cast<int>(Task::kSynthesize); ++t)
+    for (std::size_t t = 0; t < kTaskCount; ++t)
       task_sites.emplace_back("engine.task." +
                               task_name(static_cast<Task>(t)));
   }
@@ -97,13 +97,6 @@ ArtifactCache::Stats ArtifactCache::stats() const {
   return {hits_, misses_};
 }
 
-void ArtifactCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-  hits_ = 0;
-  misses_ = 0;
-}
-
 // -------------------------------------------------------------- SweepRunner
 
 SweepRunner::SweepRunner(SweepOptions opts)
@@ -116,7 +109,6 @@ std::shared_ptr<const ScenarioArtifacts> SweepRunner::artifacts(
   const auto build = [&key, seed]() {
     auto art = std::make_shared<ScenarioArtifacts>();
     art->graph = topology::make_family(key.family, key.d, key.D, seed);
-    art->schedule = protocol::edge_coloring_schedule(art->graph, key.mode);
     // The one structural validation of this scenario's schedule; every
     // task below executes the pre-validated flat form.  The coloring
     // schedule is built on the member's undirected support, so for the
@@ -125,7 +117,8 @@ std::shared_ptr<const ScenarioArtifacts> SweepRunner::artifacts(
     // symmetric members.
     const bool check_membership = art->graph.is_symmetric();
     art->compiled = protocol::CompiledSchedule::compile(
-        art->schedule, check_membership ? &art->graph : nullptr);
+        protocol::edge_coloring_schedule(art->graph, key.mode),
+        check_membership ? &art->graph : nullptr);
     return std::shared_ptr<const ScenarioArtifacts>(std::move(art));
   };
   return cache_.get_or_build(key, seed, build);

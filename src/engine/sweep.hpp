@@ -38,8 +38,7 @@ namespace sysgo::engine {
 /// per scenario; simulate and audit both execute the compiled form.
 struct ScenarioArtifacts {
   graph::Digraph graph;
-  protocol::SystolicSchedule schedule;  // edge-coloring schedule in key.mode
-  protocol::CompiledSchedule compiled;  // flat execution form of `schedule`
+  protocol::CompiledSchedule compiled;  // edge-coloring schedule in key.mode
 };
 
 /// Build-once cache of scenario artifacts, safe for concurrent lookups.
@@ -59,7 +58,6 @@ class ArtifactCache {
     std::size_t misses = 0;
   };
   [[nodiscard]] Stats stats() const;
-  void clear();
 
  private:
   struct Entry;

@@ -13,8 +13,6 @@ namespace {
 
 using protocol::Mode;
 
-const char* mode_name(Mode m) { return m == Mode::kFullDuplex ? "full" : "half"; }
-
 // "protocol_text: line <k>" — the prefix of every parse error.
 std::string at_line(int line_no) {
   return "protocol_text: line " + std::to_string(line_no);
@@ -32,8 +30,7 @@ std::vector<std::string> tokens(const std::string& text) {
 }
 
 Mode parse_mode(const std::string& word, int line_no) {
-  if (word == "half") return Mode::kHalfDuplex;
-  if (word == "full") return Mode::kFullDuplex;
+  if (const auto m = protocol::parse_mode_token(word)) return *m;
   fail(line_no, "unknown mode '" + word + "'");
 }
 
@@ -113,7 +110,7 @@ Header parse_header_lines(std::istringstream& in, const std::string& expected_ma
 std::string serialize(const protocol::Protocol& p) {
   std::ostringstream out;
   out << "sysgo-protocol v1\n";
-  out << "n " << p.n << " mode " << mode_name(p.mode) << '\n';
+  out << "n " << p.n << " mode " << protocol::mode_token(p.mode) << '\n';
   serialize_rounds(out, p.rounds);
   return out.str();
 }
@@ -121,7 +118,7 @@ std::string serialize(const protocol::Protocol& p) {
 std::string serialize(const protocol::SystolicSchedule& s) {
   std::ostringstream out;
   out << "sysgo-schedule v1\n";
-  out << "n " << s.n << " mode " << mode_name(s.mode) << '\n';
+  out << "n " << s.n << " mode " << protocol::mode_token(s.mode) << '\n';
   serialize_rounds(out, s.period);
   return out.str();
 }

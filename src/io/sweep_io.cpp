@@ -2,6 +2,8 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "io/csv.hpp"
 #include "obs/json.hpp"
@@ -12,95 +14,96 @@ namespace sysgo::io {
 
 namespace {
 
-using util::format_full;
+/// A field's cell: its token, or its number (doubles at full precision).
+template <class T>
+std::string cell(const T& value) {
+  if constexpr (std::is_same_v<T, topology::Family>)
+    return engine::family_token(value);
+  else if constexpr (std::is_same_v<T, protocol::Mode>)
+    return engine::mode_name(value);
+  else if constexpr (std::is_same_v<T, engine::Task>)
+    return engine::task_name(value);
+  else if constexpr (std::is_floating_point_v<T>)
+    return util::format_full(value);
+  else
+    return std::to_string(value);
+}
 
-const std::vector<std::string> kColumns{
-    "family", "d",        "D",            "mode",         "task",
-    "s",      "n",        "alpha",        "ell",          "e",
-    "lambda", "rounds",   "diameter",     "sep_distance", "sep_min_size",
-    "states", "group",    "budget",       "objective",    "restarts",
-    "accepted", "millis"};
+/// The strict inverse of cell().
+template <class T>
+void parse_cell(const std::string& text, std::string_view column, T& out) {
+  const std::string what = "sweep field '" + std::string(column) + "'";
+  if constexpr (std::is_same_v<T, topology::Family>)
+    out = engine::parse_family_token(text);
+  else if constexpr (std::is_same_v<T, protocol::Mode>)
+    out = engine::parse_mode_name(text);
+  else if constexpr (std::is_same_v<T, engine::Task>)
+    out = engine::parse_task_name(text);
+  else if constexpr (std::is_floating_point_v<T>)
+    out = util::parse_any_double(text, what);
+  else if constexpr (std::is_same_v<T, int>)
+    out = util::parse_int(text, what);
+  else
+    out = util::parse_i64(text, what);
+}
 
 std::vector<std::string> record_cells(const engine::SweepRecord& r) {
-  return {engine::family_token(r.key.family),
-          std::to_string(r.key.d),
-          std::to_string(r.key.D),
-          engine::mode_name(r.key.mode),
-          engine::task_name(r.task),
-          std::to_string(r.s),
-          std::to_string(r.n),
-          format_full(r.alpha),
-          format_full(r.ell),
-          format_full(r.e),
-          format_full(r.lambda),
-          std::to_string(r.rounds),
-          std::to_string(r.diameter),
-          std::to_string(r.sep_distance),
-          std::to_string(r.sep_min_size),
-          std::to_string(r.states),
-          std::to_string(r.group),
-          std::to_string(r.budget),
-          format_full(r.objective),
-          std::to_string(r.restarts),
-          std::to_string(r.accepted),
-          format_full(r.millis)};
+  std::vector<std::string> cells;
+  cells.reserve(sweep_csv_columns().size());
+  engine::for_each_field(
+      [&cells](std::string_view, const auto& value) {
+        cells.push_back(cell(value));
+      },
+      r);
+  return cells;
 }
 
 engine::SweepRecord record_from_fields(
     const std::vector<std::pair<std::string, std::string>>& fields) {
   engine::SweepRecord r;
-  const auto what = [](const char* field) {
-    return std::string("sweep field '") + field + "'";
-  };
   for (const auto& [key, value] : fields) {
-    if (key == "family") r.key.family = engine::parse_family_token(value);
-    else if (key == "d") r.key.d = util::parse_int(value, what("d"));
-    else if (key == "D") r.key.D = util::parse_int(value, what("D"));
-    else if (key == "mode") r.key.mode = engine::parse_mode_name(value);
-    else if (key == "task") r.task = engine::parse_task_name(value);
-    else if (key == "s") r.s = util::parse_int(value, what("s"));
-    else if (key == "n") r.n = util::parse_int(value, what("n"));
-    else if (key == "alpha") r.alpha = util::parse_any_double(value, what("alpha"));
-    else if (key == "ell") r.ell = util::parse_any_double(value, what("ell"));
-    else if (key == "e") r.e = util::parse_any_double(value, what("e"));
-    else if (key == "lambda") r.lambda = util::parse_any_double(value, what("lambda"));
-    else if (key == "rounds") r.rounds = util::parse_int(value, what("rounds"));
-    else if (key == "diameter") r.diameter = util::parse_int(value, what("diameter"));
-    else if (key == "sep_distance")
-      r.sep_distance = util::parse_int(value, what("sep_distance"));
-    else if (key == "sep_min_size")
-      r.sep_min_size = util::parse_i64(value, what("sep_min_size"));
-    else if (key == "states") r.states = util::parse_i64(value, what("states"));
-    else if (key == "group") r.group = util::parse_i64(value, what("group"));
-    else if (key == "budget") r.budget = util::parse_int(value, what("budget"));
-    else if (key == "objective")
-      r.objective = util::parse_any_double(value, what("objective"));
-    else if (key == "restarts")
-      r.restarts = util::parse_int(value, what("restarts"));
-    else if (key == "accepted")
-      r.accepted = util::parse_i64(value, what("accepted"));
-    else if (key == "millis") r.millis = util::parse_any_double(value, what("millis"));
-    else throw std::invalid_argument("unknown sweep field: " + key);
+    bool known = false;
+    engine::for_each_field(
+        [&](std::string_view column, auto& field) {
+          if (column != key) return;
+          parse_cell(value, column, field);
+          known = true;
+        },
+        r);
+    if (!known) throw std::invalid_argument("unknown sweep field: " + key);
   }
   return r;
 }
 
 engine::SweepRecord record_from_cells(const std::vector<std::string>& cells,
                                       const std::string& line) {
-  if (cells.size() != kColumns.size())
+  const auto& columns = sweep_csv_columns();
+  if (cells.size() != columns.size())
     throw std::invalid_argument("bad sweep CSV row: " + line);
   std::vector<std::pair<std::string, std::string>> fields;
   fields.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i)
-    fields.emplace_back(kColumns[i], cells[i]);
+    fields.emplace_back(columns[i], cells[i]);
   return record_from_fields(fields);
 }
 
 }  // namespace
 
-std::string sweep_csv_header() { return csv_line(kColumns); }
+std::string sweep_csv_header() { return csv_line(sweep_csv_columns()); }
 
-const std::vector<std::string>& sweep_csv_columns() { return kColumns; }
+const std::vector<std::string>& sweep_csv_columns() {
+  static const std::vector<std::string> columns = [] {
+    std::vector<std::string> names;
+    const engine::SweepRecord r;
+    engine::for_each_field(
+        [&names](std::string_view column, const auto&) {
+          names.emplace_back(column);
+        },
+        r);
+    return names;
+  }();
+  return columns;
+}
 
 std::string sweep_csv_row(const engine::SweepRecord& r) {
   return csv_line(record_cells(r));
@@ -129,7 +132,7 @@ std::vector<engine::SweepRecord> parse_sweep_csv(const std::string& text) {
   // Sweep cells never contain newlines, so RFC-4180 parsing can run
   // line-by-line; quoted cells (and commas/quotes inside them) round-trip.
   const auto header = parse_csv_line(line);
-  if (header != kColumns)
+  if (header != sweep_csv_columns())
     throw std::invalid_argument("unexpected sweep CSV header: " + line);
   std::vector<engine::SweepRecord> records;
   while (std::getline(in, line)) {
@@ -140,18 +143,20 @@ std::vector<engine::SweepRecord> parse_sweep_csv(const std::string& text) {
 }
 
 std::string sweep_json_record(const engine::SweepRecord& r) {
-  const auto cells = record_cells(r);
   std::ostringstream out;
-  out << '{';
-  for (std::size_t i = 0; i < kColumns.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << kColumns[i] << "\":";
-    // family/mode/task are strings; everything else is numeric.
-    if (i == 0 || i == 3 || i == 4)
-      out << '"' << cells[i] << '"';
-    else
-      out << cells[i];
-  }
+  char sep = '{';
+  engine::for_each_field(
+      [&](std::string_view column, const auto& value) {
+        // Tokens (the enum fields) are JSON strings; the rest are numbers.
+        constexpr bool quoted =
+            std::is_enum_v<std::remove_cvref_t<decltype(value)>>;
+        out << sep << '"' << column << "\":";
+        if (quoted) out << '"';
+        out << cell(value);
+        if (quoted) out << '"';
+        sep = ',';
+      },
+      r);
   out << '}';
   return out.str();
 }

@@ -32,7 +32,7 @@
 namespace sysgo::obs::trace {
 
 /// Global recording switch, default OFF.  Every instrumentation site pays
-/// one relaxed atomic load when tracing is disabled; bench/trace_overhead
+/// one relaxed atomic load when tracing is disabled; bench/obs_overhead
 /// pins both the disabled and the actively-recording deltas.
 [[nodiscard]] bool enabled() noexcept;
 void set_enabled(bool on) noexcept;

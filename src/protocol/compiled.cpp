@@ -49,8 +49,7 @@ CompiledSchedule CompiledSchedule::build(int n, Mode mode, bool periodic,
                               ? graph::is_full_duplex_matching(rounds[r].arcs, n)
                               : graph::is_half_duplex_matching(rounds[r].arcs, n);
     if (!matching)
-      fail(round_no, std::string("is not a valid ") +
-                         (mode == Mode::kFullDuplex ? "full" : "half") +
+      fail(round_no, "is not a valid " + std::string(mode_token(mode)) +
                          "-duplex matching");
     Round canon = rounds[r];
     canon.canonicalize();

@@ -7,6 +7,9 @@
 // (compiled.hpp), which every executor's input goes through.
 #pragma once
 
+#include <cstddef>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -20,6 +23,15 @@ enum class Mode {
   kHalfDuplex,  // covers the directed case: one direction per active link
   kFullDuplex,  // active links carry both directions simultaneously
 };
+
+/// Number of Mode enumerators.
+inline constexpr std::size_t kModeCount = 2;
+
+/// "half" | "full": the mode's token in schedule files, sweep records and
+/// CLI arguments.
+[[nodiscard]] std::string_view mode_token(Mode m);
+/// The mode spelled by `token`, or nullopt; callers word their own error.
+[[nodiscard]] std::optional<Mode> parse_mode_token(std::string_view token) noexcept;
 
 /// One communication round: the set of active arcs.
 struct Round {

@@ -351,10 +351,8 @@ bool witness_valid(const graph::Digraph& g, const SolveOptions& opts,
   } catch (const std::invalid_argument&) {
     return false;  // not matchings of the right mode / arcs outside g
   }
-  if (opts.problem == Problem::kGossip) {
-    const auto run = simulator::run_gossip(cs);
-    return run.complete && run.completion_round == res.rounds;
-  }
+  if (opts.problem == Problem::kGossip)
+    return simulator::gossip_time(cs, cs.round_count()) == res.rounds;
   if (opts.source < 0 || opts.source >= g.vertex_count()) return false;
   const auto reach = simulator::broadcast_reach(cs, opts.source);
   int worst = 0;

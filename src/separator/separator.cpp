@@ -16,23 +16,13 @@ namespace sysgo::separator {
 using topology::Family;
 
 SeparatorParams lemma31_params(Family f, int d) {
-  const double logd = std::log2(static_cast<double>(d));
-  switch (f) {
-    case Family::kButterfly:
-    case Family::kWrappedButterflyDirected:
-      return {logd / 2.0, 2.0 / logd};
-    case Family::kWrappedButterfly:
-      return {2.0 * logd / 3.0, 3.0 / (2.0 * logd)};
-    case Family::kDeBruijnDirected:
-    case Family::kDeBruijn:
-    case Family::kKautzDirected:
-    case Family::kKautz:
-      return {logd, 1.0 / logd};
-    default:
-      break;  // classic testbed families: no Lemma 3.1 analysis
-  }
-  throw std::invalid_argument("lemma31_params: no separator analysis for " +
-                              topology::family_name(f, d));
+  const topology::Lemma31Pair pair = topology::family_row(f).lemma31;
+  if (pair.num == 0)  // classic testbed families: no Lemma 3.1 analysis
+    throw std::invalid_argument("lemma31_params: no separator analysis for " +
+                                topology::family_name(f, d));
+  const double num_logd =
+      static_cast<double>(pair.num) * std::log2(static_cast<double>(d));
+  return {num_logd / pair.den, pair.den / num_logd};
 }
 
 std::vector<int> shift_robust_positions(int D, int h) {

@@ -22,8 +22,8 @@ struct SeparatorParams {
 };
 
 /// Lemma 3.1 parameters: BF/WBF→ ⟨log d / 2, 2/log d⟩;
-/// WBF ⟨2·log d / 3, 3/(2 log d)⟩; DB/K ⟨log d, 1/log d⟩.
-/// Note α·l = 1 for every family.
+/// WBF ⟨2·log d / 3, 3/(2 log d)⟩; DB/K ⟨log d, 1/log d⟩ — the family's
+/// topology::FamilyRow::lemma31 ratio.  Note α·l = 1 for every family.
 [[nodiscard]] SeparatorParams lemma31_params(topology::Family f, int d);
 
 /// Concrete separator sets for one member digraph.

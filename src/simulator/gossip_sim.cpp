@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "simulator/batch.hpp"
-#include "simulator/periodic.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sysgo::simulator {
@@ -29,39 +28,6 @@ std::int64_t apply_round(KnowledgeMatrix& know,
       },
       512);
   return gained.load(std::memory_order_relaxed);
-}
-
-GossipResult run_gossip(const protocol::CompiledSchedule& cs,
-                        const GossipOptions& opts) {
-  cs.require_finite("run_gossip");  // periodic schedules go through gossip_time
-  const int n = cs.n();
-  KnowledgeMatrix know(n);
-  GossipResult res;
-  if (opts.track_completion) {
-    res.vertex_completion.assign(static_cast<std::size_t>(n), -1);
-    for (int v = 0; v < n; ++v)
-      if (know.row_full(v)) res.vertex_completion[static_cast<std::size_t>(v)] = 0;
-  }
-  const int t = run_periodic(
-      cs.round_count(), /*periodic=*/false, cs.round_count(),
-      [&](int r, int round_no) {
-        const std::int64_t gained = apply_round(know, cs, r, opts.parallel);
-        if (opts.track_completion)
-          // Only endpoints of a round's arcs can change state.
-          for (const auto& a : cs.round_arcs(r))
-            for (int v : {a.tail, a.head})
-              if (res.vertex_completion[static_cast<std::size_t>(v)] == -1 &&
-                  know.row_full(v))
-                res.vertex_completion[static_cast<std::size_t>(v)] = round_no;
-        return gained;
-      },
-      [&] { return know.all_full(); });
-  res.complete = t >= 0;
-  res.rounds_executed = res.complete ? t : cs.round_count();
-  res.completion_round = res.complete ? t : 0;
-  res.final_counts.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) res.final_counts.push_back(know.count(v));
-  return res;
 }
 
 int gossip_time(const protocol::CompiledSchedule& cs, int max_rounds,

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "protocol/compiled.hpp"
 #include "simulator/knowledge.hpp"
@@ -21,20 +20,7 @@
 namespace sysgo::simulator {
 
 struct GossipOptions {
-  bool parallel = false;       // multithread merges within a round
-  bool track_completion = false;  // record per-vertex completion rounds
-};
-
-struct GossipResult {
-  bool complete = false;  // every vertex learned every item
-  int rounds_executed = 0;
-  /// First round after which all vertices were complete (only when
-  /// complete == true; 0 when complete before any round, i.e. n == 1).
-  int completion_round = 0;
-  /// Per-vertex completion rounds (filled when track_completion).
-  std::vector<int> vertex_completion;
-  /// Final knowledge counts per vertex.
-  std::vector<int> final_counts;
+  bool parallel = false;  // multithread merges within a round
 };
 
 /// Apply stored round r of a compiled schedule: a branch-light walk of the
@@ -45,12 +31,6 @@ struct GossipResult {
 std::int64_t apply_round(KnowledgeMatrix& know,
                          const protocol::CompiledSchedule& cs, int r,
                          bool parallel = false);
-
-/// Run a compiled finite protocol's rounds once through (or early-exit once
-/// complete).  Throws std::invalid_argument for a periodic compiled
-/// schedule (one period is not a run; use gossip_time).
-[[nodiscard]] GossipResult run_gossip(const protocol::CompiledSchedule& cs,
-                                      const GossipOptions& opts = {});
 
 /// Run until gossip completes or max_rounds elapse; returns the completion
 /// round (gossip time), or -1 when incomplete.  Periodic schedules wrap

@@ -3,9 +3,11 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+
+#include "util/tokens.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SYSGO_KERNELS_X86 1
@@ -372,6 +374,12 @@ constexpr RowKernels kAvx512Kernels{KernelKind::kAvx512, merge_arcs_avx512,
 
 // ---------------------------------------------------------------- dispatch
 
+// One name per KernelKind enumerator, in enum order.
+constexpr const char* kKernelNames[] = {"scalar", "avx2", "avx512"};
+static_assert(std::size(kKernelNames) ==
+                  static_cast<std::size_t>(kKernelKindCount),
+              "one name per KernelKind enumerator");
+
 bool cpu_supports(KernelKind k) noexcept {
 #if SYSGO_KERNELS_X86
   switch (k) {
@@ -397,19 +405,12 @@ bool cpu_supports(KernelKind k) noexcept {
 const RowKernels& resolve_initial() {
   if (const char* force = std::getenv("SYSGO_FORCE_KERNEL");
       force != nullptr && *force != '\0') {
-    KernelKind k;
-    if (std::strcmp(force, "scalar") == 0) {
-      k = KernelKind::kScalar;
-    } else if (std::strcmp(force, "avx2") == 0) {
-      k = KernelKind::kAvx2;
-    } else if (std::strcmp(force, "avx512") == 0) {
-      k = KernelKind::kAvx512;
-    } else {
+    const auto k = parse_kernel_name(force);
+    if (!k)
       throw std::runtime_error(
           "SYSGO_FORCE_KERNEL: unknown kernel '" + std::string(force) +
           "' (expected scalar|avx2|avx512)");
-    }
-    return kernel_table(k);
+    return kernel_table(*k);
   }
   if (kernel_supported(KernelKind::kAvx512))
     return kernel_table(KernelKind::kAvx512);
@@ -466,15 +467,11 @@ const RowKernels& kernels() {
 KernelKind active_kernel() { return kernels().kind; }
 
 const char* kernel_name(KernelKind k) noexcept {
-  switch (k) {
-    case KernelKind::kScalar:
-      return "scalar";
-    case KernelKind::kAvx2:
-      return "avx2";
-    case KernelKind::kAvx512:
-      return "avx512";
-  }
-  return "?";
+  return util::row_of(kKernelNames, k);
+}
+
+std::optional<KernelKind> parse_kernel_name(std::string_view name) noexcept {
+  return util::enum_of<KernelKind>(kKernelNames, name);
 }
 
 KernelKind force_kernel(KernelKind k) {

@@ -41,7 +41,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string_view>
 
 #include "graph/digraph.hpp"
 
@@ -96,7 +98,12 @@ struct RowKernels {
 [[nodiscard]] const RowKernels& kernels();
 
 [[nodiscard]] KernelKind active_kernel();
+/// "scalar" | "avx2" | "avx512": the name SYSGO_FORCE_KERNEL and the CLI
+/// take, and `sysgo kernels` prints.
 [[nodiscard]] const char* kernel_name(KernelKind k) noexcept;
+/// The kernel named `name`, or nullopt; callers word their own error.
+[[nodiscard]] std::optional<KernelKind> parse_kernel_name(
+    std::string_view name) noexcept;
 
 /// Swap the active kernel, returning the previous one.  Process-global and
 /// not synchronized — a test/bench hook, not an API for concurrent phases.

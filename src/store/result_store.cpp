@@ -47,11 +47,6 @@ std::string digest_hex(std::uint64_t digest) {
   return buf;
 }
 
-bool family_is_seeded(topology::Family f) {
-  return f == topology::Family::kRandomRegular ||
-         f == topology::Family::kRandomGnp;
-}
-
 /// The limit fields that can change this task's result.  Thread counts and
 /// the within-round parallelism toggle are excluded on purpose: results are
 /// identical for any value (asserted by the engine's determinism tests).
@@ -105,7 +100,8 @@ StoreKey make_store_key(const engine::SweepJob& job,
   if (!fp.empty()) out << " limits=[" << fp << ']';
   // The seed only identifies a result when randomness feeds it: the member
   // graph of a random family, or the synthesizer's restart streams.
-  if (family_is_seeded(job.key.family) || job.task == engine::Task::kSynthesize)
+  if (topology::family_is_seeded(job.key.family) ||
+      job.task == engine::Task::kSynthesize)
     out << " seed=" << limits.seed;
   StoreKey key{out.str(), 0};
   key.digest = fnv1a64(key.text);

@@ -1,5 +1,6 @@
 #include "topology/topology.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "topology/butterfly.hpp"
@@ -12,30 +13,63 @@
 #include "topology/shuffle_exchange.hpp"
 #include "topology/wrapped_butterfly.hpp"
 #include "util/rng.hpp"
+#include "util/tokens.hpp"
 
 namespace sysgo::topology {
 
+namespace {
+
+// One row per Family enumerator, in enum order.
+constexpr FamilyRow kFamilies[] = {
+    // token       stem     shows_d symmetric seeded  Lemma 3.1
+    {"bf",         "BF",    true,   true,     false,  {1, 2}},
+    {"wbf-dir",    "WBF->", true,   false,    false,  {1, 2}},
+    {"wbf",        "WBF",   true,   true,     false,  {2, 3}},
+    {"db-dir",     "DB->",  true,   false,    false,  {1, 1}},
+    {"db",         "DB",    true,   true,     false,  {1, 1}},
+    {"kautz-dir",  "K->",   true,   false,    false,  {1, 1}},
+    {"kautz",      "K",     true,   true,     false,  {1, 1}},
+    {"cycle",      "C",     false,  true,     false,  {}},
+    {"complete",   "K",     false,  true,     false,  {}},
+    {"hypercube",  "Q",     false,  true,     false,  {}},
+    {"ccc",        "CCC",   false,  true,     false,  {}},
+    {"se",         "SE",    false,  true,     false,  {}},
+    {"knodel",     "W",     true,   true,     false,  {}},
+    {"rr",         "RR",    true,   true,     true,   {}},
+    {"gnp",        "GNP",   true,   true,     true,   {}},
+};
+static_assert(std::size(kFamilies) == kFamilyCount,
+              "one registry row per Family enumerator");
+
+}  // namespace
+
+const FamilyRow& family_row(Family f) { return util::row_of(kFamilies, f); }
+
 std::string family_name(Family f, int d) {
-  const std::string ds = std::to_string(d);
-  switch (f) {
-    case Family::kButterfly: return "BF(" + ds + ",D)";
-    case Family::kWrappedButterflyDirected: return "WBF->(" + ds + ",D)";
-    case Family::kWrappedButterfly: return "WBF(" + ds + ",D)";
-    case Family::kDeBruijnDirected: return "DB->(" + ds + ",D)";
-    case Family::kDeBruijn: return "DB(" + ds + ",D)";
-    case Family::kKautzDirected: return "K->(" + ds + ",D)";
-    case Family::kKautz: return "K(" + ds + ",D)";
-    case Family::kCycle: return "C(D)";
-    case Family::kComplete: return "K(D)";
-    case Family::kHypercube: return "Q(D)";
-    case Family::kCubeConnectedCycles: return "CCC(D)";
-    case Family::kShuffleExchange: return "SE(D)";
-    case Family::kKnodel: return "W(" + ds + ",D)";
-    case Family::kRandomRegular: return "RR(" + ds + ",D)";
-    case Family::kRandomGnp: return "GNP(" + ds + ",D)";
-  }
-  throw std::invalid_argument("family_name: unknown family");
+  const FamilyRow& row = family_row(f);
+  std::string name(row.stem);
+  name += '(';
+  if (row.shows_d) name += std::to_string(d) + ',';
+  name += "D)";
+  return name;
 }
+
+std::string family_token(Family f) {
+  return std::string(util::token_of(kFamilies, f));
+}
+
+Family parse_family_token(std::string_view token) {
+  if (const auto f = util::enum_of<Family>(kFamilies, token)) return *f;
+  throw std::invalid_argument("unknown family: " + std::string(token));
+}
+
+bool family_is_symmetric(Family f) { return family_row(f).symmetric; }
+
+bool family_has_separator_analysis(Family f) {
+  return family_row(f).lemma31.num != 0;
+}
+
+bool family_is_seeded(Family f) { return family_row(f).seeded; }
 
 namespace {
 
@@ -149,41 +183,6 @@ std::int64_t family_order(Family f, int d, int D) {
       return D;
   }
   throw std::invalid_argument("family_order: unknown family");
-}
-
-bool family_is_symmetric(Family f) noexcept {
-  switch (f) {
-    case Family::kButterfly:
-    case Family::kWrappedButterfly:
-    case Family::kDeBruijn:
-    case Family::kKautz:
-    case Family::kCycle:
-    case Family::kComplete:
-    case Family::kHypercube:
-    case Family::kCubeConnectedCycles:
-    case Family::kShuffleExchange:
-    case Family::kKnodel:
-    case Family::kRandomRegular:
-    case Family::kRandomGnp:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool family_has_separator_analysis(Family f) noexcept {
-  switch (f) {
-    case Family::kButterfly:
-    case Family::kWrappedButterflyDirected:
-    case Family::kWrappedButterfly:
-    case Family::kDeBruijnDirected:
-    case Family::kDeBruijn:
-    case Family::kKautzDirected:
-    case Family::kKautz:
-      return true;
-    default:
-      return false;
-  }
 }
 
 }  // namespace sysgo::topology

@@ -3,10 +3,19 @@
 // Benches/examples iterate "all families the paper tabulates"; this header
 // gives them a single factory plus the family metadata (name, degree
 // parameter d, dimension D) used in table rows.
+//
+// Every fact about a family lives in its row of one table (topology.cpp):
+// token, display name, symmetry, seeding and the Lemma 3.1 pair; the
+// names, parsers, predicates and family lists all read it.  To add a
+// family: append an enumerator and its row, add a case to make_family and
+// one to family_order, and, when the family has Lemma 3.1 analysis, a case
+// to separator::build_separator.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "graph/digraph.hpp"
 
@@ -36,8 +45,39 @@ enum class Family {
                               // (d = target expected degree; seeded)
 };
 
+/// Number of Family enumerators: the registry table has one row each.
+inline constexpr std::size_t kFamilyCount =
+    static_cast<std::size_t>(Family::kRandomGnp) + 1;
+
+/// Lemma 3.1's <alpha, l> separator pair as a ratio: alpha = num*log2(d)/den
+/// and l = den/(num*log2(d)), so alpha*l = 1.  num = 0: no analysis.
+struct Lemma31Pair {
+  int num = 0;
+  int den = 0;
+};
+
+/// One row of the family registry.
+struct FamilyRow {
+  std::string_view token;  // CSV/JSON/CLI token, e.g. "wbf-dir"
+  std::string_view stem;   // display-name stem, e.g. "WBF->"
+  bool shows_d = false;    // display name is stem(d,D), otherwise stem(D)
+  bool symmetric = false;  // the digraph is symmetric (undirected network)
+  bool seeded = false;     // random family: the member follows the seed
+  Lemma31Pair lemma31;     // set for the paper's seven families only
+};
+
+/// The registry row of f.
+[[nodiscard]] const FamilyRow& family_row(Family f);
+
 /// Short display name matching the paper's notation, e.g. "WBF(2,D)".
 [[nodiscard]] std::string family_name(Family f, int d);
+
+/// Stable family token for CSV/JSON output and CLI flags: "bf" | "wbf-dir" |
+/// "wbf" | "db-dir" | "db" | "kautz-dir" | "kautz" | "cycle" | "complete" |
+/// "hypercube" | "ccc" | "se" | "knodel" | "rr" | "gnp".
+[[nodiscard]] std::string family_token(Family f);
+/// Throws std::invalid_argument("unknown family: <token>").
+[[nodiscard]] Family parse_family_token(std::string_view token);
 
 /// Instantiate the family at dimension D.  For kCycle / kComplete / kKnodel
 /// and the random families the "dimension" is the vertex count; d
@@ -60,11 +100,14 @@ enum class Family {
 [[nodiscard]] std::int64_t family_order(Family f, int d, int D);
 
 /// True for families whose digraph is symmetric (undirected networks).
-[[nodiscard]] bool family_is_symmetric(Family f) noexcept;
+[[nodiscard]] bool family_is_symmetric(Family f);
 
 /// True for the seven families with Lemma 3.1 separator analysis (the
 /// paper's tables); the classic testbed families have none, and the
 /// separator-based tasks reject them.
-[[nodiscard]] bool family_has_separator_analysis(Family f) noexcept;
+[[nodiscard]] bool family_has_separator_analysis(Family f);
+
+/// True for the random families, whose member depends on the seed.
+[[nodiscard]] bool family_is_seeded(Family f);
 
 }  // namespace sysgo::topology

@@ -2,24 +2,55 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "simulator/kernels.hpp"
+
 namespace sysgo::engine {
 namespace {
 
 using topology::Family;
 using protocol::Mode;
 
+/// Every enumerator 0..count-1 of E maps to a distinct token that parses
+/// back to it.
+template <class E, class Name, class Parse>
+void expect_tokens_round_trip(std::size_t count, Name name, Parse parse) {
+  std::set<std::string> tokens;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto e = static_cast<E>(i);
+    const std::string token(name(e));
+    EXPECT_FALSE(token.empty()) << i;
+    EXPECT_TRUE(tokens.insert(token).second) << "duplicate token " << token;
+    EXPECT_EQ(parse(token), e) << token;
+  }
+}
+
 TEST(Scenario, TokensRoundTrip) {
-  for (Family f : registry_families())
-    EXPECT_EQ(parse_family_token(family_token(f)), f);
-  for (Task t : {Task::kBound, Task::kDiameterBound, Task::kSimulate,
-                 Task::kAudit, Task::kSeparatorCheck, Task::kSolveGossip,
-                 Task::kSolveBroadcast, Task::kSynthesize})
-    EXPECT_EQ(parse_task_name(task_name(t)), t);
-  for (Mode m : {Mode::kHalfDuplex, Mode::kFullDuplex})
-    EXPECT_EQ(parse_mode_name(mode_name(m)), m);
+  expect_tokens_round_trip<Family>(
+      topology::kFamilyCount, [](Family f) { return family_token(f); },
+      [](const std::string& t) { return parse_family_token(t); });
+  expect_tokens_round_trip<Task>(
+      kTaskCount, [](Task t) { return task_name(t); },
+      [](const std::string& t) { return parse_task_name(t); });
+  expect_tokens_round_trip<Mode>(
+      protocol::kModeCount, [](Mode m) { return mode_name(m); },
+      [](const std::string& t) { return parse_mode_name(t); });
+  using simulator::KernelKind;
+  expect_tokens_round_trip<KernelKind>(
+      static_cast<std::size_t>(simulator::kKernelKindCount),
+      [](KernelKind k) { return simulator::kernel_name(k); },
+      [](const std::string& t) {
+        return simulator::parse_kernel_name(t).value();
+      });
+  EXPECT_EQ(registry_families().size(), topology::kFamilyCount);
   EXPECT_THROW((void)parse_family_token("nope"), std::invalid_argument);
   EXPECT_THROW((void)parse_task_name("nope"), std::invalid_argument);
   EXPECT_THROW((void)parse_mode_name("nope"), std::invalid_argument);
+  EXPECT_FALSE(simulator::parse_kernel_name("nope").has_value());
 }
 
 TEST(Scenario, RegistryFamiliesExtendPaperFamilies) {
@@ -134,12 +165,45 @@ TEST(Scenario, DuplexOfModeMatchesCore) {
 
 TEST(Scenario, SameResultIgnoresTiming) {
   SweepRecord a;
-  a.e = 1.5;
+  a.key = {Family::kKautz, 2, 5, Mode::kHalfDuplex};
+  a.task = Task::kAudit;
   SweepRecord b = a;
   b.millis = 99.0;
   EXPECT_TRUE(same_result(a, b));
-  b.e = 1.6;
-  EXPECT_FALSE(same_result(a, b));
+  // Every result field, the key's four included: changing any one of them
+  // makes the records differ.
+  const std::vector<std::function<void(SweepRecord&)>> changes = {
+      [](SweepRecord& r) { r.key.family = Family::kDeBruijn; },
+      [](SweepRecord& r) { r.key.d = 3; },
+      [](SweepRecord& r) { r.key.D = 6; },
+      [](SweepRecord& r) { r.key.mode = Mode::kFullDuplex; },
+      [](SweepRecord& r) { r.task = Task::kSimulate; },
+      [](SweepRecord& r) { r.s = 4; },
+      [](SweepRecord& r) { r.n = 12; },
+      [](SweepRecord& r) { r.alpha = 0.5; },
+      [](SweepRecord& r) { r.ell = 2.0; },
+      [](SweepRecord& r) { r.e = 1.6; },
+      [](SweepRecord& r) { r.lambda = 0.3; },
+      [](SweepRecord& r) { r.rounds = 7; },
+      [](SweepRecord& r) { r.diameter = 4; },
+      [](SweepRecord& r) { r.sep_distance = 3; },
+      [](SweepRecord& r) { r.sep_min_size = 5; },
+      [](SweepRecord& r) { r.states = 100; },
+      [](SweepRecord& r) { r.group = 8; },
+      [](SweepRecord& r) { r.budget = 0; },
+      [](SweepRecord& r) { r.objective = 9.5; },
+      [](SweepRecord& r) { r.restarts = 2; },
+      [](SweepRecord& r) { r.accepted = 40; },
+  };
+  std::size_t fields = 0;
+  for_each_result_field([&fields](std::string_view, const auto&) { ++fields; },
+                        a);
+  EXPECT_EQ(changes.size(), fields);
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    SweepRecord c = b;
+    changes[i](c);
+    EXPECT_FALSE(same_result(a, c)) << "field " << i;
+  }
 }
 
 }  // namespace

@@ -36,7 +36,8 @@ TEST(EndToEnd, DeBruijnPipeline) {
   // 3. The expanded protocol is systolic with the schedule's period.
   const auto p = sched.expand(measured);
   EXPECT_TRUE(protocol::is_systolic(p, sched.period_length()));
-  EXPECT_TRUE(simulator::run_gossip(CompiledSchedule::compile(p, &g)).complete);
+  EXPECT_EQ(simulator::gossip_time(CompiledSchedule::compile(p, &g), p.length()),
+            measured);
 
   // 4. Audit certificate below the measured time.
   const auto audit = core::audit_schedule(compiled);
@@ -64,7 +65,7 @@ TEST(EndToEnd, TruncatedProtocolFailsGossipButKeepsStructure) {
       simulator::gossip_time(CompiledSchedule::compile(sched, &g), 2000);
   ASSERT_GT(full_time, 1);
   const auto truncated = CompiledSchedule::compile(sched.expand(full_time - 1), &g);
-  EXPECT_FALSE(simulator::run_gossip(truncated).complete);
+  EXPECT_EQ(simulator::gossip_time(truncated, truncated.round_count()), -1);
 }
 
 TEST(EndToEnd, CorruptedRoundIsCaughtByValidation) {

@@ -133,7 +133,7 @@ TEST(BroadcastSim, ArrivalCompletionNeedsEveryRound) {
     const auto cs = CompiledSchedule::compile(q3.expand(t));
     EXPECT_EQ(gossip_completion_from_arrivals(arrival_times(cs)),
               t == 3 ? 3 : -1);
-    EXPECT_EQ(run_gossip(cs).complete, t == 3);
+    EXPECT_EQ(gossip_time(cs, cs.round_count()), t == 3 ? 3 : -1);
   }
 }
 
@@ -146,13 +146,12 @@ TEST(BroadcastSim, ArrivalMatrixRowsMatchBroadcastReach) {
     EXPECT_EQ(arrivals[static_cast<std::size_t>(src)], broadcast_reach(cs, src));
 }
 
-TEST(BroadcastSim, ArrivalCompletionMatchesRunGossip) {
+TEST(BroadcastSim, ArrivalCompletionMatchesGossipTime) {
   const auto cs = CompiledSchedule::compile(
       protocol::hypercube_schedule(3, Mode::kFullDuplex).expand(10));
   const int from_arrivals = gossip_completion_from_arrivals(arrival_times(cs));
-  const auto res = run_gossip(cs);
-  ASSERT_TRUE(res.complete);
-  EXPECT_EQ(from_arrivals, res.completion_round);
+  ASSERT_GT(from_arrivals, 0);
+  EXPECT_EQ(from_arrivals, gossip_time(cs, cs.round_count()));
 }
 
 TEST(BroadcastSim, ArrivalCompletionMinusOneWhenUnserved) {
@@ -167,7 +166,7 @@ TEST(BroadcastSim, ArrivalCompletionMinusOneWhenUnserved) {
 TEST(BroadcastSim, GossipImpliesBroadcastFromEverySource) {
   const auto cs = CompiledSchedule::compile(
       protocol::path_schedule(6, Mode::kHalfDuplex).expand(40));
-  ASSERT_TRUE(run_gossip(cs).complete);
+  ASSERT_GE(gossip_time(cs, cs.round_count()), 0);
   for (int src = 0; src < 6; ++src) {
     const auto reach = broadcast_reach(cs, src);
     for (int v = 0; v < 6; ++v) EXPECT_NE(reach[static_cast<std::size_t>(v)], -1);

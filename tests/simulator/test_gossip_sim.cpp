@@ -16,14 +16,39 @@ using protocol::Mode;
 using protocol::Protocol;
 using protocol::Round;
 
+/// One run stepped round by round with apply_round over the stored rounds
+/// (wrapping, like gossip_time) for max_rounds rounds or until complete:
+/// the per-vertex view a whole-run gossip_time does not report.
+struct SteppedRun {
+  int completion = -1;  // gossip time, -1 when the rounds ran out first
+  std::vector<int> vertex_completion;  // -1: never complete
+  std::vector<int> final_counts;
+};
+
+SteppedRun step_rounds(const CompiledSchedule& cs, int max_rounds,
+                       bool parallel = false) {
+  const int n = cs.n();
+  KnowledgeMatrix know(n);
+  SteppedRun run;
+  run.vertex_completion.assign(static_cast<std::size_t>(n), -1);
+  for (int i = 1; i <= max_rounds && run.completion < 0; ++i) {
+    apply_round(know, cs, (i - 1) % cs.round_count(), parallel);
+    for (int v = 0; v < n; ++v)
+      if (run.vertex_completion[static_cast<std::size_t>(v)] == -1 &&
+          know.row_full(v))
+        run.vertex_completion[static_cast<std::size_t>(v)] = i;
+    if (know.all_full()) run.completion = i;
+  }
+  for (int v = 0; v < n; ++v) run.final_counts.push_back(know.count(v));
+  return run;
+}
+
 TEST(GossipSim, TwoVerticesHalfDuplexNeedsTwoRounds) {
   Protocol p;
   p.n = 2;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}, {{{1, 0}}}};
-  const auto res = run_gossip(CompiledSchedule::compile(p));
-  EXPECT_TRUE(res.complete);
-  EXPECT_EQ(res.completion_round, 2);
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.length()), 2);
 }
 
 TEST(GossipSim, TwoVerticesFullDuplexNeedsOneRound) {
@@ -31,9 +56,7 @@ TEST(GossipSim, TwoVerticesFullDuplexNeedsOneRound) {
   p.n = 2;
   p.mode = Mode::kFullDuplex;
   p.rounds = {{{{0, 1}, {1, 0}}}};
-  const auto res = run_gossip(CompiledSchedule::compile(p));
-  EXPECT_TRUE(res.complete);
-  EXPECT_EQ(res.completion_round, 1);
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.length()), 1);
 }
 
 TEST(GossipSim, IncompleteProtocolReported) {
@@ -41,10 +64,11 @@ TEST(GossipSim, IncompleteProtocolReported) {
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}};
-  const auto res = run_gossip(CompiledSchedule::compile(p));
-  EXPECT_FALSE(res.complete);
-  EXPECT_EQ(res.final_counts[1], 2);
-  EXPECT_EQ(res.final_counts[2], 1);
+  const auto cs = CompiledSchedule::compile(p);
+  EXPECT_EQ(gossip_time(cs, p.length()), -1);
+  const auto run = step_rounds(cs, p.length());
+  EXPECT_EQ(run.final_counts[1], 2);
+  EXPECT_EQ(run.final_counts[2], 1);
 }
 
 TEST(GossipSim, HalfDuplexRoundSemantics) {
@@ -53,8 +77,6 @@ TEST(GossipSim, HalfDuplexRoundSemantics) {
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
   p.rounds = {{{{0, 1}}}, {{{1, 2}}}};
-  const auto res = run_gossip(CompiledSchedule::compile(p));
-  EXPECT_TRUE(res.final_counts[2] >= 2);  // knows items 1 and 2 at least
   const auto cs = CompiledSchedule::compile(p);
   KnowledgeMatrix k(3);
   apply_round(k, cs, 0);
@@ -62,6 +84,7 @@ TEST(GossipSim, HalfDuplexRoundSemantics) {
   EXPECT_FALSE(k.knows(2, 0));
   apply_round(k, cs, 1);
   EXPECT_TRUE(k.knows(2, 0));
+  EXPECT_EQ(k.count(2), 3);  // items 0, 1 and its own
 }
 
 TEST(GossipSim, FullDuplexPairSwapsKnowledge) {
@@ -77,21 +100,16 @@ TEST(GossipSim, FullDuplexPairSwapsKnowledge) {
   EXPECT_TRUE(k.knows(0, 1));
 }
 
-TEST(GossipSim, TrackCompletionRecordsRounds) {
-  const auto sched = protocol::path_schedule(5, Mode::kHalfDuplex);
-  const auto p = sched.expand(60);
-  GossipOptions opts;
-  opts.track_completion = true;
-  const auto res = run_gossip(CompiledSchedule::compile(p), opts);
-  ASSERT_TRUE(res.complete);
-  ASSERT_EQ(res.vertex_completion.size(), 5u);
-  int max_completion = 0;
-  for (int v = 0; v < 5; ++v) {
-    EXPECT_GE(res.vertex_completion[static_cast<std::size_t>(v)], 1);
-    max_completion =
-        std::max(max_completion, res.vertex_completion[static_cast<std::size_t>(v)]);
-  }
-  EXPECT_EQ(max_completion, res.completion_round);
+TEST(GossipSim, LastVertexCompletesAtTheGossipTime) {
+  const auto cs = CompiledSchedule::compile(
+      protocol::path_schedule(5, Mode::kHalfDuplex).expand(60));
+  const auto run = step_rounds(cs, cs.round_count());
+  ASSERT_EQ(run.vertex_completion.size(), 5u);
+  for (int round : run.vertex_completion) EXPECT_GE(round, 1);
+  EXPECT_EQ(*std::max_element(run.vertex_completion.begin(),
+                              run.vertex_completion.end()),
+            run.completion);
+  EXPECT_EQ(gossip_time(cs, cs.round_count()), run.completion);
 }
 
 TEST(GossipSim, EarlyExitOnceComplete) {
@@ -99,9 +117,7 @@ TEST(GossipSim, EarlyExitOnceComplete) {
   p.n = 2;
   p.mode = Mode::kFullDuplex;
   for (int i = 0; i < 50; ++i) p.rounds.push_back({{{0, 1}, {1, 0}}});
-  const auto res = run_gossip(CompiledSchedule::compile(p));
-  EXPECT_TRUE(res.complete);
-  EXPECT_EQ(res.rounds_executed, 1);
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.length()), 1);
 }
 
 TEST(GossipSim, ParallelMatchesSerial) {
@@ -184,22 +200,18 @@ TEST(GossipSim, CompiledMatchesNaiveSimulator) {
     par.parallel = true;
     EXPECT_EQ(gossip_time(cs, 1 << 12, par), want.completion);
 
-    GossipOptions track;
-    track.track_completion = true;
-    const auto got = run_gossip(
-        CompiledSchedule::compile(sched.expand(want.completion)), track);
-    EXPECT_TRUE(got.complete);
-    EXPECT_EQ(got.rounds_executed, want.completion);
-    EXPECT_EQ(got.completion_round, want.completion);
-    EXPECT_EQ(got.vertex_completion, want.vertex_completion);
-    EXPECT_EQ(got.final_counts, want.final_counts);
+    for (const bool parallel : {false, true}) {
+      const auto got = step_rounds(cs, want.completion, parallel);
+      EXPECT_EQ(got.completion, want.completion);
+      EXPECT_EQ(got.vertex_completion, want.vertex_completion);
+      EXPECT_EQ(got.final_counts, want.final_counts);
 
-    const NaiveRun cut = naive_gossip(sched, want.completion - 1);
-    const auto partial =
-        run_gossip(CompiledSchedule::compile(sched.expand(want.completion - 1)));
-    EXPECT_FALSE(partial.complete);
-    EXPECT_EQ(partial.rounds_executed, want.completion - 1);
-    EXPECT_EQ(partial.final_counts, cut.final_counts);
+      const NaiveRun cut = naive_gossip(sched, want.completion - 1);
+      const auto partial = step_rounds(cs, want.completion - 1, parallel);
+      EXPECT_EQ(partial.completion, -1);
+      EXPECT_EQ(partial.vertex_completion, cut.vertex_completion);
+      EXPECT_EQ(partial.final_counts, cut.final_counts);
+    }
   }
 }
 
@@ -222,14 +234,6 @@ TEST(GossipSim, CompileRejectsNonMatchingRounds) {
     EXPECT_THROW((void)CompiledSchedule::compile(sched.expand(4)),
                  std::invalid_argument);
   }
-}
-
-TEST(GossipSim, CompiledRunGossipRejectsPeriodicSchedules) {
-  // One period is not a run: periodic compiled schedules go through
-  // gossip_time, finite protocols through run_gossip.
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  EXPECT_THROW((void)run_gossip(CompiledSchedule::compile(sched)),
-               std::invalid_argument);
 }
 
 TEST(GossipSim, CompiledFiniteProtocolStopsAtItsLength) {

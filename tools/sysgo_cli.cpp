@@ -208,15 +208,16 @@ int cmd_bound(int argc, char** argv) {
   const int s = std::strcmp(argv[0], "inf") == 0
                     ? sysgo::core::kUnboundedPeriod
                     : sysgo::util::parse_int_in(argv[0], "<s>", {3, 1 << 30});
-  const std::string mode = argc >= 2 ? argv[1] : "half";
-  if (mode != "half" && mode != "full")
-    throw std::invalid_argument("bound: duplex must be half or full, got '" +
-                                mode + "'");
-  const auto duplex = mode == "full" ? sysgo::core::Duplex::kFull
-                                     : sysgo::core::Duplex::kHalf;
-  const double lam = sysgo::core::lambda_star(s, duplex);
+  const auto mode = argc >= 2 ? sysgo::protocol::parse_mode_token(argv[1])
+                              : sysgo::protocol::Mode::kHalfDuplex;
+  if (!mode)
+    throw std::invalid_argument(
+        "bound: duplex must be half or full, got '" + std::string(argv[1]) +
+        "'");
+  const double lam =
+      sysgo::core::lambda_star(s, sysgo::engine::duplex_of(*mode));
   std::printf("s=%s duplex=%s lambda*=%.9f e(s)=%.6f\n", argv[0],
-              duplex == sysgo::core::Duplex::kFull ? "full" : "half", lam,
+              sysgo::protocol::mode_token(*mode).data(), lam,
               sysgo::core::e_coefficient(lam));
   return 0;
 }
@@ -922,18 +923,15 @@ int cmd_trace(int argc, char** argv) {
 
 int cmd_kernels(int argc, char** argv) {
   using sysgo::simulator::KernelKind;
-  const auto parse_kind = [](const std::string& name) {
-    for (int k = 0; k < sysgo::simulator::kKernelKindCount; ++k)
-      if (name == sysgo::simulator::kernel_name(static_cast<KernelKind>(k)))
-        return static_cast<KernelKind>(k);
-    throw std::invalid_argument("unknown kernel: " + name +
-                                " (expected scalar, avx2, or avx512)");
-  };
   if (argc >= 1 && std::strcmp(argv[0], "--have") == 0) {
     if (argc < 2) return usage();
+    const auto kind = sysgo::simulator::parse_kernel_name(argv[1]);
+    if (!kind)
+      throw std::invalid_argument("unknown kernel: " + std::string(argv[1]) +
+                                  " (expected scalar, avx2, or avx512)");
     // Quiet gate for scripting: exit 0 iff the kernel can actually run
     // here (compiled in AND the CPU has the ISA).
-    return sysgo::simulator::kernel_supported(parse_kind(argv[1])) ? 0 : 1;
+    return sysgo::simulator::kernel_supported(*kind) ? 0 : 1;
   }
   if (argc != 0) return usage();
   const KernelKind active = sysgo::simulator::active_kernel();
