@@ -106,7 +106,7 @@ void BM_SimulateKernel(benchmark::State& state, const Member& m,
   const auto cs = CompiledSchedule::compile(m.schedule);
   const int t = sysgo::simulator::gossip_time(cs, 1 << 20);
   const double merges_per_run =
-      t > 0 ? static_cast<double>(cs.arc_total()) * t / cs.round_count() : 0.0;
+      t > 0 ? static_cast<double>(cs.arc_total()) * t / cs.period_length() : 0.0;
   double merges = 0.0;
   for (auto _ : state) {
     const int rounds = sysgo::simulator::gossip_time(cs, 1 << 20);

@@ -27,10 +27,9 @@ int main() {
     const auto res = search::solve(g, opts);
     std::printf("%s: optimal gossip time = %d rounds (%zu states explored)\n",
                 label, res.rounds, res.states_explored);
-    protocol::Protocol witness;
-    witness.n = g.vertex_count();
-    witness.mode = mode;
-    witness.rounds = res.witness;
+    // The res.rounds-round witness as the schedule whose period is those
+    // rounds: `sysgo simulate` runs it to the optimum.
+    const protocol::SystolicSchedule witness{g.vertex_count(), mode, res.witness};
     std::printf("an optimal protocol:\n%s\n", io::serialize(witness).c_str());
   }
 

@@ -2,8 +2,8 @@
 // report size/degree/diameter, verify its Lemma 3.1 separator empirically,
 // and print the Theorem 5.1 coefficients the separator yields.
 //
-// The per-family work runs through the sweep engine: one explicit scenario
-// key per family with separator-check and bound tasks, instead of a
+// The per-family work runs through the sweep engine: one hand-built job
+// list with a separator check and two bounds per family, instead of a
 // hand-rolled loop over constructors.
 //
 //   $ ./topology_explorer
@@ -29,14 +29,18 @@ int main() {
       {Family::kKautz, 5},
   };
 
-  engine::ScenarioSpec spec;
-  for (const auto& [family, D] : members)
-    spec.explicit_keys.push_back({family, 2, D, protocol::Mode::kHalfDuplex});
-  spec.tasks = {Task::kSeparatorCheck, Task::kBound};
-  spec.periods = {4, core::kUnboundedPeriod};
+  // Per member: the separator check at its dimension, then the asymptotic
+  // bounds (keyed at D = 0) at s = 4 and s = inf.
+  constexpr auto kHalf = protocol::Mode::kHalfDuplex;
+  std::vector<engine::SweepJob> jobs;
+  for (const auto& [family, D] : members) {
+    jobs.push_back({{family, 2, D, kHalf}, Task::kSeparatorCheck, 0});
+    jobs.push_back({{family, 2, 0, kHalf}, Task::kBound, 4});
+    jobs.push_back({{family, 2, 0, kHalf}, Task::kBound, core::kUnboundedPeriod});
+  }
 
   engine::SweepRunner runner;
-  const auto records = runner.run(spec);
+  const auto records = runner.run_jobs(jobs);
 
   // Per key: a separator-check record, then bound records at s=4 and s=∞.
   util::Table table({"network", "D", "n", "diam", "sep dist", "min|Vi|",

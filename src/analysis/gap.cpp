@@ -55,18 +55,16 @@ double local_norm(const LocalRounds& lr, int s, double lambda) {
   return linalg::operator_norm(local_matrix(lr, s, lambda)).value;
 }
 
-void check_args(const protocol::CompiledSchedule& cs, double lambda,
-                const char* who) {
+void check_lambda(double lambda, const char* who) {
   if (!(lambda > 0.0 && lambda < 1.0))
     throw std::invalid_argument(std::string(who) + ": need 0 < lambda < 1");
-  cs.require_periodic(who);  // the window spans `periods` periods
 }
 
 }  // namespace
 
 double exact_local_norm(const protocol::CompiledSchedule& cs, int vertex,
                         double lambda, int periods) {
-  check_args(cs, lambda, "exact_local_norm");
+  check_lambda(lambda, "exact_local_norm");
   // A vertex outside the network matches no activation and has norm 0.
   if (vertex < 0 || vertex >= cs.n()) return 0.0;
   const auto lr = local_rounds(cs, periods * cs.period_length());
@@ -76,7 +74,7 @@ double exact_local_norm(const protocol::CompiledSchedule& cs, int vertex,
 
 std::vector<VertexGapRow> audit_gap_report(const protocol::CompiledSchedule& cs,
                                            double lambda, int periods) {
-  check_args(cs, lambda, "audit_gap_report");
+  check_lambda(lambda, "audit_gap_report");
   const auto acts = core::vertex_activities(cs);
   const auto lr = local_rounds(cs, periods * cs.period_length());
   std::vector<VertexGapRow> rows;

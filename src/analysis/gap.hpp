@@ -3,8 +3,8 @@
 // the delay digraph (a window of w periods), compute its norm by power
 // iteration, and compare with the per-vertex analytic bound the auditor
 // certifies.  The DESIGN.md ablation "exact local norm vs Lemma 4.3".
-// Both entries take a periodic CompiledSchedule (the window spans whole
-// periods), compiled once by the caller.
+// Both entries take a CompiledSchedule (the window spans whole periods),
+// compiled once by the caller.
 #pragma once
 
 #include <vector>

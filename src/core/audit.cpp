@@ -16,7 +16,7 @@ std::vector<VertexActivity> vertex_activities(
     const protocol::CompiledSchedule& cs) {
   std::vector<VertexActivity> acts(static_cast<std::size_t>(cs.n()));
   const bool full = cs.mode() == protocol::Mode::kFullDuplex;
-  for (int r = 0; r < cs.round_count(); ++r) {
+  for (int r = 0; r < cs.period_length(); ++r) {
     // A round is a matching, so a vertex is an endpoint of at most one arc
     // (half duplex) or pair (full duplex): one entry per active round, in
     // round order.
@@ -114,15 +114,11 @@ double vertex_norm_bound(const VertexActivity& activity, int s, double lambda,
 }
 
 double audit_norm_bound(const protocol::CompiledSchedule& cs, double lambda) {
-  // The audit's period reading is only meaningful for periodic schedules;
-  // a compiled finite protocol (possibly empty) must not masquerade as one.
-  cs.require_periodic("audit_norm_bound");
   return norm_bound_from_activities(activity_classes(cs).summaries,
                                     cs.period_length(), lambda, cs.mode());
 }
 
 AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
-  cs.require_periodic("audit_schedule");
   const int s = cs.period_length();
   if (s < 3) return {-1.0, -1.0, -1, -1};  // Theorem 4.1 needs s >= 3
   AuditResult res;
@@ -162,7 +158,6 @@ AuditResult audit_schedule(const protocol::CompiledSchedule& cs) {
 
 SeparatorAuditResult audit_schedule_with_separator(
     const protocol::CompiledSchedule& cs, int distance, std::size_t min_size) {
-  cs.require_periodic("audit_schedule_with_separator");
   if (distance < 1 || min_size == 0)
     throw std::invalid_argument(
         "audit_schedule_with_separator: need distance >= 1, min_size >= 1");

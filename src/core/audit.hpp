@@ -1,6 +1,6 @@
 // Protocol auditor: a certified lower bound for a *concrete* systolic
-// schedule via Theorem 4.1.  Every entry takes a periodic CompiledSchedule,
-// the one validated form (the caller compiles once).
+// schedule via Theorem 4.1.  Every entry takes a CompiledSchedule, the one
+// validated form (the caller compiles once).
 //
 // For each vertex x the schedule fixes the per-period activation pattern;
 // Lemma 4.2/4.3 bound the local norm from the per-period left/right
@@ -86,8 +86,7 @@ struct AuditResult {
 /// sit at the bisection's upper end and the round count built from it is
 /// not a lower bound (C6 full duplex at period 2 gossips in 3 rounds; it
 /// would "certify" 4).  The activity classes are derived once and reused
-/// across the whole λ bisection.  Like every audit entry point, it throws
-/// std::invalid_argument for a finite (non-periodic) compiled schedule.
+/// across the whole λ bisection.
 [[nodiscard]] AuditResult audit_schedule(const protocol::CompiledSchedule& cs);
 
 /// Theorem 5.1 applied to a concrete schedule and a concrete separator:

@@ -8,7 +8,6 @@ namespace sysgo::core {
 
 DelayDigraph::DelayDigraph(const protocol::CompiledSchedule& cs, int t)
     : s_(cs.period_length()) {
-  cs.require_periodic("DelayDigraph");
   if (s_ < 2) throw std::invalid_argument("DelayDigraph: period must be >= 2");
   for (int i = 1; i <= t; ++i)
     for (const auto& a : cs.round_arcs(cs.round_index(i)))

@@ -6,9 +6,9 @@
 // then (y, z) at round j.  Delays of s or more repeat an already-represented
 // activation, hence the window.
 //
-// The one build path reads the flat arc spans of a periodic
-// CompiledSchedule, so every activation it links has endpoints that
-// compile checked against [0, n).
+// The one build path reads the flat arc spans of a CompiledSchedule, so
+// every activation it links has endpoints that compile checked against
+// [0, n).
 #pragma once
 
 #include <utility>
@@ -36,10 +36,9 @@ struct DelayArc {
 
 class DelayDigraph {
  public:
-  /// Build the first t rounds of a compiled periodic schedule with
-  /// s = period length (s >= 2; std::invalid_argument otherwise, or for a
-  /// finite compiled protocol).  Activations appear round by round in
-  /// canonical (per-round sorted) arc order.
+  /// Build the first t rounds of a compiled schedule with s = period
+  /// length (s >= 2; std::invalid_argument otherwise).  Activations appear
+  /// round by round in canonical (per-round sorted) arc order.
   DelayDigraph(const protocol::CompiledSchedule& cs, int t);
 
   [[nodiscard]] int period() const noexcept { return s_; }

@@ -78,22 +78,17 @@ std::vector<Family> registry_families() {
 }
 
 std::vector<SweepJob> ScenarioSpec::expand() const {
-  std::vector<ScenarioKey> keys = explicit_keys;
-  if (keys.empty()) {
-    const std::vector<int> dims = dimensions.empty() ? std::vector<int>{0}
-                                                     : dimensions;
-    for (Family f : families)
-      for (int d : degrees)
-        for (int D : dims)
-          for (protocol::Mode m : modes) keys.push_back({f, d, D, m});
-  }
+  std::vector<ScenarioKey> keys;
+  const std::vector<int> dims = dimensions.empty() ? std::vector<int>{0}
+                                                   : dimensions;
+  for (Family f : families)
+    for (int d : degrees)
+      for (int D : dims)
+        for (protocol::Mode m : modes) keys.push_back({f, d, D, m});
 
-  // Grid expansion emits asymptotic tasks once per (family, d, mode, task,
-  // period) with D normalized to 0, regardless of how many dimensions the
-  // grid crosses them with.  Explicit keys skip the dedup so every key
-  // produces the same task-shaped record group — consumers index explicit
-  // sweeps by a fixed per-key stride.
-  const bool dedup = explicit_keys.empty();
+  // Asymptotic tasks are emitted once per (family, d, mode, task, period)
+  // with D normalized to 0, regardless of how many dimensions the grid
+  // crosses them with.
   std::set<std::tuple<Family, int, int, Task, int>> seen_asymptotic;
   std::vector<SweepJob> jobs;
   for (const ScenarioKey& key : keys) {
@@ -106,13 +101,11 @@ std::vector<SweepJob> ScenarioSpec::expand() const {
       base.D = 0;
       const std::vector<int> ss =
           task == Task::kBound ? periods : std::vector<int>{0};
-      for (int s : ss) {
-        if (!dedup ||
-            seen_asymptotic
+      for (int s : ss)
+        if (seen_asymptotic
                 .emplace(base.family, base.d, static_cast<int>(base.mode), task, s)
                 .second)
           jobs.push_back({base, task, s});
-      }
     }
   }
   return jobs;

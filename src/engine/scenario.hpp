@@ -104,14 +104,11 @@ struct ExecutionLimits {
 /// Declarative sweep grid.
 ///
 /// expand() order is deterministic: family (outer) → degree → dimension →
-/// mode → task (spec order) → period (innermost, kBound only).  Grid
-/// expansion emits asymptotic tasks once per (family, d, mode) — at the
-/// first dimension — while explicit keys emit every task for every key so
-/// per-key record groups keep a uniform stride.  When `explicit_keys` is
-/// non-empty it replaces the family×degree×dimension×mode grid (task ×
-/// period expansion still applies per key).  An empty `dimensions` list
-/// means "asymptotic tasks only": keys get D = 0 and dimension-dependent
-/// tasks are skipped.
+/// mode → task (spec order) → period (innermost, kBound only).  Asymptotic
+/// tasks are emitted once per (family, d, mode) — at the first dimension.
+/// An empty `dimensions` list means "asymptotic tasks only": keys get D = 0
+/// and dimension-dependent tasks are skipped.  A caller that needs another
+/// job shape builds its SweepJob list and runs SweepRunner::run_jobs.
 struct ScenarioSpec {
   std::vector<topology::Family> families;
   std::vector<int> degrees;
@@ -119,7 +116,6 @@ struct ScenarioSpec {
   std::vector<protocol::Mode> modes{protocol::Mode::kHalfDuplex};
   std::vector<int> periods;  // for kBound; may include core::kUnboundedPeriod
   std::vector<Task> tasks;
-  std::vector<ScenarioKey> explicit_keys;
   ExecutionLimits limits;
 
   [[nodiscard]] std::vector<SweepJob> expand() const;
@@ -156,7 +152,9 @@ struct SweepRecord {
   int rounds = -1;      // simulate: measured gossip time; audit: certified
                         // round lower bound; solve-*: exact optimum, or -1
                         // (see budget; states/group are also -1 when the
-                        // member was oversized (n > 12)); -1 for every
+                        // member was oversized (n > 12)); synth: best
+                        // schedule's gossip time (-1 with objective/
+                        // restarts/accepted for n > 4,096); -1 for every
                         // task on an unbuildable member (n = 0)
   int diameter = -1;          // separator task
   int sep_distance = -1;      // separator task: BFS-verified distance

@@ -171,6 +171,15 @@ SweepRecord SweepRunner::run_job_impl(const SweepJob& job,
       return r;
     }
   }
+  // A member above the solver's or the synthesizer's vertex limit yields a
+  // sentinel record instead of killing the whole sweep: n set, the task's
+  // result fields left at -1, no graph or schedule built.
+  const auto oversized = [&](int limit) {
+    if (order <= limit) return false;
+    r.n = static_cast<int>(
+        std::min<std::int64_t>(order, std::numeric_limits<int>::max()));
+    return true;
+  };
   switch (job.task) {
     case Task::kBound: {
       const auto params = separator::lemma31_params(job.key.family, job.key.d);
@@ -226,14 +235,8 @@ SweepRecord SweepRunner::run_job_impl(const SweepJob& job,
     }
     case Task::kSolveGossip:
     case Task::kSolveBroadcast: {
-      // Oversized members (n > 12) yield a sentinel record (rounds/states/
-      // group all -1) instead of killing the whole sweep, with no graph or
-      // schedule built.
-      if (order > search::kMaxVertices) {
-        r.n = static_cast<int>(
-            std::min<std::int64_t>(order, std::numeric_limits<int>::max()));
-        break;
-      }
+      // Oversized members (n > 12): rounds/states/group all -1.
+      if (oversized(search::kMaxVertices)) break;
       // Solvable members are tiny (n <= 12): build just the graph, not the
       // artifact bundle — its edge-coloring schedule is never read here.
       const auto g = topology::make_family(job.key.family, job.key.d, job.key.D,
@@ -255,6 +258,9 @@ SweepRecord SweepRunner::run_job_impl(const SweepJob& job,
       break;
     }
     case Task::kSynthesize: {
+      // Oversized members (n > 4,096): rounds/objective/restarts/accepted
+      // all -1.
+      if (oversized(synth::kMaxVertices)) break;
       // Build just the graph: the artifact bundle's edge-coloring schedule
       // would go unused (the synthesizer derives its own warm starts).
       const auto g = topology::make_family(job.key.family, job.key.d,

@@ -34,14 +34,6 @@ Mode parse_mode(const std::string& word, int line_no) {
   fail(line_no, "unknown mode '" + word + "'");
 }
 
-void serialize_rounds(std::ostringstream& out, const std::vector<protocol::Round>& rounds) {
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    out << "round " << (i + 1) << ":";
-    for (const auto& a : rounds[i].arcs) out << ' ' << a.tail << '>' << a.head;
-    out << '\n';
-  }
-}
-
 // One "tail>head" arc; both endpoints are checked integers in [0, n).
 graph::Arc parse_arc(const std::string& arc, int n, int line_no) {
   const auto sep = arc.find('>');
@@ -55,11 +47,38 @@ graph::Arc parse_arc(const std::string& arc, int n, int line_no) {
   return {tail, head};
 }
 
-// Shared body parser: returns rounds after the header lines.  Each line is
-// "round <k>: <arc>...", rounds consecutive from 1.
-std::vector<protocol::Round> parse_rounds(std::istringstream& in, int n) {
-  std::vector<protocol::Round> rounds;
+}  // namespace
+
+std::string serialize(const protocol::SystolicSchedule& s) {
+  std::ostringstream out;
+  out << "sysgo-schedule v1\n";
+  out << "n " << s.n << " mode " << protocol::mode_token(s.mode) << '\n';
+  for (std::size_t i = 0; i < s.period.size(); ++i) {
+    out << "round " << (i + 1) << ":";
+    for (const auto& a : s.period[i].arcs) out << ' ' << a.tail << '>' << a.head;
+    out << '\n';
+  }
+  return out.str();
+}
+
+// Line 1 is "sysgo-schedule v1"; line 2 is "n <n> mode <half|full>"; each
+// later non-empty line is "round <k>: <arc>...", rounds consecutive from 1.
+protocol::SystolicSchedule parse_schedule(const std::string& text) {
+  std::istringstream in(text);
   std::string line;
+  std::getline(in, line);
+  const auto magic = tokens(line);
+  if (magic.size() != 2 || magic[0] != "sysgo-schedule" || magic[1] != "v1")
+    fail(1, "not a schedule v1 document");
+  std::getline(in, line);
+  const auto fields = tokens(line);
+  if (fields.size() != 4 || fields[0] != "n" || fields[2] != "mode")
+    fail(2, "malformed header, expected 'n <n> mode <half|full>'");
+  protocol::SystolicSchedule s;
+  s.n = util::parse_int_in(fields[1], at_line(2) + ": n",
+                           {1, kMaxTextVertices});
+  s.mode = parse_mode(fields[3], 2);
+
   int line_no = 2;
   while (std::getline(in, line)) {
     ++line_no;
@@ -70,76 +89,14 @@ std::vector<protocol::Round> parse_rounds(std::istringstream& in, int n) {
       fail(line_no, "expected 'round <k>:'");
     const int round_no =
         util::parse_int(head[1], at_line(line_no) + ": round number");
-    if (round_no != static_cast<int>(rounds.size()) + 1)
+    if (round_no != s.period_length() + 1)
       fail(line_no, "rounds must be consecutive from 1");
     protocol::Round round;
     for (const std::string& arc : tokens(line.substr(colon + 1)))
-      round.arcs.push_back(parse_arc(arc, n, line_no));
+      round.arcs.push_back(parse_arc(arc, s.n, line_no));
     round.canonicalize();
-    rounds.push_back(std::move(round));
+    s.period.push_back(std::move(round));
   }
-  return rounds;
-}
-
-// Line 1 is "<magic> v1"; line 2 is "n <n> mode <half|full>".
-struct Header {
-  int n = 0;
-  Mode mode = Mode::kHalfDuplex;
-};
-
-Header parse_header_lines(std::istringstream& in, const std::string& expected_magic,
-                          const std::string& text_kind) {
-  std::string line;
-  std::getline(in, line);
-  const auto magic = tokens(line);
-  if (magic.size() != 2 || magic[0] != expected_magic || magic[1] != "v1")
-    fail(1, "not a " + text_kind + " v1 document");
-  std::getline(in, line);
-  const auto fields = tokens(line);
-  if (fields.size() != 4 || fields[0] != "n" || fields[2] != "mode")
-    fail(2, "malformed header, expected 'n <n> mode <half|full>'");
-  Header h;
-  h.n = util::parse_int_in(fields[1], at_line(2) + ": n",
-                           {1, kMaxTextVertices});
-  h.mode = parse_mode(fields[3], 2);
-  return h;
-}
-
-}  // namespace
-
-std::string serialize(const protocol::Protocol& p) {
-  std::ostringstream out;
-  out << "sysgo-protocol v1\n";
-  out << "n " << p.n << " mode " << protocol::mode_token(p.mode) << '\n';
-  serialize_rounds(out, p.rounds);
-  return out.str();
-}
-
-std::string serialize(const protocol::SystolicSchedule& s) {
-  std::ostringstream out;
-  out << "sysgo-schedule v1\n";
-  out << "n " << s.n << " mode " << protocol::mode_token(s.mode) << '\n';
-  serialize_rounds(out, s.period);
-  return out.str();
-}
-
-protocol::Protocol parse_protocol(const std::string& text) {
-  std::istringstream in(text);
-  const auto h = parse_header_lines(in, "sysgo-protocol", "protocol");
-  protocol::Protocol p;
-  p.n = h.n;
-  p.mode = h.mode;
-  p.rounds = parse_rounds(in, h.n);
-  return p;
-}
-
-protocol::SystolicSchedule parse_schedule(const std::string& text) {
-  std::istringstream in(text);
-  const auto h = parse_header_lines(in, "sysgo-schedule", "schedule");
-  protocol::SystolicSchedule s;
-  s.n = h.n;
-  s.mode = h.mode;
-  s.period = parse_rounds(in, h.n);
   return s;
 }
 

@@ -67,13 +67,4 @@ SystolicSchedule random_systolic_schedule(const graph::Digraph& g, int s, Mode m
   return sched;
 }
 
-Protocol random_protocol(const graph::Digraph& g, int t, Mode mode, util::Rng& rng) {
-  Protocol p;
-  p.n = g.vertex_count();
-  p.mode = mode;
-  p.rounds.reserve(static_cast<std::size_t>(t));
-  for (int i = 0; i < t; ++i) p.rounds.push_back(random_round(g, mode, rng));
-  return p;
-}
-
 }  // namespace sysgo::protocol

@@ -3,8 +3,8 @@
 // * edge_coloring_schedule — the Liestman–Richards "periodic" construction:
 //   a proper edge coloring induces one (full-duplex) or two (half-duplex)
 //   rounds per color class.
-// * random_systolic_schedule / random_protocol — randomized matchings, used
-//   by property tests and as weak baselines.
+// * random_systolic_schedule — randomized matchings, used by property tests
+//   and as weak baselines.
 #pragma once
 
 #include "graph/digraph.hpp"
@@ -26,13 +26,10 @@ namespace sysgo::protocol {
 
 /// Random s-periodic schedule: each period round is a greedy matching over
 /// a shuffled arc pool of g.  Always structurally valid; completeness is
-/// whatever it is (property tests only).
+/// whatever it is (property tests only).  Run with a cap of s rounds, it is
+/// a random s-round protocol.
 [[nodiscard]] SystolicSchedule random_systolic_schedule(const graph::Digraph& g,
                                                         int s, Mode mode,
                                                         util::Rng& rng);
-
-/// Random non-periodic protocol of t rounds.
-[[nodiscard]] Protocol random_protocol(const graph::Digraph& g, int t, Mode mode,
-                                       util::Rng& rng);
 
 }  // namespace sysgo::protocol

@@ -16,17 +16,18 @@ namespace {
 
 }  // namespace
 
-CompiledSchedule CompiledSchedule::build(int n, Mode mode, bool periodic,
-                                         std::span<const Round> rounds,
-                                         const graph::Digraph* g) {
+CompiledSchedule CompiledSchedule::compile(const SystolicSchedule& s,
+                                           const graph::Digraph* g) {
+  const int n = s.n;
+  const Mode mode = s.mode;
+  const std::vector<Round>& rounds = s.period;
   if (n < 1) throw std::invalid_argument("CompiledSchedule: need n >= 1");
-  if (periodic && rounds.empty())
+  if (rounds.empty())
     throw std::invalid_argument("CompiledSchedule: empty period");
 
   CompiledSchedule cs;
   cs.n_ = n;
   cs.mode_ = mode;
-  cs.periodic_ = periodic;
   const std::size_t nr = rounds.size();
   cs.arc_begin_.reserve(nr + 1);
   if (mode == Mode::kFullDuplex) cs.pair_begin_.reserve(nr + 1);
@@ -62,28 +63,6 @@ CompiledSchedule CompiledSchedule::build(int n, Mode mode, bool periodic,
       cs.pair_begin_.push_back(static_cast<std::int32_t>(cs.pairs_.size()));
   }
   return cs;
-}
-
-void CompiledSchedule::require_periodic(const char* who) const {
-  if (!periodic_)
-    throw std::invalid_argument(std::string(who) +
-                                ": needs a periodic schedule");
-}
-
-void CompiledSchedule::require_finite(const char* who) const {
-  if (periodic_)
-    throw std::invalid_argument(std::string(who) +
-                                ": needs a compiled finite protocol");
-}
-
-CompiledSchedule CompiledSchedule::compile(const SystolicSchedule& s,
-                                           const graph::Digraph* g) {
-  return build(s.n, s.mode, /*periodic=*/true, s.period, g);
-}
-
-CompiledSchedule CompiledSchedule::compile(const Protocol& p,
-                                           const graph::Digraph* g) {
-  return build(p.n, p.mode, /*periodic=*/false, p.rounds, g);
 }
 
 }  // namespace sysgo::protocol

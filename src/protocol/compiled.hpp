@@ -1,11 +1,14 @@
 // Compiled schedule IR: the flat, pre-validated round representation every
 // executor consumes.
 //
-// Protocol / SystolicSchedule (Definitions 3.1/3.2) are authoring formats:
-// readable, mutable, pointer-chasing (one heap vector of arcs per round).
-// A CompiledSchedule is built from them exactly once and stores the rounds
-// as CSR-style arrays over one contiguous arc buffer, so executing a round
-// is one walk over a flat span instead of a pointer chase:
+// SystolicSchedule (Definition 3.2) is the authoring format: readable,
+// mutable, pointer-chasing (one heap vector of arcs per round).  A finite
+// t-round protocol (Definition 3.1) is the schedule whose period is its t
+// rounds, run with a cap of t rounds, so every compiled schedule is
+// periodic and no executor asks which kind it holds.  A CompiledSchedule is
+// built from a schedule exactly once and stores the period as CSR-style
+// arrays over one contiguous arc buffer, so executing a round is one walk
+// over a flat span instead of a pointer chase:
 //
 //   arcs_       one contiguous buffer of all rounds' arcs (canonical order)
 //   arc_begin_  per-round spans into arcs_ (round r = [begin[r], begin[r+1]))
@@ -18,12 +21,12 @@
 // in/out rounds) walks each round's arc or pair span once.
 //
 // compile() performs the structural validation all consumers used to repeat
-// — every round a matching in the schedule's mode, every arc present in the
-// network (when given), endpoints in range, full-duplex opposite pairs —
-// and a successfully constructed CompiledSchedule records that proof in the
-// type: the simulator, auditor, delay-digraph builder, gap analysis, sweep
-// engine and search witness checks all execute compiled rounds without
-// re-checking anything.
+// — a non-empty period, every round a matching in the schedule's mode,
+// every arc present in the network (when given), endpoints in range,
+// full-duplex opposite pairs — and a successfully constructed
+// CompiledSchedule records that proof in the type: the simulator, auditor,
+// delay-digraph builder, gap analysis, sweep engine and search witness
+// checks all execute compiled rounds without re-checking anything.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +35,6 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "protocol/protocol.hpp"
 #include "protocol/systolic.hpp"
 
 namespace sysgo::protocol {
@@ -41,7 +43,7 @@ class CompiledSchedule {
  public:
   CompiledSchedule() = default;
 
-  /// Compile a periodic schedule.  Throws std::invalid_argument when the
+  /// Compile a schedule.  Throws std::invalid_argument when the
   /// period is empty, an endpoint is out of [0, n), a round is not a
   /// matching in the schedule's mode (full-duplex additionally requires
   /// every arc's opposite), or — with g non-null — an activated arc is
@@ -49,35 +51,25 @@ class CompiledSchedule {
   [[nodiscard]] static CompiledSchedule compile(const SystolicSchedule& s,
                                                 const graph::Digraph* g = nullptr);
 
-  /// Compile a finite protocol (periodic() == false; round_count() may be
-  /// zero).  Same validation as the schedule overload.
-  [[nodiscard]] static CompiledSchedule compile(const Protocol& p,
-                                                const graph::Digraph* g = nullptr);
-
   [[nodiscard]] int n() const noexcept { return n_; }
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
-  /// Periodic schedules repeat their stored rounds forever; finite
-  /// protocols execute them once.
-  [[nodiscard]] bool periodic() const noexcept { return periodic_; }
 
-  /// Stored rounds: the period of a schedule, the length of a protocol.
-  [[nodiscard]] int round_count() const noexcept {
+  /// Stored rounds: the period length (the paper's s), at least 1 once
+  /// compiled.
+  [[nodiscard]] int period_length() const noexcept {
     return static_cast<int>(arc_begin_.size()) - 1;
   }
-  /// Alias of round_count() in the periodic reading (the paper's s).
-  [[nodiscard]] int period_length() const noexcept { return round_count(); }
 
-  /// Stored round executed at 1-based time step i: periodic schedules wrap,
-  /// finite protocols require i <= round_count().  Throws std::out_of_range
-  /// for steps outside the valid range (a negative step would otherwise
-  /// produce a negative C++ remainder and an out-of-bounds span).
+  /// Stored round executed at 1-based time step i: the period wraps.
+  /// Throws std::out_of_range for i < 1 (a negative step would otherwise
+  /// produce a negative C++ remainder and an out-of-bounds span) and on a
+  /// default-constructed schedule, whose empty period has no round.
   [[nodiscard]] int round_index(int step) const {
     if (step < 1)
       throw std::out_of_range("CompiledSchedule: step must be >= 1");
-    if (periodic_) return (step - 1) % round_count();
-    if (step > round_count())
-      throw std::out_of_range("CompiledSchedule: step beyond finite protocol");
-    return step - 1;
+    if (period_length() == 0)
+      throw std::out_of_range("CompiledSchedule: no compiled period");
+    return (step - 1) % period_length();
   }
 
   /// All arcs of stored round r, canonical (sorted, deduplicated) order.
@@ -98,29 +90,18 @@ class CompiledSchedule {
   /// Total arcs across all stored rounds.
   [[nodiscard]] std::size_t arc_total() const noexcept { return arcs_.size(); }
 
-  /// Precondition helpers for consumers that only make sense in one
-  /// reading: throw std::invalid_argument naming `who` unless the schedule
-  /// is periodic (resp. finite).
-  void require_periodic(const char* who) const;
-  void require_finite(const char* who) const;
-
-  /// Structural equality: same network size, mode, periodicity and per-round
-  /// arc sets.  Authored arc order does not matter (rounds are canonical);
-  /// the pair spans are determined by these fields.
+  /// Structural equality: same network size, mode and per-round arc sets.
+  /// Authored arc order does not matter (rounds are canonical); the pair
+  /// spans are determined by these fields.
   friend bool operator==(const CompiledSchedule& a, const CompiledSchedule& b) {
-    return a.n_ == b.n_ && a.mode_ == b.mode_ && a.periodic_ == b.periodic_ &&
+    return a.n_ == b.n_ && a.mode_ == b.mode_ &&
            a.arc_begin_ == b.arc_begin_ && a.arcs_ == b.arcs_;
   }
 
  private:
-  static CompiledSchedule build(int n, Mode mode, bool periodic,
-                                std::span<const Round> rounds,
-                                const graph::Digraph* g);
-
   int n_ = 0;
   Mode mode_ = Mode::kHalfDuplex;
-  bool periodic_ = false;
-  std::vector<std::int32_t> arc_begin_{0};  // size round_count() + 1
+  std::vector<std::int32_t> arc_begin_{0};  // size period_length() + 1
   std::vector<graph::Arc> arcs_;
   std::vector<std::int32_t> pair_begin_;  // full-duplex only
   std::vector<graph::Arc> pairs_;         // full-duplex only

@@ -1,9 +1,8 @@
 // Systolic schedules: a periodic sequence of rounds repeated for as long as
-// needed (Definition 3.2).  Schedules are the natural protocol authoring
-// unit; expand() turns them into a finite Protocol.
+// needed (Definition 3.2).  The one authoring form: a finite t-round
+// protocol ⟨A_1 … A_t⟩ is the schedule whose period is those t rounds, run
+// with a cap of t rounds, so it never wraps.
 #pragma once
-
-#include <stdexcept>
 
 #include "protocol/protocol.hpp"
 
@@ -17,17 +16,6 @@ struct SystolicSchedule {
   [[nodiscard]] int period_length() const noexcept {
     return static_cast<int>(period.size());
   }
-
-  /// The round active at (1-based) time step i.  An empty period has no
-  /// rounds to cycle through (i % 0 would be UB): fail loudly.
-  [[nodiscard]] const Round& round_at(int i) const {
-    if (period.empty())
-      throw std::logic_error("SystolicSchedule::round_at: empty period");
-    return period[static_cast<std::size_t>((i - 1) % period_length())];
-  }
-
-  /// Materialize the first t rounds as a Protocol.
-  [[nodiscard]] Protocol expand(int t) const;
 };
 
 }  // namespace sysgo::protocol

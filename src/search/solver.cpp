@@ -341,26 +341,23 @@ bool witness_valid(const graph::Digraph& g, const SolveOptions& opts,
   if (res.rounds < 0 ||
       static_cast<int>(res.witness.size()) != res.rounds)
     return false;
-  protocol::Protocol p;
-  p.n = g.vertex_count();
-  p.mode = opts.mode;
-  p.rounds = res.witness;
+  const int n = g.vertex_count();
+  const bool broadcast = opts.problem == Problem::kBroadcast;
+  if (broadcast && (opts.source < 0 || opts.source >= n)) return false;
+  // A 0-round witness has no period to compile; it reaches the goal exactly
+  // when the goal holds before any round, which is n == 1.
+  if (res.rounds == 0) return n == 1;
   protocol::CompiledSchedule cs;
   try {
-    cs = protocol::CompiledSchedule::compile(p, &g);
+    cs = protocol::CompiledSchedule::compile({n, opts.mode, res.witness}, &g);
   } catch (const std::invalid_argument&) {
     return false;  // not matchings of the right mode / arcs outside g
   }
-  if (opts.problem == Problem::kGossip)
-    return simulator::gossip_time(cs, cs.round_count()) == res.rounds;
-  if (opts.source < 0 || opts.source >= g.vertex_count()) return false;
-  const auto reach = simulator::broadcast_reach(cs, opts.source);
-  int worst = 0;
-  for (int t : reach) {
-    if (t < 0) return false;
-    worst = std::max(worst, t);
-  }
-  return worst == res.rounds;
+  // The witness is one period run for res.rounds rounds, so it never wraps.
+  const int done = broadcast
+                       ? simulator::broadcast_time(cs, opts.source, res.rounds)
+                       : simulator::gossip_time(cs, res.rounds);
+  return done == res.rounds;
 }
 
 }  // namespace sysgo::search

@@ -84,12 +84,13 @@ struct SolveResult {
                                 const SolveOptions& opts = {});
 
 /// Check a recorded witness through the shared compiled execution path: the
-/// witness must have exactly res.rounds rounds, compile against g (every
-/// round a matching in opts.mode, every arc present in the network), and
-/// its compiled execution must achieve the problem's goal in exactly
-/// res.rounds rounds (gossip: all-pairs completion; broadcast: opts.source's
-/// item everywhere).  False when any of that fails or no witness was
-/// recorded.
+/// witness must have exactly res.rounds rounds, compile against g as the
+/// schedule whose period is those rounds (every round a matching in
+/// opts.mode, every arc present in the network), and its run capped at
+/// res.rounds rounds must achieve the problem's goal in exactly res.rounds
+/// rounds (gossip: all-pairs completion; broadcast: opts.source's item
+/// everywhere).  A 0-round witness is valid exactly when n == 1.  False
+/// when any of that fails or no witness was recorded.
 [[nodiscard]] bool witness_valid(const graph::Digraph& g,
                                  const SolveOptions& opts,
                                  const SolveResult& res);

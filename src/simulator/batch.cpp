@@ -25,7 +25,7 @@ int gossip_time(const protocol::CompiledSchedule& cs, int max_rounds,
   for (int first = 0; first < n; first += width) {
     KnowledgeMatrix& know = arena.acquire(n, first, std::min(width, n - first));
     const int t = run_periodic(
-        cs.round_count(), cs.periodic(), max_rounds,
+        cs.period_length(), max_rounds,
         [&](int r, int) { return apply_round(know, cs, r, opts.parallel); },
         [&] { return know.all_full(); });
     if (t < 0) return -1;

@@ -19,7 +19,7 @@ int run_reach(const protocol::CompiledSchedule& cs, int src, int max_rounds,
   reach[static_cast<std::size_t>(src)] = 0;
   int informed = 1;
   return run_periodic(
-      cs.round_count(), cs.periodic(), max_rounds,
+      cs.period_length(), max_rounds,
       [&](int r, int round_no) {
         // Compiled rounds are matchings: a vertex informed by this round's
         // arc has no other arc to forward along in the same round (a
@@ -40,10 +40,10 @@ int run_reach(const protocol::CompiledSchedule& cs, int src, int max_rounds,
 
 }  // namespace
 
-std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs, int src) {
-  cs.require_finite("broadcast_reach");  // periodic goes through broadcast_time
+std::vector<int> broadcast_reach(const protocol::CompiledSchedule& cs, int src,
+                                 int max_rounds) {
   std::vector<int> reach;
-  (void)run_reach(cs, src, cs.round_count(), reach);
+  (void)run_reach(cs, src, max_rounds, reach);
   return reach;
 }
 
@@ -52,10 +52,12 @@ int broadcast_time(const protocol::CompiledSchedule& cs, int src, int max_rounds
   return run_reach(cs, src, max_rounds, reach);
 }
 
-std::vector<std::vector<int>> arrival_times(const protocol::CompiledSchedule& cs) {
+std::vector<std::vector<int>> arrival_times(const protocol::CompiledSchedule& cs,
+                                            int max_rounds) {
   std::vector<std::vector<int>> out;
   out.reserve(static_cast<std::size_t>(cs.n()));
-  for (int src = 0; src < cs.n(); ++src) out.push_back(broadcast_reach(cs, src));
+  for (int src = 0; src < cs.n(); ++src)
+    out.push_back(broadcast_reach(cs, src, max_rounds));
   return out;
 }
 

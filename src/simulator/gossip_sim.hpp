@@ -7,9 +7,10 @@
 // pairs are merged symmetrically).
 //
 // Every entry takes a CompiledSchedule, the one validated form: a caller
-// compiles its Protocol or SystolicSchedule once, and a round that is not
-// a matching in the schedule's mode is rejected there with
-// std::invalid_argument naming the round, never simulated.
+// compiles its SystolicSchedule once, and a round that is not a matching in
+// the schedule's mode is rejected there with std::invalid_argument naming
+// the round, never simulated.  A finite t-round protocol is the schedule
+// whose period is its t rounds, run with max_rounds = t.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +34,7 @@ std::int64_t apply_round(KnowledgeMatrix& know,
                          bool parallel = false);
 
 /// Run until gossip completes or max_rounds elapse; returns the completion
-/// round (gossip time), or -1 when incomplete.  Periodic schedules wrap
-/// their stored rounds, finite protocols stop at round_count().  The
+/// round (gossip time), or -1 when incomplete.  The period wraps.  The
 /// schedule runs once per item window of item_window_width(n) items (one
 /// window, the whole matrix, for n <= 5,632); the result is the largest
 /// window completion round, or -1 at the first window that misses the cap

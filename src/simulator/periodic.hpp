@@ -1,17 +1,16 @@
 // The one round loop every schedule run goes through.
 //
 // A systolic schedule is one period of matchings repeated round after
-// round (Definition 3.2); a finite protocol is the same list executed once.
-// run_periodic owns everything about *when* rounds execute, so each caller
-// only says what a round does and what "done" means:
+// round (Definition 3.2); a finite t-round protocol is the period of its t
+// rounds run with max_rounds = t, which never wraps.  run_periodic owns
+// everything about *when* rounds execute, so each caller only says what a
+// round does and what "done" means:
 //
 //   * the round-0 check: a state already done before any round (n == 1)
 //     completes at round 0;
 //   * 1-based round numbering (round i is the i-th executed round);
 //   * the stored-round wrap: executed round i runs stored round
 //     (i - 1) mod stored_rounds;
-//   * the finite cap: a non-periodic run stops after its stored rounds,
-//     whatever max_rounds asks for;
 //   * the stop test after every round;
 //   * the stall exit: a run whose last stored_rounds rounds in a row
 //     changed nothing is over.
@@ -28,19 +27,17 @@
 
 namespace sysgo::simulator {
 
-/// Run stored rounds 0, 1, ..., wrapping when `periodic`, until `done()`
+/// Run stored rounds 0, 1, ..., wrapping after the last, until `done()`
 /// holds, max_rounds rounds have executed, or stored_rounds consecutive
 /// rounds changed nothing.  `step(r, i)` executes stored round r as the
 /// i-th (1-based) round and returns whether it changed the state (any value
 /// that converts to bool: the gossip steps return the bits they gained).
 /// Returns the first round count after which done() held (0 when it held
 /// before round 1), or -1 when the cap ran out or the state stalled first.
-/// A periodic run needs stored_rounds >= 1.
+/// Needs stored_rounds >= 1.
 template <typename Step, typename Done>
-int run_periodic(int stored_rounds, bool periodic, int max_rounds, Step&& step,
-                 Done&& done) {
+int run_periodic(int stored_rounds, int max_rounds, Step&& step, Done&& done) {
   if (done()) return 0;
-  if (!periodic && max_rounds > stored_rounds) max_rounds = stored_rounds;
   int r = 0;
   int idle = 0;  // consecutive rounds that changed nothing
   for (int i = 1; i <= max_rounds; ++i) {

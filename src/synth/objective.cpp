@@ -25,7 +25,7 @@ Objective score_rounds(int n, protocol::Mode mode, int period, int links,
   simulator::KnowledgeMatrix& know = arena.acquire(n);
   simulated = 0;
   obj.rounds = simulator::run_periodic(
-      period, /*periodic=*/true, opts.max_rounds,
+      period, opts.max_rounds,
       [&](int r, int i) {
         simulated = i;
         return full ? know.merge_pairs(links_of(r))
@@ -66,7 +66,6 @@ bool better(const Objective& a, const Objective& b) noexcept {
 
 Objective evaluate(const protocol::CompiledSchedule& cs,
                    const ObjectiveOptions& opts) {
-  cs.require_periodic("synth::evaluate");
   const int links = static_cast<int>(cs.mode() == protocol::Mode::kFullDuplex
                                          ? cs.arc_total() / 2
                                          : cs.arc_total());

@@ -53,8 +53,7 @@ struct Objective {
 /// infeasible candidates by coverage (desc), then period.
 [[nodiscard]] bool better(const Objective& a, const Objective& b) noexcept;
 
-/// Evaluate a compiled periodic schedule.  Throws std::invalid_argument for
-/// a non-periodic compilation.
+/// Evaluate a compiled schedule.
 [[nodiscard]] Objective evaluate(const protocol::CompiledSchedule& cs,
                                  const ObjectiveOptions& opts);
 

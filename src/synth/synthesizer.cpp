@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -228,6 +229,11 @@ SynthResult synthesize(const graph::Digraph& g, const SynthOptions& opts) {
   const obs::Scope scope(synth_metrics().synthesize);
   if (g.vertex_count() < 2)
     throw std::invalid_argument("synthesize: need at least 2 vertices");
+  if (g.vertex_count() > kMaxVertices)
+    throw std::invalid_argument("synthesize: n = " +
+                                std::to_string(g.vertex_count()) +
+                                " exceeds the limit of " +
+                                std::to_string(kMaxVertices) + " vertices");
   if (opts.restarts < 1)
     throw std::invalid_argument("synthesize: need restarts >= 1");
   if (opts.iterations < 0)

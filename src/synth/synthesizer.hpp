@@ -31,6 +31,12 @@
 
 namespace sysgo::synth {
 
+/// Largest network synthesize() accepts, 4,096 vertices: the cap the
+/// topology registry places on K_n, rr and gnp.  Every annealing move
+/// re-simulates an n x n knowledge matrix, so db(3,8) (n = 6,561) runs for
+/// minutes; the sweep engine reports such members as sentinel records.
+inline constexpr int kMaxVertices = 4096;
+
 struct SynthOptions {
   protocol::Mode mode = protocol::Mode::kHalfDuplex;
   ObjectiveOptions objective;
@@ -60,7 +66,8 @@ struct SynthResult {
 /// Synthesize a schedule for g.  Half-duplex drafts draw candidate links
 /// from g's arcs; full-duplex drafts from g's undirected support (like the
 /// edge-coloring builder, so non-symmetric digraphs get support schedules).
-/// Throws std::invalid_argument for an empty graph or nonsensical budgets.
+/// Throws std::invalid_argument for fewer than 2 or more than kMaxVertices
+/// vertices, a graph without links, or nonsensical budgets.
 [[nodiscard]] SynthResult synthesize(const graph::Digraph& g,
                                      const SynthOptions& opts = {});
 

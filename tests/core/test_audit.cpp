@@ -303,21 +303,6 @@ TEST(Audit, EmptyPeriodRejected) {
   EXPECT_THROW((void)CompiledSchedule::compile(sched), std::invalid_argument);
 }
 
-TEST(Audit, CompiledEntryPointsRejectFiniteProtocols) {
-  // A finite protocol's length is not a period; auditing one (including a
-  // zero-round protocol, which would certify nonsense) must fail loudly.
-  protocol::Protocol p;
-  p.n = 4;
-  const auto empty = CompiledSchedule::compile(p);
-  EXPECT_THROW((void)audit_schedule(empty), std::invalid_argument);
-  p.rounds = {{{{0, 1}}}, {{{1, 2}}}};
-  const auto finite = CompiledSchedule::compile(p);
-  EXPECT_THROW((void)audit_schedule(finite), std::invalid_argument);
-  EXPECT_THROW((void)audit_norm_bound(finite, 0.5), std::invalid_argument);
-  EXPECT_THROW((void)audit_schedule_with_separator(finite, 2, 2),
-               std::invalid_argument);
-}
-
 TEST(Audit, NonRelayingScheduleDegenerates) {
   // One-directional star: center receives but never sends onward items
   // can't relay -> norm bound ~0, certificate weak but well-defined.

@@ -116,15 +116,12 @@ TEST(DelayDigraph, NodesFollowTheCompiledRoundSpans) {
   EXPECT_EQ(dg.nodes(), want);
 }
 
-TEST(DelayDigraph, RejectsTinyPeriodAndFiniteProtocols) {
+TEST(DelayDigraph, RejectsTinyPeriod) {
   protocol::SystolicSchedule one;
   one.n = 3;
   one.period = {{{{0, 1}}}};
   EXPECT_THROW(DelayDigraph(CompiledSchedule::compile(one), 4),
                std::invalid_argument);
-  const auto finite = CompiledSchedule::compile(
-      protocol::path_schedule(4, Mode::kHalfDuplex).expand(8));
-  EXPECT_THROW(DelayDigraph(finite, 8), std::invalid_argument);
 }
 
 TEST(DelayDigraph, NodeCountScalesWithRounds) {

@@ -127,37 +127,6 @@ TEST(Scenario, EmptyDimensionsSkipsConcreteTasks) {
   EXPECT_EQ(jobs[0].task, Task::kBound);
 }
 
-TEST(Scenario, ExplicitKeysReplaceGrid) {
-  ScenarioSpec spec;
-  spec.families = all_families();  // ignored
-  spec.degrees = {2, 3};           // ignored
-  spec.explicit_keys = {{Family::kKautz, 2, 5, Mode::kHalfDuplex},
-                        {Family::kDeBruijn, 2, 6, Mode::kHalfDuplex}};
-  spec.tasks = {Task::kSimulate};
-  const auto jobs = spec.expand();
-  ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[0].key.family, Family::kKautz);
-  EXPECT_EQ(jobs[0].key.D, 5);
-  EXPECT_EQ(jobs[1].key.family, Family::kDeBruijn);
-}
-
-TEST(Scenario, ExplicitKeysKeepUniformPerKeyStride) {
-  // Two members of the same family: asymptotic tasks are NOT deduped for
-  // explicit keys, so every key yields the same task-shaped record group.
-  ScenarioSpec spec;
-  spec.explicit_keys = {{Family::kDeBruijn, 2, 4, Mode::kHalfDuplex},
-                        {Family::kDeBruijn, 2, 6, Mode::kHalfDuplex}};
-  spec.tasks = {Task::kSeparatorCheck, Task::kBound};
-  spec.periods = {4};
-  const auto jobs = spec.expand();
-  ASSERT_EQ(jobs.size(), 4u);  // (separator, bound) per key
-  EXPECT_EQ(jobs[0].task, Task::kSeparatorCheck);
-  EXPECT_EQ(jobs[1].task, Task::kBound);
-  EXPECT_EQ(jobs[2].task, Task::kSeparatorCheck);
-  EXPECT_EQ(jobs[2].key.D, 6);
-  EXPECT_EQ(jobs[3].task, Task::kBound);
-}
-
 TEST(Scenario, DuplexOfModeMatchesCore) {
   EXPECT_EQ(duplex_of(Mode::kHalfDuplex), core::Duplex::kHalf);
   EXPECT_EQ(duplex_of(Mode::kFullDuplex), core::Duplex::kFull);

@@ -407,6 +407,44 @@ TEST(Sweep, SynthesizeEmitsSentinelForUnbuildableMembers) {
   EXPECT_GT(records[2].rounds, 0);
 }
 
+TEST(Sweep, SynthEmitsSentinelForOversizedMembers) {
+  // db(3,8) has n = 6,561 > synth::kMaxVertices: a sentinel record sized in
+  // closed form, without building the member or annealing for minutes.
+  ScenarioSpec spec;
+  spec.families = {Family::kDeBruijn};
+  spec.degrees = {3};
+  spec.dimensions = {8};
+  spec.tasks = {Task::kSynthesize};
+  SweepRunner runner;
+  const auto records = runner.run(spec);
+  ASSERT_EQ(records.size(), 1u);
+  const auto& r = records[0];
+  EXPECT_EQ(r.n, 6561);
+  EXPECT_EQ(r.s, 0);
+  EXPECT_EQ(r.rounds, -1);
+  EXPECT_EQ(r.objective, -1.0);
+  EXPECT_EQ(r.restarts, -1);
+  EXPECT_EQ(r.accepted, -1);
+}
+
+TEST(Sweep, SynthSynthesizesAMemberAtTheVertexLimit) {
+  // rr(3, 4096) sits exactly at synth::kMaxVertices: it is synthesized, not
+  // a sentinel (one restart, no annealing moves, so only the warm start).
+  ScenarioSpec spec;
+  spec.families = {Family::kRandomRegular};
+  spec.degrees = {3};
+  spec.dimensions = {synth::kMaxVertices};
+  spec.tasks = {Task::kSynthesize};
+  spec.limits.synth_restarts = 1;
+  spec.limits.synth_iterations = 0;
+  SweepRunner runner;
+  const auto records = runner.run(spec);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].n, synth::kMaxVertices);
+  EXPECT_GT(records[0].rounds, 0);
+  EXPECT_EQ(records[0].restarts, 1);
+}
+
 TEST(Sweep, SimulateAndAuditEmitSentinelForUnbuildableMembers) {
   // W(2,2) has delta > log2(n), W(2,3) an odd n, and CCC needs D >= 3:
   // those members get a sentinel record (n = 0, rounds = -1) instead of

@@ -33,11 +33,10 @@ TEST(EndToEnd, DeBruijnPipeline) {
   const int measured = simulator::gossip_time(compiled, 3000);
   ASSERT_GT(measured, 0);
 
-  // 3. The expanded protocol is systolic with the schedule's period.
-  const auto p = sched.expand(measured);
-  EXPECT_TRUE(protocol::is_systolic(p, sched.period_length()));
-  EXPECT_EQ(simulator::gossip_time(CompiledSchedule::compile(p, &g), p.length()),
-            measured);
+  // 3. The measured-round protocol is the schedule capped at that many
+  // rounds: it completes in exactly those rounds, and not one sooner.
+  EXPECT_EQ(simulator::gossip_time(compiled, measured), measured);
+  EXPECT_EQ(simulator::gossip_time(compiled, measured - 1), -1);
 
   // 4. Audit certificate below the measured time.
   const auto audit = core::audit_schedule(compiled);
@@ -61,11 +60,10 @@ TEST(EndToEnd, TruncatedProtocolFailsGossipButKeepsStructure) {
   // completeness verdict, not the structural one.
   const auto g = topology::de_bruijn(2, 3);
   const auto sched = protocol::edge_coloring_schedule(g, Mode::kHalfDuplex);
-  const int full_time =
-      simulator::gossip_time(CompiledSchedule::compile(sched, &g), 2000);
+  const auto compiled = CompiledSchedule::compile(sched, &g);
+  const int full_time = simulator::gossip_time(compiled, 2000);
   ASSERT_GT(full_time, 1);
-  const auto truncated = CompiledSchedule::compile(sched.expand(full_time - 1), &g);
-  EXPECT_EQ(simulator::gossip_time(truncated, truncated.round_count()), -1);
+  EXPECT_EQ(simulator::gossip_time(compiled, full_time - 1), -1);
 }
 
 TEST(EndToEnd, CorruptedRoundIsCaughtByValidation) {

@@ -22,27 +22,27 @@ namespace {
 
 using protocol::Mode;
 
-TEST(ProtocolText, SerializeBasicProtocol) {
-  protocol::Protocol p;
+TEST(ProtocolText, SerializeBasicSchedule) {
+  protocol::SystolicSchedule p;
   p.n = 4;
   p.mode = Mode::kHalfDuplex;
-  p.rounds = {{{{0, 1}, {2, 3}}}, {{{1, 2}}}};
+  p.period = {{{{0, 1}, {2, 3}}}, {{{1, 2}}}};
   const auto text = serialize(p);
-  EXPECT_NE(text.find("sysgo-protocol v1"), std::string::npos);
+  EXPECT_NE(text.find("sysgo-schedule v1"), std::string::npos);
   EXPECT_NE(text.find("n 4 mode half"), std::string::npos);
   EXPECT_NE(text.find("round 1: 0>1 2>3"), std::string::npos);
   EXPECT_NE(text.find("round 2: 1>2"), std::string::npos);
 }
 
-TEST(ProtocolText, ProtocolRoundTrip) {
+TEST(ProtocolText, RandomScheduleRoundTrip) {
   util::Rng rng(77);
   const auto g = topology::cycle(6);
-  const auto p = protocol::random_protocol(g, 9, Mode::kHalfDuplex, rng);
-  const auto q = parse_protocol(serialize(p));
+  const auto p = protocol::random_systolic_schedule(g, 9, Mode::kHalfDuplex, rng);
+  const auto q = parse_schedule(serialize(p));
   EXPECT_EQ(q.n, p.n);
   EXPECT_EQ(q.mode, p.mode);
-  ASSERT_EQ(q.rounds.size(), p.rounds.size());
-  for (std::size_t i = 0; i < p.rounds.size(); ++i) EXPECT_EQ(q.rounds[i], p.rounds[i]);
+  ASSERT_EQ(q.period.size(), p.period.size());
+  for (std::size_t i = 0; i < p.period.size(); ++i) EXPECT_EQ(q.period[i], p.period[i]);
 }
 
 TEST(ProtocolText, ScheduleRoundTrip) {
@@ -61,43 +61,42 @@ TEST(ProtocolText, ScheduleRoundTrip) {
 }
 
 TEST(ProtocolText, EmptyRoundsSurviveRoundTrip) {
-  protocol::Protocol p;
+  protocol::SystolicSchedule p;
   p.n = 3;
-  p.rounds = {{}, {{{0, 1}}}, {}};
-  const auto q = parse_protocol(serialize(p));
-  ASSERT_EQ(q.rounds.size(), 3u);
-  EXPECT_TRUE(q.rounds[0].arcs.empty());
-  EXPECT_TRUE(q.rounds[2].arcs.empty());
+  p.period = {{}, {{{0, 1}}}, {}};
+  const auto q = parse_schedule(serialize(p));
+  ASSERT_EQ(q.period.size(), 3u);
+  EXPECT_TRUE(q.period[0].arcs.empty());
+  EXPECT_TRUE(q.period[2].arcs.empty());
 }
 
 TEST(ProtocolText, RejectsWrongMagic) {
-  EXPECT_THROW((void)parse_protocol("sysgo-schedule v1\nn 2 mode half\n"),
-               std::invalid_argument);
+  // The retired finite-protocol header is not a schedule document.
   EXPECT_THROW((void)parse_schedule("sysgo-protocol v1\nn 2 mode half\n"),
                std::invalid_argument);
-  EXPECT_THROW((void)parse_protocol("garbage"), std::invalid_argument);
+  EXPECT_THROW((void)parse_schedule("garbage"), std::invalid_argument);
 }
 
 TEST(ProtocolText, RejectsBadMode) {
-  EXPECT_THROW((void)parse_protocol("sysgo-protocol v1\nn 2 mode duplex\n"),
+  EXPECT_THROW((void)parse_schedule("sysgo-schedule v1\nn 2 mode duplex\n"),
                std::invalid_argument);
 }
 
 TEST(ProtocolText, RejectsOutOfRangeArc) {
   EXPECT_THROW(
-      (void)parse_protocol("sysgo-protocol v1\nn 2 mode half\nround 1: 0>5\n"),
+      (void)parse_schedule("sysgo-schedule v1\nn 2 mode half\nround 1: 0>5\n"),
       std::invalid_argument);
 }
 
 TEST(ProtocolText, RejectsNonConsecutiveRounds) {
   EXPECT_THROW(
-      (void)parse_protocol("sysgo-protocol v1\nn 2 mode half\nround 2: 0>1\n"),
+      (void)parse_schedule("sysgo-schedule v1\nn 2 mode half\nround 2: 0>1\n"),
       std::invalid_argument);
 }
 
 TEST(ProtocolText, RejectsMalformedArc) {
   EXPECT_THROW(
-      (void)parse_protocol("sysgo-protocol v1\nn 2 mode half\nround 1: 0-1\n"),
+      (void)parse_schedule("sysgo-schedule v1\nn 2 mode half\nround 1: 0-1\n"),
       std::invalid_argument);
 }
 
@@ -105,8 +104,7 @@ TEST(ProtocolText, FuzzedInputsNeverCrash) {
   // Robustness: arbitrary mutations of a valid document either parse or
   // throw std::invalid_argument/std::exception — never crash.
   util::Rng rng(2025);
-  const auto base =
-      serialize(protocol::path_schedule(4, Mode::kHalfDuplex).expand(4));
+  const auto base = serialize(protocol::path_schedule(4, Mode::kHalfDuplex));
   for (int trial = 0; trial < 200; ++trial) {
     std::string text = base;
     const int mutations = rng.uniform_int(1, 5);
@@ -120,10 +118,10 @@ TEST(ProtocolText, FuzzedInputsNeverCrash) {
       }
     }
     try {
-      const auto p = parse_protocol(text);
+      const auto p = parse_schedule(text);
       // If it parsed, the result must be structurally sane.
       EXPECT_GE(p.n, 1);
-      for (const auto& r : p.rounds)
+      for (const auto& r : p.period)
         for (const auto& a : r.arcs) {
           EXPECT_GE(a.tail, 0);
           EXPECT_LT(a.tail, p.n);
@@ -193,22 +191,16 @@ TEST(ProtocolText, BuilderSchedulesRoundTripToIdenticalCompiledSchedule) {
 TEST(ProtocolText, MalformedEndpointsNameTheLine) {
   for (const char* arc : {"0x>1", "a>1", "0>99999999999", "1>2x", "0>+1",
                           "0>1>2", ">1"}) {
-    for (const bool schedule : {false, true}) {
-      const std::string text =
-          std::string(schedule ? "sysgo-schedule" : "sysgo-protocol") +
-          " v1\nn 4 mode half\nround 1: " + arc + "\n";
-      try {
-        if (schedule)
-          (void)parse_schedule(text);
-        else
-          (void)parse_protocol(text);
-        ADD_FAILURE() << "accepted " << arc;
-      } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
-            << arc << ": " << e.what();
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << arc << ": not std::invalid_argument: " << e.what();
-      }
+    const std::string text =
+        std::string("sysgo-schedule v1\nn 4 mode half\nround 1: ") + arc + "\n";
+    try {
+      (void)parse_schedule(text);
+      ADD_FAILURE() << "accepted " << arc;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << arc << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << arc << ": not std::invalid_argument: " << e.what();
     }
   }
 }
@@ -240,7 +232,7 @@ TEST(ProtocolText, MalformedHeaderAndRoundNumbersNameTheLine) {
 
 TEST(ProtocolText, ErrorMessagesNameTheLine) {
   try {
-    (void)parse_protocol("sysgo-protocol v1\nn 2 mode half\nround 1: 0>9\n");
+    (void)parse_schedule("sysgo-schedule v1\nn 2 mode half\nround 1: 0>9\n");
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);

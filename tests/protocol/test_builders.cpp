@@ -67,21 +67,22 @@ TEST(Builders, RandomScheduleValidFullDuplex) {
 }
 
 TEST(Builders, RandomProtocolValid) {
+  // A random 12-round protocol is the 12-round period run for 12 rounds.
   util::Rng rng(17);
   const auto g = topology::hypercube(3);
-  const auto p = random_protocol(g, 12, Mode::kHalfDuplex, rng);
-  EXPECT_EQ(p.length(), 12);
+  const auto p = random_systolic_schedule(g, 12, Mode::kHalfDuplex, rng);
+  EXPECT_EQ(p.period_length(), 12);
   EXPECT_NO_THROW((void)CompiledSchedule::compile(p, &g));
 }
 
 TEST(Builders, RandomProtocolDeterministicInSeed) {
   const auto g = topology::hypercube(3);
   util::Rng r1(5), r2(5);
-  const auto p1 = random_protocol(g, 6, Mode::kHalfDuplex, r1);
-  const auto p2 = random_protocol(g, 6, Mode::kHalfDuplex, r2);
-  ASSERT_EQ(p1.rounds.size(), p2.rounds.size());
-  for (std::size_t i = 0; i < p1.rounds.size(); ++i)
-    EXPECT_EQ(p1.rounds[i], p2.rounds[i]);
+  const auto p1 = random_systolic_schedule(g, 6, Mode::kHalfDuplex, r1);
+  const auto p2 = random_systolic_schedule(g, 6, Mode::kHalfDuplex, r2);
+  ASSERT_EQ(p1.period.size(), p2.period.size());
+  for (std::size_t i = 0; i < p1.period.size(); ++i)
+    EXPECT_EQ(p1.period[i], p2.period[i]);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "protocol/compiled.hpp"
 #include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 
@@ -93,10 +96,18 @@ TEST(ClassicProtocols, CompletePower2RejectsNonPowers) {
                std::invalid_argument);
 }
 
-TEST(ClassicProtocols, SchedulesAreSystolicWhenExpanded) {
+TEST(ClassicProtocols, CompiledSchedulesRepeatTheirPeriod) {
+  // Definition 3.2: over three periods, executed round i is authored period
+  // round (i - 1) mod s, in canonical arc order.
   const auto sched = path_schedule(9, Mode::kHalfDuplex);
-  const auto p = sched.expand(3 * sched.period_length());
-  EXPECT_TRUE(is_systolic(p, sched.period_length()));
+  const auto cs = CompiledSchedule::compile(sched);
+  const int s = sched.period_length();
+  for (int i = 1; i <= 3 * s; ++i) {
+    Round want = sched.period[static_cast<std::size_t>((i - 1) % s)];
+    want.canonicalize();
+    EXPECT_TRUE(std::ranges::equal(cs.round_arcs(cs.round_index(i)), want.arcs))
+        << "round " << i;
+  }
 }
 
 TEST(ClassicProtocols, RejectsBadParameters) {

@@ -62,9 +62,7 @@ TEST(Compiled, FlatSpansMatchAuthoredRounds) {
   const auto cs = CompiledSchedule::compile(s);
   EXPECT_EQ(cs.n(), 4);
   EXPECT_EQ(cs.mode(), Mode::kHalfDuplex);
-  EXPECT_TRUE(cs.periodic());
-  ASSERT_EQ(cs.round_count(), 2);
-  EXPECT_EQ(cs.period_length(), 2);
+  ASSERT_EQ(cs.period_length(), 2);
   EXPECT_EQ(cs.arc_total(), 3u);
   const auto r0 = cs.round_arcs(0);
   ASSERT_EQ(r0.size(), 2u);
@@ -78,7 +76,7 @@ TEST(Compiled, FlatSpansMatchAuthoredRounds) {
 TEST(Compiled, FullDuplexPairsRepresentBothArcs) {
   const auto sched = protocol::hypercube_schedule(3, Mode::kFullDuplex);
   const auto cs = CompiledSchedule::compile(sched);
-  for (int r = 0; r < cs.round_count(); ++r) {
+  for (int r = 0; r < cs.period_length(); ++r) {
     const auto arcs = cs.round_arcs(r);
     const auto pairs = cs.round_pairs(r);
     EXPECT_EQ(pairs.size() * 2, arcs.size());
@@ -93,17 +91,12 @@ TEST(Compiled, FullDuplexPairsRepresentBothArcs) {
   }
 }
 
-TEST(Compiled, RoundIndexWrapsOnlyWhenPeriodic) {
+TEST(Compiled, RoundIndexWrapsThePeriod) {
   const auto cs = CompiledSchedule::compile(two_round_schedule());
   EXPECT_EQ(cs.round_index(1), 0);
   EXPECT_EQ(cs.round_index(2), 1);
   EXPECT_EQ(cs.round_index(3), 0);
   EXPECT_EQ(cs.round_index(18), 1);
-
-  const auto fin = CompiledSchedule::compile(two_round_schedule().expand(2));
-  EXPECT_FALSE(fin.periodic());
-  EXPECT_EQ(fin.round_index(2), 1);
-  EXPECT_THROW((void)fin.round_index(3), std::out_of_range);
 }
 
 TEST(Compiled, EqualityIgnoresAuthoredArcOrder) {
@@ -117,25 +110,21 @@ TEST(Compiled, EqualityIgnoresAuthoredArcOrder) {
   EXPECT_FALSE(CompiledSchedule::compile(a) == CompiledSchedule::compile(c));
 }
 
-TEST(Compiled, FiniteProtocolAllowsEmptyRoundList) {
-  Protocol p;
-  p.n = 2;
-  EXPECT_NO_THROW((void)CompiledSchedule::compile(p));  // zero rounds
-}
-
 TEST(Compiled, RejectsDuplicateArc) {
   // A duplicated arc is not a matching; it must fail, not be canonicalized
   // away.
-  Protocol p;
-  p.n = 2;
-  p.rounds = {{{{0, 1}, {0, 1}}}};
-  EXPECT_THROW((void)CompiledSchedule::compile(p), std::invalid_argument);
+  SystolicSchedule s;
+  s.n = 2;
+  s.period = {{{{0, 1}, {0, 1}}}};
+  EXPECT_THROW((void)CompiledSchedule::compile(s), std::invalid_argument);
 }
 
 TEST(Compiled, RoundIndexRejectsNonPositiveSteps) {
   const auto cs = CompiledSchedule::compile(two_round_schedule());
   EXPECT_THROW((void)cs.round_index(0), std::out_of_range);
   EXPECT_THROW((void)cs.round_index(-3), std::out_of_range);
+  // A default-constructed schedule has no period to wrap (x % 0).
+  EXPECT_THROW((void)CompiledSchedule{}.round_index(1), std::out_of_range);
 }
 
 }  // namespace

@@ -11,12 +11,13 @@
 namespace sysgo::protocol {
 namespace {
 
-Protocol make_path_protocol() {
+// A t-round protocol is the schedule whose period is its t rounds.
+SystolicSchedule make_path_protocol() {
   // P4 half-duplex protocol: rounds {0->1, 2->3}, {1->2}, {3->2}, {2->1, ...}
-  Protocol p;
+  SystolicSchedule p;
   p.n = 4;
   p.mode = Mode::kHalfDuplex;
-  p.rounds = {{{{0, 1}, {2, 3}}}, {{{1, 2}}}, {{{2, 1}}}, {{{1, 0}, {3, 2}}}};
+  p.period = {{{{0, 1}, {2, 3}}}, {{{1, 2}}}, {{{2, 1}}}, {{{1, 0}, {3, 2}}}};
   return p;
 }
 
@@ -36,9 +37,9 @@ TEST(Protocol, ValidStructureAccepted) {
 }
 
 TEST(Protocol, NonMatchingRoundRejected) {
-  Protocol p;
+  SystolicSchedule p;
   p.n = 3;
-  p.rounds = {{{{0, 1}, {1, 2}}}};  // vertex 1 in two arcs
+  p.period = {{{{0, 1}, {1, 2}}}};  // vertex 1 in two arcs
   try {
     (void)CompiledSchedule::compile(p);
     ADD_FAILURE() << "a non-matching round compiled";
@@ -48,9 +49,9 @@ TEST(Protocol, NonMatchingRoundRejected) {
 }
 
 TEST(Protocol, ArcAbsentFromNetworkRejected) {
-  Protocol p;
+  SystolicSchedule p;
   p.n = 4;
-  p.rounds = {{{{0, 3}}}};  // not a path edge
+  p.period = {{{{0, 3}}}};  // not a path edge
   const auto g = topology::path(4);
   try {
     (void)CompiledSchedule::compile(p, &g);
@@ -61,53 +62,19 @@ TEST(Protocol, ArcAbsentFromNetworkRejected) {
 }
 
 TEST(Protocol, FullDuplexValidation) {
-  Protocol p;
+  SystolicSchedule p;
   p.n = 2;
   p.mode = Mode::kFullDuplex;
-  p.rounds = {{{{0, 1}, {1, 0}}}};
+  p.period = {{{{0, 1}, {1, 0}}}};
   EXPECT_NO_THROW((void)CompiledSchedule::compile(p));
-  p.rounds = {{{{0, 1}}}};  // missing the opposite arc
+  p.period = {{{{0, 1}}}};  // missing the opposite arc
   EXPECT_THROW((void)CompiledSchedule::compile(p), std::invalid_argument);
 }
 
-TEST(Protocol, SystolicDetection) {
-  Protocol p;
-  p.n = 4;
-  Round a{{{0, 1}}}, b{{{2, 3}}};
-  p.rounds = {a, b, a, b, a};
-  EXPECT_TRUE(is_systolic(p, 2));
-  EXPECT_FALSE(is_systolic(p, 3));
-  EXPECT_TRUE(is_systolic(p, 4));  // multiples of the period qualify
-  EXPECT_EQ(minimal_period(p), 2);
-}
-
-TEST(Protocol, SystolicComparesRoundsAsSets) {
-  Protocol p;
-  p.n = 4;
-  Round a{{{0, 1}, {2, 3}}};
-  Round a_permuted{{{2, 3}, {0, 1}}};
-  p.rounds = {a, a_permuted, a};
-  EXPECT_TRUE(is_systolic(p, 1));
-  EXPECT_EQ(minimal_period(p), 1);
-}
-
-TEST(Protocol, AperiodicProtocolHasFullPeriod) {
-  Protocol p;
-  p.n = 6;
-  p.rounds = {{{{0, 1}}}, {{{1, 2}}}, {{{2, 3}}}, {{{3, 4}}}};
-  EXPECT_EQ(minimal_period(p), 4);
-}
-
-TEST(Protocol, NonPositivePeriodRejected) {
-  const auto p = make_path_protocol();
-  EXPECT_FALSE(is_systolic(p, 0));
-  EXPECT_FALSE(is_systolic(p, -1));
-}
-
 TEST(Protocol, EmptyRoundsAreValid) {
-  Protocol p;
+  SystolicSchedule p;
   p.n = 3;
-  p.rounds = {{}, {{{0, 1}}}};
+  p.period = {{}, {{{0, 1}}}};
   EXPECT_NO_THROW((void)CompiledSchedule::compile(p));
 }
 

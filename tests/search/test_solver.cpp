@@ -7,8 +7,11 @@
 #include <set>
 #include <string>
 
+#include "io/protocol_text.hpp"
 #include "obs/metrics.hpp"
+#include "protocol/compiled.hpp"
 #include "simulator/broadcast_sim.hpp"
+#include "simulator/gossip_sim.hpp"
 #include "topology/classic.hpp"
 #include "topology/kautz.hpp"
 #include "topology/knodel.hpp"
@@ -369,18 +372,27 @@ TEST(Solver, GossipWitnessIsValidAndOptimal) {
   }
 }
 
-TEST(Solver, WitnessRunReportsThePlainRunsCounts) {
-  // A witness run is the plain BFS plus its kept layers: the same rounds
-  // and states_explored, and the same witness, for every thread count.
-  // Broadcast keeps its stop-at-goal count and walks back the same way.
-  struct Case {
-    std::string name;
-    graph::Digraph g;
-    Problem problem;
-    Mode mode;
-    int source = 0;
-  };
-  std::vector<Case> cases;
+struct WitnessCase {
+  std::string name;
+  graph::Digraph g;
+  Problem problem;
+  Mode mode;
+  int source = 0;
+
+  [[nodiscard]] std::string label() const {
+    return name + (mode == Mode::kFullDuplex ? " full" : " half");
+  }
+  [[nodiscard]] SolveOptions options() const {
+    SolveOptions opts;
+    opts.problem = problem;
+    opts.mode = mode;
+    opts.source = source;
+    return opts;
+  }
+};
+
+std::vector<WitnessCase> witness_cases() {
+  std::vector<WitnessCase> cases;
   for (int n : {5, 6, 9})
     for (Mode mode : {Mode::kFullDuplex, Mode::kHalfDuplex})
       if (n != 9 || mode == Mode::kFullDuplex)
@@ -394,16 +406,19 @@ TEST(Solver, WitnessRunReportsThePlainRunsCounts) {
     cases.push_back({"C7 broadcast from 3", topology::cycle(7),
                      Problem::kBroadcast, mode, 3});
   }
-  for (const auto& c : cases) {
+  return cases;
+}
+
+TEST(Solver, WitnessRunReportsThePlainRunsCounts) {
+  // A witness run is the plain BFS plus its kept layers: the same rounds
+  // and states_explored, and the same witness, for every thread count.
+  // Broadcast keeps its stop-at-goal count and walks back the same way.
+  for (const auto& c : witness_cases()) {
     const auto& g = c.g;
-    const std::string label =
-        c.name + (c.mode == Mode::kFullDuplex ? " full" : " half");
+    const std::string label = c.label();
     std::vector<protocol::Round> first_witness;
     for (unsigned threads : {1u, 4u}) {
-      SolveOptions opts;
-      opts.problem = c.problem;
-      opts.mode = c.mode;
-      opts.source = c.source;
+      SolveOptions opts = c.options();
       opts.threads = threads;
       const auto plain = solve(g, opts);
       opts.want_witness = true;
@@ -417,6 +432,29 @@ TEST(Solver, WitnessRunReportsThePlainRunsCounts) {
       if (first_witness.empty()) first_witness = res.witness;
       EXPECT_EQ(res.witness, first_witness) << label << " threads=" << threads;
     }
+  }
+}
+
+TEST(Solver, WitnessIsAScheduleThatRunsToTheOptimum) {
+  // A t-round witness is the schedule whose period is its t rounds.  Written
+  // as a schedule document and read back, it compiles against g and, run at
+  // the default 2^20-round cap, first reaches the goal at exactly t: its
+  // first t rounds are the witness, and no protocol is faster.
+  constexpr int kCap = 1 << 20;
+  for (const auto& c : witness_cases()) {
+    SolveOptions opts = c.options();
+    opts.want_witness = true;
+    const auto res = solve(c.g, opts);
+    ASSERT_GT(res.rounds, 0) << c.label();
+    const protocol::SystolicSchedule witness{c.g.vertex_count(), c.mode,
+                                             res.witness};
+    const auto parsed = io::parse_schedule(io::serialize(witness));
+    const auto cs = protocol::CompiledSchedule::compile(parsed, &c.g);
+    EXPECT_EQ(cs.period_length(), res.rounds) << c.label();
+    const int done = c.problem == Problem::kGossip
+                         ? simulator::gossip_time(cs, kCap)
+                         : simulator::broadcast_time(cs, c.source, kCap);
+    EXPECT_EQ(done, res.rounds) << c.label();
   }
 }
 
@@ -476,6 +514,18 @@ TEST(Solver, BroadcastSourceValidation) {
 
 TEST(Solver, TrivialInstances) {
   EXPECT_EQ(run(topology::path(1), Problem::kGossip, Mode::kHalfDuplex).rounds, 0);
+  // A 1-vertex solve is done at round 0: its empty witness has no period to
+  // compile and is valid without one.
+  for (Problem problem : {Problem::kGossip, Problem::kBroadcast}) {
+    const auto g = topology::path(1);
+    SolveOptions opts;
+    opts.problem = problem;
+    opts.want_witness = true;
+    const auto res = solve(g, opts);
+    EXPECT_EQ(res.rounds, 0);
+    EXPECT_TRUE(res.witness.empty());
+    EXPECT_TRUE(witness_valid(g, opts, res));
+  }
   EXPECT_EQ(run(topology::path(2), Problem::kGossip, Mode::kFullDuplex).rounds, 1);
   EXPECT_EQ(run(topology::path(2), Problem::kGossip, Mode::kHalfDuplex).rounds, 2);
   EXPECT_EQ(run(topology::path(2), Problem::kBroadcast, Mode::kHalfDuplex).rounds, 1);

@@ -14,11 +14,11 @@ using protocol::CompiledSchedule;
 using protocol::Mode;
 
 TEST(BroadcastSim, ReachOnChainProtocol) {
-  protocol::Protocol p;
+  protocol::SystolicSchedule p;
   p.n = 4;
   p.mode = Mode::kHalfDuplex;
-  p.rounds = {{{{0, 1}}}, {{{1, 2}}}, {{{2, 3}}}};
-  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 0);
+  p.period = {{{{0, 1}}}, {{{1, 2}}}, {{{2, 3}}}};
+  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 0, 3);
   EXPECT_EQ(reach[0], 0);
   EXPECT_EQ(reach[1], 1);
   EXPECT_EQ(reach[2], 2);
@@ -27,22 +27,22 @@ TEST(BroadcastSim, ReachOnChainProtocol) {
 
 TEST(BroadcastSim, NoSameRoundForwarding) {
   // Both arcs in one round: item can hop only one arc per round.
-  protocol::Protocol p;
+  protocol::SystolicSchedule p;
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
   // (0,1) and (1,2) can't share a round (matching); use separate rounds and
-  // check the reverse order does not deliver.
-  p.rounds = {{{{1, 2}}}, {{{0, 1}}}};
-  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 0);
+  // check the reverse order does not deliver within those two rounds.
+  p.period = {{{{1, 2}}}, {{{0, 1}}}};
+  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 0, 2);
   EXPECT_EQ(reach[1], 2);
   EXPECT_EQ(reach[2], -1);  // the (1,2) activation came before 1 was informed
 }
 
 TEST(BroadcastSim, UnreachedVerticesAreMinusOne) {
-  protocol::Protocol p;
+  protocol::SystolicSchedule p;
   p.n = 3;
-  p.rounds = {{{{0, 1}}}};
-  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 2);
+  p.period = {{{{0, 1}}}};
+  const auto reach = broadcast_reach(CompiledSchedule::compile(p), 2, 1);
   EXPECT_EQ(reach[2], 0);
   EXPECT_EQ(reach[0], -1);
   EXPECT_EQ(reach[1], -1);
@@ -103,8 +103,7 @@ TEST(BroadcastSim, CompiledMatchesNaiveBroadcast) {
       ASSERT_GT(t, 0);
       const auto want = naive_reach(sched, src, t);
       EXPECT_EQ(*std::max_element(want.begin(), want.end()), t);
-      EXPECT_EQ(broadcast_reach(CompiledSchedule::compile(sched.expand(t)), src),
-                want);
+      EXPECT_EQ(broadcast_reach(cs, src, t), want);
     }
   }
 }
@@ -113,62 +112,55 @@ TEST(BroadcastSim, SourceOutOfRangeThrows) {
   const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
   EXPECT_THROW((void)broadcast_time(CompiledSchedule::compile(sched), 4, 10),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)broadcast_reach(CompiledSchedule::compile(sched.expand(3)), -1),
-      std::invalid_argument);
-}
-
-TEST(BroadcastSim, CompiledReachRejectsPeriodicSchedules) {
-  const auto sched = protocol::path_schedule(4, Mode::kHalfDuplex);
-  EXPECT_THROW((void)broadcast_reach(CompiledSchedule::compile(sched), 0),
-               std::invalid_argument);
-  EXPECT_THROW((void)arrival_times(CompiledSchedule::compile(sched)),
+  EXPECT_THROW((void)broadcast_reach(CompiledSchedule::compile(sched), -1, 3),
                std::invalid_argument);
 }
 
 TEST(BroadcastSim, ArrivalCompletionNeedsEveryRound) {
   // Q3 full duplex gossips in exactly 3 rounds: two leave pairs unserved.
-  const auto q3 = protocol::hypercube_schedule(3, Mode::kFullDuplex);
+  const auto cs =
+      CompiledSchedule::compile(protocol::hypercube_schedule(3, Mode::kFullDuplex));
   for (int t : {2, 3}) {
-    const auto cs = CompiledSchedule::compile(q3.expand(t));
-    EXPECT_EQ(gossip_completion_from_arrivals(arrival_times(cs)),
+    EXPECT_EQ(gossip_completion_from_arrivals(arrival_times(cs, t)),
               t == 3 ? 3 : -1);
-    EXPECT_EQ(gossip_time(cs, cs.round_count()), t == 3 ? 3 : -1);
+    EXPECT_EQ(gossip_time(cs, t), t == 3 ? 3 : -1);
   }
 }
 
 TEST(BroadcastSim, ArrivalMatrixRowsMatchBroadcastReach) {
-  const auto cs = CompiledSchedule::compile(
-      protocol::path_schedule(5, Mode::kHalfDuplex).expand(30));
-  const auto arrivals = arrival_times(cs);
+  const auto cs =
+      CompiledSchedule::compile(protocol::path_schedule(5, Mode::kHalfDuplex));
+  const auto arrivals = arrival_times(cs, 30);
   ASSERT_EQ(arrivals.size(), 5u);
   for (int src = 0; src < 5; ++src)
-    EXPECT_EQ(arrivals[static_cast<std::size_t>(src)], broadcast_reach(cs, src));
+    EXPECT_EQ(arrivals[static_cast<std::size_t>(src)],
+              broadcast_reach(cs, src, 30));
 }
 
 TEST(BroadcastSim, ArrivalCompletionMatchesGossipTime) {
-  const auto cs = CompiledSchedule::compile(
-      protocol::hypercube_schedule(3, Mode::kFullDuplex).expand(10));
-  const int from_arrivals = gossip_completion_from_arrivals(arrival_times(cs));
+  const auto cs =
+      CompiledSchedule::compile(protocol::hypercube_schedule(3, Mode::kFullDuplex));
+  const int from_arrivals =
+      gossip_completion_from_arrivals(arrival_times(cs, 10));
   ASSERT_GT(from_arrivals, 0);
-  EXPECT_EQ(from_arrivals, gossip_time(cs, cs.round_count()));
+  EXPECT_EQ(from_arrivals, gossip_time(cs, 10));
 }
 
 TEST(BroadcastSim, ArrivalCompletionMinusOneWhenUnserved) {
-  protocol::Protocol p;
+  protocol::SystolicSchedule p;
   p.n = 3;
-  p.rounds = {{{{0, 1}}}};
-  EXPECT_EQ(
-      gossip_completion_from_arrivals(arrival_times(CompiledSchedule::compile(p))),
-      -1);
+  p.period = {{{{0, 1}}}};
+  EXPECT_EQ(gossip_completion_from_arrivals(
+                arrival_times(CompiledSchedule::compile(p), 1)),
+            -1);
 }
 
 TEST(BroadcastSim, GossipImpliesBroadcastFromEverySource) {
-  const auto cs = CompiledSchedule::compile(
-      protocol::path_schedule(6, Mode::kHalfDuplex).expand(40));
-  ASSERT_GE(gossip_time(cs, cs.round_count()), 0);
+  const auto cs =
+      CompiledSchedule::compile(protocol::path_schedule(6, Mode::kHalfDuplex));
+  ASSERT_GE(gossip_time(cs, 40), 0);
   for (int src = 0; src < 6; ++src) {
-    const auto reach = broadcast_reach(cs, src);
+    const auto reach = broadcast_reach(cs, src, 40);
     for (int v = 0; v < 6; ++v) EXPECT_NE(reach[static_cast<std::size_t>(v)], -1);
   }
 }

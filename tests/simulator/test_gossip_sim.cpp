@@ -13,7 +13,7 @@ namespace {
 
 using protocol::CompiledSchedule;
 using protocol::Mode;
-using protocol::Protocol;
+using protocol::SystolicSchedule;
 using protocol::Round;
 
 /// One run stepped round by round with apply_round over the stored rounds
@@ -32,7 +32,7 @@ SteppedRun step_rounds(const CompiledSchedule& cs, int max_rounds,
   SteppedRun run;
   run.vertex_completion.assign(static_cast<std::size_t>(n), -1);
   for (int i = 1; i <= max_rounds && run.completion < 0; ++i) {
-    apply_round(know, cs, (i - 1) % cs.round_count(), parallel);
+    apply_round(know, cs, (i - 1) % cs.period_length(), parallel);
     for (int v = 0; v < n; ++v)
       if (run.vertex_completion[static_cast<std::size_t>(v)] == -1 &&
           know.row_full(v))
@@ -44,39 +44,39 @@ SteppedRun step_rounds(const CompiledSchedule& cs, int max_rounds,
 }
 
 TEST(GossipSim, TwoVerticesHalfDuplexNeedsTwoRounds) {
-  Protocol p;
+  SystolicSchedule p;
   p.n = 2;
   p.mode = Mode::kHalfDuplex;
-  p.rounds = {{{{0, 1}}}, {{{1, 0}}}};
-  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.length()), 2);
+  p.period = {{{{0, 1}}}, {{{1, 0}}}};
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.period_length()), 2);
 }
 
 TEST(GossipSim, TwoVerticesFullDuplexNeedsOneRound) {
-  Protocol p;
+  SystolicSchedule p;
   p.n = 2;
   p.mode = Mode::kFullDuplex;
-  p.rounds = {{{{0, 1}, {1, 0}}}};
-  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.length()), 1);
+  p.period = {{{{0, 1}, {1, 0}}}};
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.period_length()), 1);
 }
 
 TEST(GossipSim, IncompleteProtocolReported) {
-  Protocol p;
+  SystolicSchedule p;
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
-  p.rounds = {{{{0, 1}}}};
+  p.period = {{{{0, 1}}}};
   const auto cs = CompiledSchedule::compile(p);
-  EXPECT_EQ(gossip_time(cs, p.length()), -1);
-  const auto run = step_rounds(cs, p.length());
+  EXPECT_EQ(gossip_time(cs, p.period_length()), -1);
+  const auto run = step_rounds(cs, p.period_length());
   EXPECT_EQ(run.final_counts[1], 2);
   EXPECT_EQ(run.final_counts[2], 1);
 }
 
 TEST(GossipSim, HalfDuplexRoundSemantics) {
   // Chain 0->1 then 1->2: item 0 reaches 2 after two rounds, not one.
-  Protocol p;
+  SystolicSchedule p;
   p.n = 3;
   p.mode = Mode::kHalfDuplex;
-  p.rounds = {{{{0, 1}}}, {{{1, 2}}}};
+  p.period = {{{{0, 1}}}, {{{1, 2}}}};
   const auto cs = CompiledSchedule::compile(p);
   KnowledgeMatrix k(3);
   apply_round(k, cs, 0);
@@ -90,10 +90,10 @@ TEST(GossipSim, HalfDuplexRoundSemantics) {
 TEST(GossipSim, FullDuplexPairSwapsKnowledge) {
   KnowledgeMatrix k(4);
   k.learn(0, 2);
-  Protocol p;
+  SystolicSchedule p;
   p.n = 4;
   p.mode = Mode::kFullDuplex;
-  p.rounds = {{{{0, 1}, {1, 0}}}};
+  p.period = {{{{0, 1}, {1, 0}}}};
   apply_round(k, CompiledSchedule::compile(p), 0);
   EXPECT_TRUE(k.knows(1, 0));
   EXPECT_TRUE(k.knows(1, 2));
@@ -101,23 +101,23 @@ TEST(GossipSim, FullDuplexPairSwapsKnowledge) {
 }
 
 TEST(GossipSim, LastVertexCompletesAtTheGossipTime) {
-  const auto cs = CompiledSchedule::compile(
-      protocol::path_schedule(5, Mode::kHalfDuplex).expand(60));
-  const auto run = step_rounds(cs, cs.round_count());
+  const auto cs =
+      CompiledSchedule::compile(protocol::path_schedule(5, Mode::kHalfDuplex));
+  const auto run = step_rounds(cs, 60);
   ASSERT_EQ(run.vertex_completion.size(), 5u);
   for (int round : run.vertex_completion) EXPECT_GE(round, 1);
   EXPECT_EQ(*std::max_element(run.vertex_completion.begin(),
                               run.vertex_completion.end()),
             run.completion);
-  EXPECT_EQ(gossip_time(cs, cs.round_count()), run.completion);
+  EXPECT_EQ(gossip_time(cs, 60), run.completion);
 }
 
 TEST(GossipSim, EarlyExitOnceComplete) {
-  Protocol p;
+  SystolicSchedule p;
   p.n = 2;
   p.mode = Mode::kFullDuplex;
-  for (int i = 0; i < 50; ++i) p.rounds.push_back({{{0, 1}, {1, 0}}});
-  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.length()), 1);
+  for (int i = 0; i < 50; ++i) p.period.push_back({{{0, 1}, {1, 0}}});
+  EXPECT_EQ(gossip_time(CompiledSchedule::compile(p), p.period_length()), 1);
 }
 
 TEST(GossipSim, ParallelMatchesSerial) {
@@ -231,17 +231,7 @@ TEST(GossipSim, CompileRejectsNonMatchingRounds) {
   one_way.period = {{{{0, 1}, {2, 3}, {3, 2}}}};
   for (const auto& sched : {triangle, one_way}) {
     EXPECT_THROW((void)CompiledSchedule::compile(sched), std::invalid_argument);
-    EXPECT_THROW((void)CompiledSchedule::compile(sched.expand(4)),
-                 std::invalid_argument);
   }
-}
-
-TEST(GossipSim, CompiledFiniteProtocolStopsAtItsLength) {
-  // A finite compiled protocol never executes past round_count(), even
-  // when max_rounds asks for more.
-  const auto p = protocol::path_schedule(5, Mode::kHalfDuplex).expand(3);
-  const auto cs = CompiledSchedule::compile(p);
-  EXPECT_EQ(gossip_time(cs, 1 << 12), -1);  // 3 rounds cannot finish P5
 }
 
 }  // namespace

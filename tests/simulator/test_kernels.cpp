@@ -291,19 +291,19 @@ TEST(Kernels, ParallelRoundMatchesSerial) {
   for (const auto mode : {protocol::Mode::kHalfDuplex,
                           protocol::Mode::kFullDuplex}) {
     const bool full = mode == protocol::Mode::kFullDuplex;
-    protocol::Protocol p{kN, mode, {}};
+    protocol::SystolicSchedule p{kN, mode, {}};
     for (int r = 0; r < 80; ++r) {
       protocol::Round round;
       for (const graph::Arc& l : random_links(kN, full, rng)) {
         round.arcs.push_back(l);
         if (full) round.arcs.push_back({l.head, l.tail});
       }
-      p.rounds.push_back(std::move(round));
+      p.period.push_back(std::move(round));
     }
     const auto cs = protocol::CompiledSchedule::compile(p);
     KnowledgeMatrix serial(kN, 1000, 64);
     KnowledgeMatrix parallel(kN, 1000, 64);
-    for (int r = 0; r < cs.round_count(); ++r) {
+    for (int r = 0; r < cs.period_length(); ++r) {
       ASSERT_GT(cs.round_pairs(r).size(), 512u);
       ASSERT_EQ(apply_round(parallel, cs, r, /*parallel=*/true),
                 apply_round(serial, cs, r))

@@ -31,14 +31,14 @@ TEST_P(SimProperty, KnowledgeInvariants) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
   const auto g = pick_network(GetParam());
   const auto mode = GetParam() % 2 == 0 ? Mode::kHalfDuplex : Mode::kFullDuplex;
-  const auto p = protocol::random_protocol(g, 20, mode, rng);
+  const auto p = protocol::random_systolic_schedule(g, 20, mode, rng);
 
   // Compiling against g validates the rounds.  Step manually and check
   // monotone growth, bounds, and self-knowledge.
   const auto cs = protocol::CompiledSchedule::compile(p, &g);
   KnowledgeMatrix know(p.n);
   std::vector<int> prev(static_cast<std::size_t>(p.n), 1);
-  for (int r = 0; r < cs.round_count(); ++r) {
+  for (int r = 0; r < cs.period_length(); ++r) {
     apply_round(know, cs, r);
     for (int v = 0; v < p.n; ++v) {
       const int c = know.count(v);
@@ -54,15 +54,15 @@ TEST_P(SimProperty, BroadcastViewMatchesKnowledgeView) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
   const auto g = pick_network(GetParam() + 1);
   const auto mode = GetParam() % 2 == 0 ? Mode::kFullDuplex : Mode::kHalfDuplex;
-  const auto p = protocol::random_protocol(g, 16, mode, rng);
+  const auto p = protocol::random_systolic_schedule(g, 16, mode, rng);
   const auto cs = protocol::CompiledSchedule::compile(p);
 
   KnowledgeMatrix know(p.n);
-  for (int r = 0; r < cs.round_count(); ++r) apply_round(know, cs, r);
+  for (int r = 0; r < cs.period_length(); ++r) apply_round(know, cs, r);
   // know.count(v) must equal the number of sources whose item reached v.
   std::vector<int> reached(static_cast<std::size_t>(p.n), 0);
   for (int src = 0; src < p.n; ++src) {
-    const auto reach = broadcast_reach(cs, src);
+    const auto reach = broadcast_reach(cs, src, p.period_length());
     for (int v = 0; v < p.n; ++v)
       if (reach[static_cast<std::size_t>(v)] != -1)
         ++reached[static_cast<std::size_t>(v)];
@@ -75,14 +75,14 @@ TEST_P(SimProperty, BroadcastViewMatchesKnowledgeView) {
 TEST_P(SimProperty, ReachTimesRespectRoundOrdering) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 5);
   const auto g = pick_network(GetParam() + 2);
-  const auto p = protocol::random_protocol(g, 12, Mode::kHalfDuplex, rng);
+  const auto p = protocol::random_systolic_schedule(g, 12, Mode::kHalfDuplex, rng);
   const auto cs = protocol::CompiledSchedule::compile(p);
   for (int src = 0; src < p.n; src += 3) {
-    const auto reach = broadcast_reach(cs, src);
+    const auto reach = broadcast_reach(cs, src, p.period_length());
     EXPECT_EQ(reach[static_cast<std::size_t>(src)], 0);
     for (int v = 0; v < p.n; ++v) {
       const int r = reach[static_cast<std::size_t>(v)];
-      EXPECT_LE(r, p.length());
+      EXPECT_LE(r, p.period_length());
       EXPECT_GE(r, -1);
       if (v != src && r != -1) {
         EXPECT_GE(r, 1);

@@ -28,7 +28,7 @@ TEST(StallExit, NeverGainingStepEndsAfterOnePeriod) {
   for (const int stored : {1, 2, 5, 17}) {
     int steps = 0;
     const int t = run_periodic(
-        stored, /*periodic=*/true, kLargestCap,
+        stored, kLargestCap,
         [&](int, int) {
           ++steps;
           return false;
@@ -46,7 +46,7 @@ TEST(StallExit, LastGainAtRoundKEndsOnePeriodLater) {
     for (int k = 1; k <= stored; ++k) {
       int steps = 0;
       const int t = run_periodic(
-          stored, /*periodic=*/true, kLargestCap,
+          stored, kLargestCap,
           [&](int, int i) {
             ++steps;
             return i == k;
@@ -59,7 +59,7 @@ TEST(StallExit, LastGainAtRoundKEndsOnePeriodLater) {
     for (const int k : {1, 10, 1000}) {
       int steps = 0;
       const int t = run_periodic(
-          stored, /*periodic=*/true, kLargestCap,
+          stored, kLargestCap,
           [&](int, int i) {
             ++steps;
             return i <= k;
@@ -76,7 +76,7 @@ TEST(StallExit, IdleRoundsShorterThanAPeriodDoNotEndTheRun) {
   // so the run reaches done() at round 30.
   int steps = 0;
   const int t = run_periodic(
-      3, /*periodic=*/true, kLargestCap,
+      3, kLargestCap,
       [&](int r, int) {
         ++steps;
         return r == 2;
@@ -161,7 +161,8 @@ int reference_time(const SystolicSchedule& s, std::vector<std::uint64_t> rows,
   if (done()) return 0;
   for (int i = 1; i <= cap; ++i) {
     const std::vector<std::uint64_t> before = rows;
-    for (const graph::Arc& a : s.round_at(i).arcs)
+    for (const graph::Arc& a :
+         s.period[static_cast<std::size_t>((i - 1) % s.period_length())].arcs)
       rows[static_cast<std::size_t>(a.head)] |=
           before[static_cast<std::size_t>(a.tail)];
     if (done()) return i;

@@ -74,7 +74,7 @@ std::string member_name(const Member& m, Mode mode) {
 int run(KnowledgeMatrix& know, const CompiledSchedule& cs, int max_rounds,
         bool parallel = false) {
   return run_periodic(
-      cs.round_count(), cs.periodic(), max_rounds,
+      cs.period_length(), max_rounds,
       [&](int r, int) { return apply_round(know, cs, r, parallel); },
       [&] { return know.all_full(); });
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "obs/trace.hpp"
@@ -134,6 +135,19 @@ TEST(Synthesizer, RejectsDegenerateInputs) {
   bad = {};
   bad.iterations = -1;
   EXPECT_THROW((void)synthesize(g, bad), std::invalid_argument);
+}
+
+TEST(Synthesizer, RejectsOversizedNetworks) {
+  // One vertex past the limit fails before any schedule is built, naming
+  // the limit.
+  const auto g = topology::cycle(kMaxVertices + 1);
+  try {
+    (void)synthesize(g, quick_options(Mode::kHalfDuplex));
+    ADD_FAILURE() << "a 4,097-vertex network was synthesized";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("4096"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Synthesizer, HeavyMultiRestartImprovesLargerMembers) {

@@ -67,6 +67,7 @@
 #include "simulator/gossip_sim.hpp"
 #include "simulator/kernels.hpp"
 #include "store/result_store.hpp"
+#include "synth/synthesizer.hpp"
 #include "topology/topology.hpp"
 #include "util/fs.hpp"
 #include "util/parse.hpp"
@@ -690,11 +691,12 @@ int cmd_synth(int argc, char** argv) {
     return true;
   };
   // --D is wider than the sweep commands' cap of 30: for the linear-n
-  // families (rr, gnp) D *is* n, so this cap bounds n itself.  Exponential
-  // families are still guarded by their topology builders (hypercube
-  // D <= 24).
+  // families (rr, gnp) D *is* n, so the cap is the synthesizer's vertex
+  // limit, synth::kMaxVertices = 4,096.  Exponential families can exceed
+  // it (db(3,8) has n = 6,561): their synth jobs yield sentinel records
+  // (rounds = -1) without building the member.
   if (!parse_grid_flags(argc, argv,
-                        {"synth", 4096,
+                        {"synth", sysgo::synth::kMaxVertices,
                          &engine::ExecutionLimits::simulate_max_rounds, own_flag},
                         spec, opts, cfg))
     return usage();
